@@ -1,0 +1,185 @@
+"""Golden MSZ1 containers: the wire format pinned byte for byte.
+
+Each case compresses a fixed multiset under fixed params and compares the
+container with the bytes recorded when the format was pinned: in full hex
+for small containers, as (length, sha256) for large ones.  A mismatch
+means the bytes on the wire changed, so files written earlier would no
+longer decode to what they encoded.  Every golden container must also
+decompress back to its multiset.
+
+Inputs come from literal lists or from ``random.Random.getrandbits``,
+whose output for an integer seed is stable across Python versions.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from msetzip.container import compress, decompress
+from msetzip.fibcode import fib_encode
+from msetzip.models import (
+    FibTerminatorDetector,
+    FixedLengthDetector,
+    GeometricLength,
+    PointLength,
+    UniformLength,
+)
+from msetzip.treecodec import (
+    BetaBinomialFamily,
+    BinomialFamily,
+    CodecParams,
+    FixedRegime,
+    GeneralRegime,
+    SelfDelimitingRegime,
+)
+
+FAMILIES = {
+    "binom-1/2": BinomialFamily(),
+    "binom-1/3": BinomialFamily(Fraction(1, 3)),
+    "betabin-1/2,1/2": BetaBinomialFamily(),
+    "betabin-2,5": BetaBinomialFamily(Fraction(2), Fraction(5)),
+}
+
+BYTE_MEMBERS = ["00000000", "00000001", "01101001", "10110011", "10110011", "11111111"]
+FIB_MEMBERS = [fib_encode(v) for v in (1, 2, 3, 5, 8, 13, 21, 100, 100, 1000)]
+VARLEN_MEMBERS = ["1", "01", "110", "0010", "0010", "11010101", "1001110110"]
+
+# name -> (regime, members it codes)
+REGIMES = {
+    "fixed8": (FixedRegime(8), BYTE_MEMBERS),
+    "fib": (SelfDelimitingRegime(FibTerminatorDetector()), FIB_MEMBERS),
+    "fixlen8": (SelfDelimitingRegime(FixedLengthDetector(8)), BYTE_MEMBERS),
+    "geom1/4": (GeneralRegime(GeometricLength(Fraction(1, 4))), VARLEN_MEMBERS),
+    "uniform0-10": (GeneralRegime(UniformLength(0, 10)), VARLEN_MEMBERS + ["", ""]),
+    "point8": (GeneralRegime(PointLength(8)), BYTE_MEMBERS),
+}
+
+
+def _bits(rng: random.Random, nbits: int) -> str:
+    return format(rng.getrandbits(nbits), f"0{nbits}b") if nbits else ""
+
+
+def _random_fixed(seed: int, n: int, length: int) -> list[str]:
+    rng = random.Random(seed)
+    return [_bits(rng, length) for _ in range(n)]
+
+
+def _random_fib(seed: int, n: int) -> list[str]:
+    rng = random.Random(seed)
+    return [fib_encode(rng.getrandbits(17) % 100_000 + 1) for _ in range(n)]
+
+
+def _skewed_duplicates(seed: int, n: int, distinct: int) -> list[str]:
+    """n draws from `distinct` strings of length 1..32, skewed to the first."""
+    rng = random.Random(seed)
+    pool = [_bits(rng, rng.getrandbits(5) + 1) for _ in range(distinct)]
+    return [pool[min(rng.getrandbits(6), rng.getrandbits(6)) % distinct] for _ in range(n)]
+
+
+def _cases() -> dict:
+    cases = {}
+    for rname, (regime, members) in REGIMES.items():
+        for fname, family in FAMILIES.items():
+            cases[f"{rname}/{fname}"] = (members, CodecParams(regime, family))
+        cases[f"{rname}/N=0"] = ([], CodecParams(regime, FAMILIES["binom-1/3"]))
+        for fname in ("binom-1/3", "betabin-2,5"):
+            cases[f"{rname}/N=1/{fname}"] = (members[-1:], CodecParams(regime, FAMILIES[fname]))
+    betabin = FAMILIES["betabin-2,5"]
+    cases["fixed8/duplicates"] = (
+        ["10110011"] * 200 + ["00000000"] * 50 + ["11111110"],
+        CodecParams(FixedRegime(8), betabin),
+    )
+    cases["fib/duplicates"] = (
+        [fib_encode(4)] * 300 + [fib_encode(89)] * 7,
+        CodecParams(SelfDelimitingRegime(FibTerminatorDetector()), FAMILIES["binom-1/3"]),
+    )
+    cases["uniform0-10/duplicates"] = (
+        [""] * 40 + ["0110"] * 120 + ["0110110"] * 3 + ["1"] * 25,
+        CodecParams(GeneralRegime(UniformLength(0, 10)), betabin),
+    )
+    cases["fixed64/random-1000"] = (
+        _random_fixed(1, 1000, 64),
+        CodecParams(FixedRegime(64), FAMILIES["binom-1/2"]),
+    )
+    cases["fib/random-1500"] = (
+        _random_fib(2, 1500),
+        CodecParams(SelfDelimitingRegime(FibTerminatorDetector()), FAMILIES["betabin-1/2,1/2"]),
+    )
+    cases["geom1/16/skewed-duplicates-2000"] = (
+        _skewed_duplicates(3, 2000, 48),
+        CodecParams(GeneralRegime(GeometricLength(Fraction(1, 16))), betabin),
+    )
+    return cases
+
+
+CASES = _cases()
+
+# name -> container hex, or (container length, sha256 hex) when large
+GOLDEN = {
+    "fib/N=0": "4d535a31010100000000000100000003c0",
+    "fib/N=1/betabin-2,5": "4d535a310101010000000002000000010000000500000001645c",
+    "fib/N=1/binom-1/3": "4d535a3101010000000000010000000362dc",
+    "fib/betabin-1/2,1/2": "4d535a3101010100000000010000000200000001000000022cc9d91b18af74",
+    "fib/betabin-2,5": "4d535a3101010100000000020000000100000005000000012cb2787eda377c",
+    "fib/binom-1/2": "4d535a310101000000000001000000022c010c379b02e2",
+    "fib/binom-1/3": "4d535a310101000000000001000000032c19d7c061c4f8",
+    "fib/duplicates": "4d535a31010100000000000100000003549fffffbffff80004fb186692f62c2e00e9bffff0",
+    "fib/random-1500": (2052, "b967a9cfcfd30a50d0a559d37aecda4043079c811965e940e8fbbaecc5096e00"),
+    "fixed64/random-1000": (6953, "2218eef55eef5830e7fdf03bf49c46bd6b6ba77034484c7ba3bfd44a85d75ce4"),
+    "fixed8/N=0": "4d535a3101000000080000000100000003c0",
+    "fixed8/N=1/betabin-2,5": "4d535a310100010008000000020000000100000005000000017fffc0",
+    "fixed8/N=1/binom-1/3": "4d535a31010000000800000001000000037fff",
+    "fixed8/betabin-1/2,1/2": "4d535a310100010008000000010000000200000001000000025bdaa63b3480",
+    "fixed8/betabin-2,5": "4d535a310100010008000000020000000100000005000000015e56eae7154d80",
+    "fixed8/binom-1/2": "4d535a31010000000800000001000000025b1022715cf8",
+    "fixed8/binom-1/3": "4d535a31010000000800000001000000035df9733c88ba",
+    "fixed8/duplicates": "4d535a31010001000800000002000000010000000500000001941ffc0737fff803f8c86ecd5f6c8e8b1e9d3bdcbbfe2eed4fff",
+    "fixlen8/N=0": "4d535a310101000100080000000100000003c0",
+    "fixlen8/N=1/betabin-2,5": "4d535a31010101010008000000020000000100000005000000017fffc0",
+    "fixlen8/N=1/binom-1/3": "4d535a3101010001000800000001000000037fff",
+    "fixlen8/betabin-1/2,1/2": "4d535a31010101010008000000010000000200000001000000025bdaa63b3480",
+    "fixlen8/betabin-2,5": "4d535a31010101010008000000020000000100000005000000015e56eae7154d80",
+    "fixlen8/binom-1/2": "4d535a3101010001000800000001000000025b1022715cf8",
+    "fixlen8/binom-1/3": "4d535a3101010001000800000001000000035df9733c88ba",
+    "geom1/16/skewed-duplicates-2000": (1442, "560ccc80ce0eb6c91db8cf74ab73486030e5c647e17c03905404cbd573f549b5"),
+    "geom1/4/N=0": "4d535a310102000200000001000000040000000100000003c0",
+    "geom1/4/N=1/betabin-2,5": "4d535a3101020102000000010000000400000002000000010000000500000001716962",
+    "geom1/4/N=1/binom-1/3": "4d535a3101020002000000010000000400000001000000037718d0",
+    "geom1/4/betabin-1/2,1/2": "4d535a31010201020000000100000004000000010000000200000001000000020c6d4f6fe9a73f98",
+    "geom1/4/betabin-2,5": "4d535a31010201020000000100000004000000020000000100000005000000010ca68ae401964f40",
+    "geom1/4/binom-1/2": "4d535a3101020002000000010000000400000001000000020e2252c79a8260",
+    "geom1/4/binom-1/3": "4d535a3101020002000000010000000400000001000000030f6b9acc05ae1e",
+    "point8/N=0": "4d535a310102000000080000000100000003c0",
+    "point8/N=1/betabin-2,5": "4d535a310102010000080000000200000001000000050000000174834a",
+    "point8/N=1/binom-1/3": "4d535a3101020000000800000001000000037fff",
+    "point8/betabin-1/2,1/2": "4d535a310102010000080000000100000002000000010000000258d4d8f011b31d95f2b4c0",
+    "point8/betabin-2,5": "4d535a3101020100000800000002000000010000000500000001595ec406629d4274587880",
+    "point8/binom-1/2": "4d535a3101020000000800000001000000025b1022715cf8",
+    "point8/binom-1/3": "4d535a3101020000000800000001000000035df9733c88ba",
+    "uniform0-10/N=0": "4d535a31010200010000000a0000000100000003c0",
+    "uniform0-10/N=1/betabin-2,5": "4d535a31010201010000000a0000000200000001000000050000000178",
+    "uniform0-10/N=1/binom-1/3": "4d535a31010200010000000a00000001000000037e",
+    "uniform0-10/betabin-1/2,1/2": "4d535a31010201010000000a000000010000000200000001000000024d4b75c9f79eb68c",
+    "uniform0-10/betabin-2,5": "4d535a31010201010000000a000000020000000100000005000000014e0822d209bab660",
+    "uniform0-10/binom-1/2": "4d535a31010200010000000a00000001000000024f928e75c0fa30",
+    "uniform0-10/binom-1/3": "4d535a31010200010000000a00000001000000034fc3714267f329",
+    "uniform0-10/duplicates": "4d535a31010201010000000a000000020000000100000005000000012936052acd5b406f772de1c812077a3e23a39818",
+}
+
+
+def test_every_case_has_a_vector():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_container_bytes(name):
+    members, params = CASES[name]
+    blob = compress(members, params)
+    want = GOLDEN[name]
+    if isinstance(want, str):
+        assert blob.hex() == want
+    else:
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == want
+    assert sorted(m.to_str() for m in decompress(blob)) == sorted(members)
