@@ -23,7 +23,6 @@ probabilities; structurally impossible outcomes hold -inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -138,40 +137,3 @@ def trinomial_log2pmf(
         + _xlog2(n_0, (1.0 - t1) * (1.0 - tt))
         + _xlog2(n_1, t1 * (1.0 - tt))
     )
-
-
-@dataclass(frozen=True)
-class BinomialParams:
-    n: int
-    theta: Fraction = Fraction(1, 2)
-
-    def log2pmf_table(self) -> np.ndarray:
-        return binomial_log2pmf_table(self.n, self.theta)
-
-
-@dataclass(frozen=True)
-class BetaBinParams:
-    n: int
-    alpha: Fraction = Fraction(1, 2)
-    beta: Fraction = Fraction(1, 2)
-
-    def log2pmf_table(self) -> np.ndarray:
-        return betabin_log2pmf_table(self.n, self.alpha, self.beta)
-
-
-@dataclass(frozen=True)
-class TrinomialParams:
-    """Parameters of the per-node (termination, left, right) split.
-
-    theta_t is the termination hazard at the node's depth; theta_1 is
-    the probability of a 1 bit given continuation, and theta_0 = 1 -
-    theta_1.
-    """
-
-    n: int
-    theta_t: Fraction
-    theta_1: Fraction = Fraction(1, 2)
-
-    @property
-    def theta_0(self) -> Fraction:
-        return 1 - self.theta_1

@@ -159,13 +159,3 @@ def quantized_binomial(n: int, theta: Rational) -> QuantizedPmf:
 @lru_cache(maxsize=1024)
 def quantized_betabin(n: int, alpha: Rational, beta: Rational) -> QuantizedPmf:
     return quantize(betabin_log2pmf_table(n, alpha, beta))
-
-
-def clear_table_caches() -> None:
-    quantized_binomial.cache_clear()
-    quantized_betabin.cache_clear()
-
-
-def pmf_from_quantized(q: QuantizedPmf) -> np.ndarray:
-    """Quantized probabilities freq/total as float64, for diagnostics."""
-    return q.freqs.astype(np.float64) / q.total

@@ -1,18 +1,30 @@
 """Multiset codecs over count-annotated tries.
 
-Three regimes share one traversal scheme (pre-order, child 0 before
-child 1, parents always before children):
+The codec is one pre-order walk of the trie (parents before children,
+child 0 before child 1) that codes, at every node short of a complete
+member, how the node's n members divide.  Validation, encoding, decoding
+and the ideal codelength are that walk with a different step per node:
+check it, encode its counts, decode them and create the children, or add
+their -log2 p.  The decoder recovers each count before descending, so
+both sides always agree on the next distribution.
 
-  * fixed(L): every member has length exactly L.  Each node above depth
-    L encodes n1 given its count n; n0 = n - n1 is implied.  Depth-L
-    nodes are leaves and encode nothing.
-  * self-delimiting(detector): as fixed, except descent stops where the
-    detector declares the prefix complete.  No termination counts are
-    coded; the detector carries all length information.
-  * general(length_model): at every node of depth d the termination
-    count n_T is coded first (n_T ~ Binomial(n, theta_T(d)) with the
-    hazard from the length model), then the remaining n - n_T members
-    split as in fixed mode.
+The regime sets the walk's schedule, resolved once per call:
+
+  * fixed(L): every member has length exactly L.  Depth-L nodes are
+    complete; every other node codes n1 given n (n0 = n - n1 is
+    implied).  Depth cap L.
+  * self-delimiting(detector): as fixed, except a node is complete where
+    the detector declares its prefix complete.  No termination counts
+    are coded; the detector carries all length information.
+  * general(length_model): no node is complete.  Every node of depth d
+    first codes its termination count n_T ~ Binomial(n, theta_T(d)),
+    theta_T being the length model's hazard, then splits the other
+    n - n_T members as in fixed mode.  Depth cap the model's maximum
+    length, if it has one.
+
+The depth cap is DECODE_DEPTH_CAP unless stated.  Validation refuses a
+deeper member before anything is coded and the decoder will not descend
+past it, so compress never writes a container that decompress refuses.
 
 Families supply the per-node count distribution: Binomial(n, theta)
 with known bias, or Beta-binomial(n, alpha, beta) when the bias is
@@ -21,17 +33,13 @@ across nodes).  Under the beta-binomial family the general regime's
 termination count is also coded Beta-binomially -- the termination rate
 is then treated as unknown too, and the length model is used only to
 validate members, not to code.
-
-The decoder mirrors the encoder exactly, recovering each node count
-before descending, so both sides always agree on the next distribution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,14 +50,12 @@ from .msettree import MultisetTree, TreeNode
 from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
-# Bound on decoder descent for the two unbounded regimes: a corrupted
+# Bound on member length in the two unbounded regimes: a corrupted
 # payload must not walk forever (a truncated stream reads as endless
 # zero bytes, which keep every member alive almost for free).  64k-bit
 # members sit far past this library's domain of short sequences, and
 # hitting the cap costs well under a second.
 DECODE_DEPTH_CAP = 1 << 16
-
-_POP = object()
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,9 @@ class GeneralRegime:
 
 Regime = Union[FixedRegime, SelfDelimitingRegime, GeneralRegime]
 
+# Whether a prefix ends every member that reaches it.
+Completion = Callable[[Sequence[int]], bool]
+
 
 @dataclass(frozen=True)
 class CodecParams:
@@ -147,76 +156,85 @@ def _decode_outcome(dec: RangeDecoder, table: QuantizedPmf) -> int:
     return k
 
 
-# ---------------------------------------------------------------------------
-# Preconditions.  Checked in full before anything is emitted.
+def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int]:
+    """(completion, length model whose termination counts are coded, depth cap).
+    DECODE_DEPTH_CAP is read per call, so lowering it takes effect at once."""
+    if isinstance(regime, FixedRegime):
+        length = regime.length
+        return lambda prefix: len(prefix) == length, None, length
+    if isinstance(regime, SelfDelimitingRegime):
+        return regime.detector.is_complete, None, DECODE_DEPTH_CAP
+    if isinstance(regime, GeneralRegime):
+        cap = regime.length_model.max_length()
+        return lambda prefix: False, regime.length_model, DECODE_DEPTH_CAP if cap is None else cap
+    raise TypeError(f"unknown regime {regime!r}")
 
 
-def _validate_fixed(tree: MultisetTree, length: int) -> None:
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if d == length:
-            if node.child0 is not None or node.child1 is not None:
-                raise ModelMismatchError(f"member longer than fixed length {length}")
-            continue
-        if node.slack:
-            raise ModelMismatchError(f"member of length {d}, expected exactly {length}")
-        if node.child1 is not None:
-            stack.append((node.child1, d + 1))
-        if node.child0 is not None:
-            stack.append((node.child0, d + 1))
-
-
-def _validate_selfdelim(tree: MultisetTree, detector: EndDetector) -> None:
+def _walk(
+    root: TreeNode, complete: Completion, cap: int, step, error: type = ModelMismatchError
+) -> None:
+    """Call step(node, depth) at every node under root that is short of a
+    complete member, in pre-order with child 0 before child 1, then descend
+    into the children the node has once step returns (the decoder's step
+    creates them).  A node past the depth cap, or a complete node with
+    children, raises error: the regime cannot hold its members."""
     prefix: list[int] = []
-    stack: list = [(tree.root, None)]
+    stack = [(root, 0, 0)]
     while stack:
-        item = stack.pop()
-        if item is _POP:
-            prefix.pop()
-            continue
-        node, bit = item
-        if bit is not None:
-            prefix.append(bit)
-            stack.append(_POP)
-        if detector.is_complete(prefix):
+        node, d, bit = stack.pop()
+        if d > cap:
+            raise error(f"member longer than the depth cap of {cap} bits")
+        if d:
+            prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
+        if complete(prefix):
             if node.child0 is not None or node.child1 is not None:
-                raise ModelMismatchError("member extends a complete prefix")
+                raise error(f"member extends a complete {d}-bit prefix")
             continue
-        if node.slack:
-            raise ModelMismatchError("member ends at an incomplete prefix")
+        step(node, d)
         if node.child1 is not None:
-            stack.append((node.child1, 1))
+            stack.append((node.child1, d + 1, 1))
         if node.child0 is not None:
-            stack.append((node.child0, 0))
+            stack.append((node.child0, d + 1, 0))
 
 
-def _validate_general(tree: MultisetTree, model: LengthModel) -> None:
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node.slack and model.pmf(d) == 0:
-            raise ModelMismatchError(f"member length {d} has zero probability under the length model")
-        if node.child1 is not None:
-            stack.append((node.child1, d + 1))
-        if node.child0 is not None:
-            stack.append((node.child0, d + 1))
+class _Memo(dict):
+    """Per-call store in front of a table factory, keyed by ints: it keeps
+    the module-level caches' Fraction hashing off the per-node path."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        table = self[key] = self.make(key)
+        return table
+
+
+def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]):
+    """Memos over a family's table factories: n -> split table, and depth -> n
+    -> termination table, shared by depths with equal hazards."""
+    by_hazard: dict[Fraction, _Memo] = {}
+
+    def at_depth(d: int) -> _Memo:
+        theta_t = hazard(model, d)
+        tables = by_hazard.get(theta_t)
+        if tables is None:
+            tables = by_hazard[theta_t] = _Memo(lambda n: termination(n, theta_t))
+        return tables
+
+    return _Memo(split), _Memo(at_depth)
 
 
 def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
-    regime = params.regime
-    if isinstance(regime, FixedRegime):
-        _validate_fixed(tree, regime.length)
-    elif isinstance(regime, SelfDelimitingRegime):
-        _validate_selfdelim(tree, regime.detector)
-    elif isinstance(regime, GeneralRegime):
-        _validate_general(tree, regime.length_model)
-    else:
-        raise TypeError(f"unknown regime {regime!r}")
+    """Raise ModelMismatchError unless the regime can code every member.
+    Checked in full before anything is emitted."""
+    complete, model, cap = _schedule(params.regime)
 
+    def check(node: TreeNode, d: int) -> None:
+        if node.slack and (model is None or model.pmf(d) == 0):
+            raise ModelMismatchError(f"member of length {d} cannot occur under the regime")
 
-# ---------------------------------------------------------------------------
-# Encoding.
+    _walk(tree.root, complete, cap, check)
 
 
 def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> None:
@@ -224,73 +242,19 @@ def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> N
     validate_tree(tree, params)
     if len(tree) == 0:
         return
-    regime, fam = params.regime, params.family
-    if isinstance(regime, FixedRegime):
-        _encode_fixed(tree, regime.length, fam, enc)
-    elif isinstance(regime, SelfDelimitingRegime):
-        _encode_selfdelim(tree, regime.detector, fam, enc)
-    else:
-        _encode_general(tree, regime.length_model, fam, enc)
+    complete, model, cap = _schedule(params.regime)
+    fam = params.family
+    split, termination = _tables(fam.split_table, fam.termination_table, model)
 
-
-def _encode_fixed(tree: MultisetTree, length: int, fam: Family, enc: RangeEncoder) -> None:
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if d == length:
-            continue
-        n1 = node.child1.count if node.child1 is not None else 0
-        _encode_outcome(enc, fam.split_table(node.count), n1)
-        if node.child1 is not None:
-            stack.append((node.child1, d + 1))
-        if node.child0 is not None:
-            stack.append((node.child0, d + 1))
-
-
-def _encode_selfdelim(
-    tree: MultisetTree, detector: EndDetector, fam: Family, enc: RangeEncoder
-) -> None:
-    prefix: list[int] = []
-    stack: list = [(tree.root, None)]
-    while stack:
-        item = stack.pop()
-        if item is _POP:
-            prefix.pop()
-            continue
-        node, bit = item
-        if bit is not None:
-            prefix.append(bit)
-            stack.append(_POP)
-        if detector.is_complete(prefix):
-            continue
-        n1 = node.child1.count if node.child1 is not None else 0
-        _encode_outcome(enc, fam.split_table(node.count), n1)
-        if node.child1 is not None:
-            stack.append((node.child1, 1))
-        if node.child0 is not None:
-            stack.append((node.child0, 0))
-
-
-def _encode_general(
-    tree: MultisetTree, model: LengthModel, fam: Family, enc: RangeEncoder
-) -> None:
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
+    def encode(node: TreeNode, d: int) -> None:
         n = node.count
-        th = hazard(model, d)
-        _encode_outcome(enc, fam.termination_table(n, th), node.slack)
-        rem = n - node.slack
-        n1 = node.child1.count if node.child1 is not None else 0
-        _encode_outcome(enc, fam.split_table(rem), n1)
-        if node.child1 is not None:
-            stack.append((node.child1, d + 1))
-        if node.child0 is not None:
-            stack.append((node.child0, d + 1))
+        if model is not None:
+            n_t = node.slack
+            _encode_outcome(enc, termination[d][n], n_t)
+            n -= n_t
+        _encode_outcome(enc, split[n], node.child1.count if node.child1 is not None else 0)
 
-
-# ---------------------------------------------------------------------------
-# Decoding.  Mirrors the encoder's traversal decision for decision.
+    _walk(tree.root, complete, cap, encode)
 
 
 def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> MultisetTree:
@@ -298,169 +262,49 @@ def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> Multi
     if n_members == 0:
         return tree
     tree.root.count = n_members
-    regime, fam = params.regime, params.family
-    if isinstance(regime, FixedRegime):
-        _decode_fixed(tree, regime.length, fam, dec)
-    elif isinstance(regime, SelfDelimitingRegime):
-        _decode_selfdelim(tree, regime.detector, fam, dec)
-    elif isinstance(regime, GeneralRegime):
-        _decode_general(tree, regime.length_model, fam, dec)
-    else:
-        raise TypeError(f"unknown regime {regime!r}")
+    complete, model, cap = _schedule(params.regime)
+    fam = params.family
+    split, termination = _tables(fam.split_table, fam.termination_table, model)
+
+    def decode(node: TreeNode, d: int) -> None:
+        n = node.count
+        if model is not None:
+            n_t = _decode_outcome(dec, termination[d][n])
+            if n_t and model.pmf(d) == 0:
+                # reachable only with full-support termination tables on a
+                # corrupt stream; no encoder output decodes to this state
+                raise CorruptStreamError(f"decoded a member of impossible length {d}")
+            n -= n_t
+        n1 = _decode_outcome(dec, split[n])
+        if n1:
+            node.child1 = TreeNode(n1)
+        if n - n1:
+            node.child0 = TreeNode(n - n1)
+
+    _walk(tree.root, complete, cap, decode, CorruptStreamError)
     return tree
 
 
-def _decode_fixed(tree: MultisetTree, length: int, fam: Family, dec: RangeDecoder) -> None:
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if d == length:
-            continue
-        n = node.count
-        n1 = _decode_outcome(dec, fam.split_table(n))
-        n0 = n - n1
-        if n1:
-            node.child1 = TreeNode(n1)
-            stack.append((node.child1, d + 1))
-        if n0:
-            node.child0 = TreeNode(n0)
-            stack.append((node.child0, d + 1))
-
-
-def _decode_selfdelim(
-    tree: MultisetTree, detector: EndDetector, fam: Family, dec: RangeDecoder
-) -> None:
-    prefix: list[int] = []
-    stack: list = [(tree.root, None)]
-    while stack:
-        item = stack.pop()
-        if item is _POP:
-            prefix.pop()
-            continue
-        node, bit = item
-        if bit is not None:
-            prefix.append(bit)
-            stack.append(_POP)
-        if len(prefix) > DECODE_DEPTH_CAP:
-            raise CorruptStreamError("decoder descended past the depth cap")
-        if detector.is_complete(prefix):
-            continue
-        n = node.count
-        n1 = _decode_outcome(dec, fam.split_table(n))
-        n0 = n - n1
-        if n1:
-            node.child1 = TreeNode(n1)
-            stack.append((node.child1, 1))
-        if n0:
-            node.child0 = TreeNode(n0)
-            stack.append((node.child0, 0))
-
-
-def _decode_general(
-    tree: MultisetTree, model: LengthModel, fam: Family, dec: RangeDecoder
-) -> None:
-    cap = model.max_length()
-    if cap is None:
-        cap = DECODE_DEPTH_CAP
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if d > cap:
-            raise CorruptStreamError("decoded member longer than the length model allows")
-        n = node.count
-        th = hazard(model, d)
-        nt = _decode_outcome(dec, fam.termination_table(n, th))
-        if nt and model.pmf(d) == 0:
-            # reachable only with full-support termination tables on a
-            # corrupt stream; no encoder output decodes to this state
-            raise CorruptStreamError(f"decoded a member of impossible length {d}")
-        rem = n - nt
-        n1 = _decode_outcome(dec, fam.split_table(rem))
-        n0 = rem - n1
-        if n1:
-            node.child1 = TreeNode(n1)
-            stack.append((node.child1, d + 1))
-        if n0:
-            node.child0 = TreeNode(n0)
-            stack.append((node.child0, d + 1))
-
-
-# ---------------------------------------------------------------------------
-# Ideal codelength: sum of -log2 pmf over the exact (unquantized)
-# distributions, walking the same decisions the encoder codes.  Used as
-# the optimality yardstick; in fixed mode with theta = 1/2 it equals
-# N*L - log2(N!/prod m_j!).
-
-
 def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
+    """Sum of -log2 pmf over the exact (unquantized) distributions of the
+    decisions the encoder codes: the optimality yardstick.  In fixed mode
+    with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
     validate_tree(tree, params)
     if len(tree) == 0:
         return 0.0
-    regime, fam = params.regime, params.family
-
-    split_cache: dict[int, np.ndarray] = {}
-    term_cache: dict[tuple[int, Fraction], np.ndarray] = {}
-
-    def split_bits(n: int, k: int) -> float:
-        tab = split_cache.get(n)
-        if tab is None:
-            tab = split_cache[n] = fam.split_log2pmf(n)
-        return -float(tab[k])
-
-    def term_bits(n: int, th: Fraction, k: int) -> float:
-        key = (n, th)
-        tab = term_cache.get(key)
-        if tab is None:
-            tab = term_cache[key] = fam.termination_log2pmf(n, th)
-        return -float(tab[k])
-
+    complete, model, cap = _schedule(params.regime)
+    fam = params.family
+    split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0
-    if isinstance(regime, FixedRegime):
-        stack = [(tree.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if d == regime.length:
-                continue
-            n1 = node.child1.count if node.child1 is not None else 0
-            total += split_bits(node.count, n1)
-            if node.child1 is not None:
-                stack.append((node.child1, d + 1))
-            if node.child0 is not None:
-                stack.append((node.child0, d + 1))
-    elif isinstance(regime, SelfDelimitingRegime):
-        detector = regime.detector
-        prefix: list[int] = []
-        sstack: list = [(tree.root, None)]
-        while sstack:
-            item = sstack.pop()
-            if item is _POP:
-                prefix.pop()
-                continue
-            node, bit = item
-            if bit is not None:
-                prefix.append(bit)
-                sstack.append(_POP)
-            if detector.is_complete(prefix):
-                continue
-            n1 = node.child1.count if node.child1 is not None else 0
-            total += split_bits(node.count, n1)
-            if node.child1 is not None:
-                sstack.append((node.child1, 1))
-            if node.child0 is not None:
-                sstack.append((node.child0, 0))
-    else:
-        model = regime.length_model
-        stack = [(tree.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            n = node.count
-            th = hazard(model, d)
-            total += term_bits(n, th, node.slack)
-            rem = n - node.slack
-            n1 = node.child1.count if node.child1 is not None else 0
-            total += split_bits(rem, n1)
-            if node.child1 is not None:
-                stack.append((node.child1, d + 1))
-            if node.child0 is not None:
-                stack.append((node.child0, d + 1))
+
+    def add(node: TreeNode, d: int) -> None:
+        nonlocal total
+        n = node.count
+        if model is not None:
+            n_t = node.slack
+            total -= float(termination[d][n][n_t])
+            n -= n_t
+        total -= float(split[n][node.child1.count if node.child1 is not None else 0])
+
+    _walk(tree.root, complete, cap, add)
     return total

@@ -425,6 +425,25 @@ class TestValidation:
             BetaBinomialFamily(Fraction(0), Fraction(1))
 
 
+class TestDepthCap:
+    # (regime, member of n bits) for the two regimes capped at DECODE_DEPTH_CAP
+    UNBOUNDED = [
+        (SelfDelimitingRegime(FibTerminatorDetector()), lambda n: "0" * (n - 2) + "11"),
+        (GeneralRegime(GeometricLength(HALF)), lambda n: "0" * n),
+    ]
+
+    @pytest.mark.parametrize("fam", [BinomialFamily(), BetaBinomialFamily()], ids=repr)
+    @pytest.mark.parametrize("regime, member", UNBOUNDED, ids=["selfdelim", "general"])
+    def test_compress_refuses_what_decompress_would(self, monkeypatch, regime, member, fam):
+        monkeypatch.setattr(treecodec, "DECODE_DEPTH_CAP", 40)
+        params = CodecParams(regime, fam)
+        enc = RangeEncoder()
+        with pytest.raises(ModelMismatchError):
+            encode_tree(MultisetTree.build(["011", member(41)]), params, enc)
+        assert enc.symbols_coded == 0  # rejected before anything was coded
+        round_trip(["011", member(40), member(40)], params)
+
+
 class TestCorruptStreams:
     def test_selfdelim_depth_cap(self, monkeypatch):
         class NeverEnds:
