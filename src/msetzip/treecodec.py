@@ -38,6 +38,7 @@ validate members, not to code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -197,32 +198,31 @@ def _walk(
             stack.append((node.child0, d + 1, 0))
 
 
-class _Memo(dict):
-    """Per-call store in front of a table factory, keyed by ints: it keeps
-    the module-level caches' Fraction hashing off the per-node path."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        table = self[key] = self.make(key)
-        return table
+# Tables one call keeps per kind (split, termination): bounded, so a deep
+# chain's distinct counts (~N^2/2 entries in all) never stay alive at once.
+_TABLES_PER_CALL = 1024
 
 
 def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]):
-    """Memos over a family's table factories: n -> split table, and depth -> n
-    -> termination table, shared by depths with equal hazards."""
-    by_hazard: dict[Fraction, _Memo] = {}
+    """Per-call caches over a family's table factories: split(n) and
+    termination(d, n).  Keys are ints, which keeps the module-level caches'
+    Fraction hashing off the per-node path; depths with equal hazards share
+    tables through the first depth that has that hazard."""
+    split = lru_cache(maxsize=_TABLES_PER_CALL)(split)
+    first_depth: dict[Fraction, int] = {}  # hazard -> first depth with it
+    depth_of: dict[int, int] = {}  # depth -> first depth with its hazard
 
-    def at_depth(d: int) -> _Memo:
-        theta_t = hazard(model, d)
-        tables = by_hazard.get(theta_t)
-        if tables is None:
-            tables = by_hazard[theta_t] = _Memo(lambda n: termination(n, theta_t))
-        return tables
+    @lru_cache(maxsize=_TABLES_PER_CALL)
+    def shared(d0: int, n: int):
+        return termination(n, hazard(model, d0))
 
-    return _Memo(split), _Memo(at_depth)
+    def at_depth(d: int, n: int):
+        d0 = depth_of.get(d)
+        if d0 is None:
+            d0 = depth_of[d] = first_depth.setdefault(hazard(model, d), d)
+        return shared(d0, n)
+
+    return split, at_depth
 
 
 def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
@@ -250,9 +250,9 @@ def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> N
         n = node.count
         if model is not None:
             n_t = node.slack
-            _encode_outcome(enc, termination[d][n], n_t)
+            _encode_outcome(enc, termination(d, n), n_t)
             n -= n_t
-        _encode_outcome(enc, split[n], node.child1.count if node.child1 is not None else 0)
+        _encode_outcome(enc, split(n), node.child1.count if node.child1 is not None else 0)
 
     _walk(tree.root, complete, cap, encode)
 
@@ -269,13 +269,13 @@ def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> Multi
     def decode(node: TreeNode, d: int) -> None:
         n = node.count
         if model is not None:
-            n_t = _decode_outcome(dec, termination[d][n])
+            n_t = _decode_outcome(dec, termination(d, n))
             if n_t and model.pmf(d) == 0:
                 # reachable only with full-support termination tables on a
                 # corrupt stream; no encoder output decodes to this state
                 raise CorruptStreamError(f"decoded a member of impossible length {d}")
             n -= n_t
-        n1 = _decode_outcome(dec, split[n])
+        n1 = _decode_outcome(dec, split(n))
         if n1:
             node.child1 = TreeNode(n1)
         if n - n1:
@@ -302,9 +302,9 @@ def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
         n = node.count
         if model is not None:
             n_t = node.slack
-            total -= float(termination[d][n][n_t])
+            total -= float(termination(d, n)[n_t])
             n -= n_t
-        total -= float(split[n][node.child1.count if node.child1 is not None else 0])
+        total -= float(split(n)[node.child1.count if node.child1 is not None else 0])
 
     _walk(tree.root, complete, cap, add)
     return total

@@ -14,7 +14,9 @@ match -log2 P; the coder's output must land within its guaranteed slack
 of the ideal.
 """
 
+import dataclasses
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -442,6 +444,52 @@ class TestDepthCap:
             encode_tree(MultisetTree.build(["011", member(41)]), params, enc)
         assert enc.symbols_coded == 0  # rejected before anything was coded
         round_trip(["011", member(40), member(40)], params)
+
+
+class TestTableMemory:
+    # A chain trie (members 0^k, k = 1..K) meets K distinct split counts and
+    # K distinct termination counts, ~K^2 table entries in all; one call
+    # must not keep them all alive.
+    K = 120
+
+    @pytest.mark.parametrize(
+        "model", [GeometricLength(Fraction(1, 4)), UniformLength(1, K)], ids=repr
+    )
+    def test_tables_retained_per_call_stay_bounded(self, monkeypatch, model):
+        monkeypatch.setattr(treecodec, "_TABLES_PER_CALL", 8)
+        live = peak = 0
+
+        def release():
+            nonlocal live
+            live -= 1
+
+        def tracked(table):
+            nonlocal live, peak
+            table = dataclasses.replace(table) if dataclasses.is_dataclass(table) else table
+            weakref.finalize(table, release)
+            live += 1
+            peak = max(peak, live)
+            return table
+
+        class Tracked(BinomialFamily):
+            def split_table(self, n):
+                return tracked(super().split_table(n))
+
+            def termination_table(self, n, theta_t):
+                return tracked(super().termination_table(n, theta_t))
+
+            def split_log2pmf(self, n):
+                return tracked(super().split_log2pmf(n))
+
+            def termination_log2pmf(self, n, theta_t):
+                return tracked(super().termination_log2pmf(n, theta_t))
+
+        params = CodecParams(GeneralRegime(model), Tracked())
+        members = ["0" * k for k in range(1, self.K + 1)]
+        round_trip(members, params)
+        ideal_codelength(MultisetTree.build(members), params)
+        # 8 split + 8 termination tables cached, plus the one in hand
+        assert 0 < peak <= 2 * 8 + 2
 
 
 class TestCorruptStreams:
