@@ -16,6 +16,7 @@ defaults to hex, the variable regimes to bits.
 from __future__ import annotations
 
 import argparse
+import string
 import sys
 from fractions import Fraction
 
@@ -141,8 +142,15 @@ def _parse_members(data: bytes, fmt: str, length: int | None) -> list[BitString]
         if any(full.bit(n_rec * length + j) for j in range(leftover)):
             raise MsetzipError("raw input has nonzero padding bits")
         return members
-    lines = [ln.strip() for ln in data.decode("ascii").splitlines()]
+    try:
+        lines = [ln.strip() for ln in data.decode("ascii").splitlines()]
+    except UnicodeDecodeError as e:
+        raise MsetzipError(f"{fmt} input is not ASCII text (byte {e.start})") from None
     lines = [ln for ln in lines if ln]
+    digits = string.hexdigits if fmt == "hex" else "01"
+    for ln in lines:
+        if ln.strip(digits) or (fmt == "hex" and len(ln) % 2):
+            raise MsetzipError(f"{fmt} input has a malformed line: {ln[:40]!r}")
     if fmt == "hex":
         return [BitString(bytes.fromhex(ln), 4 * len(ln)) for ln in lines]
     return [BitString.from_str(ln) for ln in lines]

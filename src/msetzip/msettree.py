@@ -117,26 +117,18 @@ class MultisetTree:
         A prefix sorts before its extensions, so terminations at a node
         come out before anything in its subtrees.
         """
-        # (node, bits-so-far writer state) via explicit stack; prefix is
-        # maintained as a list of bits shared down the walk.
         prefix: list[int] = []
-        POP = object()
-        stack: list = [(self.root, None)]
+        stack = [(self.root, 0, 0)]
         while stack:
-            item = stack.pop()
-            if item is POP:
-                prefix.pop()
-                continue
-            node, bit = item
-            if bit is not None:
-                prefix.append(bit)
-                stack.append(POP)
+            node, d, bit = stack.pop()
+            if d:
+                prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
             for _ in range(node.slack):
-                yield _bits_to_bitstring(prefix)
+                yield BitString.from_bits(prefix)
             if node.child1 is not None:
-                stack.append((node.child1, 1))
+                stack.append((node.child1, d + 1, 1))
             if node.child0 is not None:
-                stack.append((node.child0, 0))
+                stack.append((node.child0, d + 1, 0))
 
     def enumerate(self) -> list[BitString]:
         return list(self.members())
@@ -153,7 +145,7 @@ class MultisetTree:
             u = rng.randrange(node.count)
             u -= node.slack
             if u < 0:
-                return _bits_to_bitstring(prefix)
+                return BitString.from_bits(prefix)
             n0 = node.child0.count if node.child0 is not None else 0
             if u < n0:
                 prefix.append(0)
@@ -203,10 +195,6 @@ class MultisetTree:
     def __repr__(self) -> str:
         n = self.root.count
         return f"MultisetTree(N={n}, nodes={self.node_count()})"
-
-
-def _bits_to_bitstring(bits: list[int]) -> BitString:
-    return BitString.from_bits(bits)
 
 
 def _merge_nodes(a: Optional[TreeNode], b: Optional[TreeNode]) -> Optional[TreeNode]:

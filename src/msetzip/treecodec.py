@@ -48,7 +48,13 @@ from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
 from .msettree import MultisetTree, TreeNode
-from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
+from .quantize import (
+    QuantizedPmf,
+    decode_outcome,
+    encode_outcome,
+    quantized_betabin,
+    quantized_binomial,
+)
 from .rangecoder import RangeDecoder, RangeEncoder
 
 # Bound on member length in the two unbounded regimes: a corrupted
@@ -136,25 +142,6 @@ Completion = Callable[[Sequence[int]], bool]
 class CodecParams:
     regime: Regime
     family: Family = BinomialFamily()
-
-
-def _encode_outcome(enc: RangeEncoder, table: QuantizedPmf, k: int) -> None:
-    if table.total == 1:
-        # Point mass: zero information, nothing coded.  Anything else
-        # is a symbol the model forbids.
-        if k != table.symbol_of(0):
-            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
-        return
-    enc.encode_interval(table.interval_of(k))
-
-
-def _decode_outcome(dec: RangeDecoder, table: QuantizedPmf) -> int:
-    if table.total == 1:
-        return table.symbol_of(0)
-    target = dec.decode_target(table.total)
-    k = table.symbol_of(target)
-    dec.decode_commit(table.interval_of(k))
-    return k
 
 
 def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int]:
@@ -250,9 +237,9 @@ def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> N
         n = node.count
         if model is not None:
             n_t = node.slack
-            _encode_outcome(enc, termination(d, n), n_t)
+            encode_outcome(enc, termination(d, n), n_t)
             n -= n_t
-        _encode_outcome(enc, split(n), node.child1.count if node.child1 is not None else 0)
+        encode_outcome(enc, split(n), node.child1.count if node.child1 is not None else 0)
 
     _walk(tree.root, complete, cap, encode)
 
@@ -269,13 +256,13 @@ def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> Multi
     def decode(node: TreeNode, d: int) -> None:
         n = node.count
         if model is not None:
-            n_t = _decode_outcome(dec, termination(d, n))
+            n_t = decode_outcome(dec, termination(d, n))
             if n_t and model.pmf(d) == 0:
                 # reachable only with full-support termination tables on a
                 # corrupt stream; no encoder output decodes to this state
                 raise CorruptStreamError(f"decoded a member of impossible length {d}")
             n -= n_t
-        n1 = _decode_outcome(dec, split(n))
+        n1 = decode_outcome(dec, split(n))
         if n1:
             node.child1 = TreeNode(n1)
         if n - n1:

@@ -104,6 +104,36 @@ class TestCompressDecompress:
         assert err.startswith("msetzip:")
 
 
+
+class TestMalformedInput:
+    def test_bits_line_with_other_characters_rejected(self, tmp_path, capsys):
+        # from_str would drop the "x" and silently store 011
+        src = tmp_path / "in.bits"
+        src.write_text("01\n01x1\n")
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), "--regime", "general",
+                   "--length-model", "uniform:0:8", "--out", str(box)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("msetzip:") and "01x1" in err
+        assert not box.exists()
+
+    @pytest.mark.parametrize("line", ["deadbeeg", "abc", "de adbeef"])
+    def test_invalid_hex_line_rejected(self, tmp_path, capsys, line):
+        src = tmp_path / "in.hex"
+        src.write_text(f"deadbeef\n{line}\n")
+        assert run("compress", str(src), "--out", str(tmp_path / "out.msz")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("msetzip:") and line in err
+
+    @pytest.mark.parametrize("fmt", ["hex", "bits"])
+    def test_non_ascii_input_rejected(self, tmp_path, capsys, fmt):
+        src = tmp_path / "in.txt"
+        src.write_bytes("0110\n01\u00e91\n".encode("utf-8"))
+        assert run("compress", str(src), "--input-format", fmt, "--regime", "general",
+                   "--length-model", "uniform:0:8", "--out", str(tmp_path / "out.msz")) == 1
+        assert capsys.readouterr().err.startswith("msetzip:")
+
+
 class TestBench:
     def test_bench_fib_csv(self, tmp_path):
         out = tmp_path / "fib.csv"

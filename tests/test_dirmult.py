@@ -1,5 +1,7 @@
-"""Dirichlet-multinomial baseline: chain/closed-form agreement, round-trips."""
+"""Dirichlet-multinomial baseline: chain, halving tree and closed form agree;
+round-trips; golden payloads."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -54,6 +56,22 @@ def exact_chain(ms: IntMultiset, alpha: Fraction) -> Fraction:
     return p
 
 
+def exact_halving(counts: tuple, alpha: Fraction) -> Fraction:
+    """Product of the Beta-binomial pmfs of the halving tree: the count of
+    the left half (the first len // 2 slots) given the node's total, then
+    each half in turn."""
+    n = sum(counts)
+    if n == 0 or len(counts) == 1:
+        return Fraction(1)
+    mid = len(counts) // 2
+    left, right = counts[:mid], counts[mid:]
+    return (
+        exact_betabin(n, sum(left), mid * alpha, len(right) * alpha)
+        * exact_halving(left, alpha)
+        * exact_halving(right, alpha)
+    )
+
+
 def round_trip(ms: IntMultiset, alpha=DEFAULT_ALPHA):
     enc = RangeEncoder()
     encode_dirmult(ms, enc, alpha)
@@ -76,6 +94,16 @@ class TestExactIdentities:
             k = rng.randint(1, 12)
             ms = random_multiset(rng, k, rng.randint(0, 30))
             assert exact_chain(ms, alpha) == exact_dirmult(ms, alpha)
+
+    @pytest.mark.parametrize("alpha", [HALF, Fraction(1), Fraction(3, 7)])
+    def test_halving_tree_telescopes_to_dirmult(self, alpha):
+        # the aggregation property: the tree the coder walks realizes the
+        # joint law exactly, for every alphabet size, powers of two or not
+        rng = random.Random(53)
+        for k in range(1, 13):
+            for n in (0, 1, 30, rng.randint(2, 29), rng.randint(2, 29)):
+                ms = random_multiset(rng, k, n)
+                assert exact_halving(ms.counts, alpha) == exact_dirmult(ms, alpha)
 
     def test_ideal_matches_exact_law(self):
         rng = random.Random(77)
@@ -121,6 +149,8 @@ class TestCoding:
         payload, enc = round_trip(ms)
         ideal = ideal_codelength_dirmult(ms)
         assert payload.nbits <= ideal + 2 + 0.01 * enc.symbols_coded
+        # one decision per tree level per member at most, not one per slot
+        assert enc.symbols_coded <= 60 * math.ceil(math.log2(100_000))
 
     def test_payload_close_to_ideal(self):
         rng = random.Random(9)
@@ -160,3 +190,30 @@ class TestValidation:
             encode_dirmult(ms, RangeEncoder(), Fraction(0))
         with pytest.raises(ValueError):
             decode_dirmult(2, 2, RangeDecoder.from_bytes(b""), Fraction(-1))
+
+
+# Payloads recorded when the halving walk was introduced, as (nbits, hex).
+# A mismatch means the baseline's bytes changed.
+GOLDEN = [
+    (IntMultiset(1, (7,)), 0, ""),
+    (IntMultiset(2, (3, 5)), 4, "70"),
+    (IntMultiset(5, (0, 4, 0, 0, 2)), 6, "b4"),
+    (IntMultiset(17, (2, 0, 0, 1, 0, 3, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 5)), 27, "6fa65620"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("ms, nbits, hexdata", GOLDEN, ids=["k1", "k2", "k5", "k17"])
+    def test_small_payloads(self, ms, nbits, hexdata):
+        payload, _ = round_trip(ms)
+        assert (payload.nbits, payload.data.hex()) == (nbits, hexdata)
+
+    def test_sparse_payload(self):
+        # 200 draws over K = 10**4: most slots empty, a few doubles
+        rng = random.Random(2024)
+        ms = IntMultiset.from_values([1 + rng.getrandbits(32) % 10_000 for _ in range(200)], 10_000)
+        payload, _ = round_trip(ms)
+        assert payload.nbits == 1416
+        assert hashlib.sha256(payload.data).hexdigest() == (
+            "343a98943048d4faca8eff46c8000838eb1c5eb2bd6a6ae3aae5c74a5ee87760"
+        )
