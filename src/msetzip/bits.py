@@ -41,7 +41,9 @@ class BitString:
 
     @classmethod
     def from_str(cls, s: str) -> "BitString":
-        return cls.from_bits(1 if c == "1" else 0 for c in s if c in "01")
+        if s.strip("01"):
+            raise ValueError(f"bit string {s[:40]!r} has characters other than 0 and 1")
+        return cls.from_bits(1 if c == "1" else 0 for c in s)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":

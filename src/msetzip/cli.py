@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .bench import DEFAULT_N_GRID, bench_fib, bench_rsha1, write_csv
 from .bits import BitString, BitWriter
-from .container import compress, decompress
+from .container import compress, decompress, serialize_header
 from .errors import MsetzipError
 from .models import FibTerminatorDetector, GeometricLength, PointLength, UniformLength
 from .treecodec import (
@@ -156,16 +156,11 @@ def _parse_members(data: bytes, fmt: str, length: int | None) -> list[BitString]
     return [BitString.from_str(ln) for ln in lines]
 
 
-def cmd_compress(args) -> int:
+def _codec_params(args, members: list[BitString]) -> CodecParams:
     if args.family == "binomial":
         family = BinomialFamily(args.theta)
     else:
         family = BetaBinomialFamily(args.alpha, args.beta)
-
-    fmt = args.input_format or ("hex" if args.regime == "fixed" else "bits")
-    data = _read_bytes(args.input)
-    members = _parse_members(data, fmt, args.length)
-
     if args.regime == "fixed":
         length = args.length
         if length is None:
@@ -179,8 +174,18 @@ def cmd_compress(args) -> int:
         if args.length_model is None:
             raise MsetzipError("general regime needs --length-model")
         regime = GeneralRegime(args.length_model)
+    return CodecParams(regime=regime, family=family)
 
-    container = compress(members, CodecParams(regime=regime, family=family))
+
+def cmd_compress(args) -> int:
+    fmt = args.input_format or ("hex" if args.regime == "fixed" else "bits")
+    members = _parse_members(_read_bytes(args.input), fmt, args.length)
+    try:
+        params = _codec_params(args, members)
+        serialize_header(params)  # refuses a field the container cannot hold
+    except ValueError as e:
+        raise MsetzipError(f"bad compression parameters: {e}") from None
+    container = compress(members, params)
     _write_bytes(args.out, container)
     return 0
 

@@ -22,7 +22,9 @@ Layout (big-endian, MSB-first bit packing):
     zero padding to a byte boundary.
 
 Rationals are unsigned num/den pairs; a denominator of zero is
-malformed.  Unknown ids are rejected, never guessed at.
+malformed.  Unknown ids are rejected, never guessed at.  Valid field
+ranges are the parameter classes' own; adding a type means appending one
+`_SCHEMA` row.
 """
 
 from __future__ import annotations
@@ -65,26 +67,56 @@ VERSION = 1
 # demanding gigabytes.
 MAX_MEMBERS = (1 << 18) - 1
 
-_REGIME_FIXED = 0
-_REGIME_SELFDELIM = 1
-_REGIME_GENERAL = 2
+# The one map from types to ids to fields.  Each kind lists its types in
+# wire-id order (append, never reorder), each type its fields as
+# (attribute, wire type): "u16", "u32/u32" (a rational) or a nested kind,
+# written as its id byte followed by its own fields.
+_SCHEMA = {
+    "regime": [
+        (FixedRegime, [("length", "u16")]),
+        (SelfDelimitingRegime, [("detector", "detector")]),
+        (GeneralRegime, [("length_model", "length-model")]),
+    ],
+    "detector": [
+        (FibTerminatorDetector, []),
+        (FixedLengthDetector, [("length", "u16")]),
+    ],
+    "length-model": [
+        (PointLength, [("length", "u16")]),
+        (UniformLength, [("lo", "u16"), ("hi", "u16")]),
+        (GeometricLength, [("p", "u32/u32")]),
+    ],
+    "family": [
+        (BinomialFamily, [("theta", "u32/u32")]),
+        (BetaBinomialFamily, [("alpha", "u32/u32"), ("beta", "u32/u32")]),
+    ],
+}
 
-_FAMILY_BINOMIAL = 0
-_FAMILY_BETABIN = 1
 
-_DETECTOR_FIB = 0
-_DETECTOR_FIXED = 1
-
-_LENGTH_POINT = 0
-_LENGTH_UNIFORM = 1
-_LENGTH_GEOMETRIC = 2
+def _schema_row(kind: str, obj) -> tuple[int, list]:
+    """(wire id, fields) of obj's type within kind."""
+    for type_id, (cls, fields) in enumerate(_SCHEMA[kind]):
+        if isinstance(obj, cls):
+            return type_id, fields
+    raise ValueError(f"{kind} {obj!r} has no container encoding")
 
 
-def _pack_rational(x: Fraction) -> bytes:
-    num, den = x.numerator, x.denominator
-    if not (0 <= num < 1 << 32 and 1 <= den < 1 << 32):
-        raise ValueError(f"rational {x} does not fit in u32/u32")
-    return struct.pack(">II", num, den)
+def _write_fields(out: bytearray, fields: list, obj) -> None:
+    for attr, wire in fields:
+        value = getattr(obj, attr)
+        if wire == "u16":
+            if not 0 <= value < 1 << 16:
+                raise ValueError(f"{attr} {value} does not fit in u16")
+            out += struct.pack(">H", value)
+        elif wire == "u32/u32":
+            num, den = value.numerator, value.denominator
+            if not (0 <= num < 1 << 32 and 1 <= den < 1 << 32):
+                raise ValueError(f"rational {value} does not fit in u32/u32")
+            out += struct.pack(">II", num, den)
+        else:
+            type_id, nested = _schema_row(wire, value)
+            out.append(type_id)
+            _write_fields(out, nested, value)
 
 
 class _Parser:
@@ -100,56 +132,34 @@ class _Parser:
         self.pos += size
         return out if len(out) > 1 else out[0]
 
-    def take_rational(self) -> Fraction:
-        num, den = self.take(">II")
-        if den == 0:
-            raise FormatError("rational with zero denominator")
-        return Fraction(num, den)
+    def build(self, kind: str, type_id: int):
+        """Reads a type's fields and builds it; its constructor checks them."""
+        if type_id >= len(_SCHEMA[kind]):
+            raise FormatError(f"unknown {kind} id {type_id}")
+        cls, fields = _SCHEMA[kind][type_id]
+        values = {attr: self.field(wire) for attr, wire in fields}
+        try:
+            return cls(**values)
+        except ValueError as e:
+            raise FormatError(f"bad {kind} parameters: {e}") from None
+
+    def field(self, wire: str):
+        if wire == "u16":
+            return self.take(">H")
+        if wire == "u32/u32":
+            num, den = self.take(">II")
+            if den == 0:
+                raise FormatError("rational with zero denominator")
+            return Fraction(num, den)
+        return self.build(wire, self.take(">B"))
 
 
 def serialize_header(params: CodecParams) -> bytes:
-    out = bytearray(MAGIC)
-    out.append(VERSION)
-
-    regime = params.regime
-    if isinstance(regime, FixedRegime):
-        rbyte, rparams = _REGIME_FIXED, struct.pack(">H", regime.length)
-    elif isinstance(regime, SelfDelimitingRegime):
-        det = regime.detector
-        if isinstance(det, FibTerminatorDetector):
-            rbyte, rparams = _REGIME_SELFDELIM, bytes([_DETECTOR_FIB])
-        elif isinstance(det, FixedLengthDetector):
-            rbyte, rparams = _REGIME_SELFDELIM, bytes([_DETECTOR_FIXED]) + struct.pack(
-                ">H", det.length
-            )
-        else:
-            raise ValueError(f"detector {det!r} has no container encoding")
-    elif isinstance(regime, GeneralRegime):
-        model = regime.length_model
-        if isinstance(model, PointLength):
-            mparams = bytes([_LENGTH_POINT]) + struct.pack(">H", model.length)
-        elif isinstance(model, UniformLength):
-            mparams = bytes([_LENGTH_UNIFORM]) + struct.pack(">HH", model.lo, model.hi)
-        elif isinstance(model, GeometricLength):
-            mparams = bytes([_LENGTH_GEOMETRIC]) + _pack_rational(model.p)
-        else:
-            raise ValueError(f"length model {model!r} has no container encoding")
-        rbyte, rparams = _REGIME_GENERAL, mparams
-    else:
-        raise ValueError(f"regime {regime!r} has no container encoding")
-
-    fam = params.family
-    if isinstance(fam, BinomialFamily):
-        fbyte, fparams = _FAMILY_BINOMIAL, _pack_rational(fam.theta)
-    elif isinstance(fam, BetaBinomialFamily):
-        fbyte, fparams = _FAMILY_BETABIN, _pack_rational(fam.alpha) + _pack_rational(fam.beta)
-    else:
-        raise ValueError(f"family {fam!r} has no container encoding")
-
-    out.append(rbyte)
-    out.append(fbyte)
-    out += rparams
-    out += fparams
+    regime_id, regime_fields = _schema_row("regime", params.regime)
+    family_id, family_fields = _schema_row("family", params.family)
+    out = bytearray(MAGIC + bytes([VERSION, regime_id, family_id]))
+    _write_fields(out, regime_fields, params.regime)
+    _write_fields(out, family_fields, params.family)
     return bytes(out)
 
 
@@ -162,59 +172,9 @@ def parse_header(data: bytes) -> tuple[CodecParams, int]:
     version = p.take(">B")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    rbyte = p.take(">B")
-    fbyte = p.take(">B")
-
-    if rbyte == _REGIME_FIXED:
-        length = p.take(">H")
-        if length < 1:
-            raise FormatError("fixed-mode length must be >= 1")
-        regime = FixedRegime(length)
-    elif rbyte == _REGIME_SELFDELIM:
-        det_id = p.take(">B")
-        if det_id == _DETECTOR_FIB:
-            regime = SelfDelimitingRegime(FibTerminatorDetector())
-        elif det_id == _DETECTOR_FIXED:
-            length = p.take(">H")
-            if length < 1:
-                raise FormatError("detector length must be >= 1")
-            regime = SelfDelimitingRegime(FixedLengthDetector(length))
-        else:
-            raise FormatError(f"unknown detector id {det_id}")
-    elif rbyte == _REGIME_GENERAL:
-        model_id = p.take(">B")
-        if model_id == _LENGTH_POINT:
-            regime = GeneralRegime(PointLength(p.take(">H")))
-        elif model_id == _LENGTH_UNIFORM:
-            lo, hi = p.take(">HH")
-            if lo > hi:
-                raise FormatError("uniform length model needs lo <= hi")
-            regime = GeneralRegime(UniformLength(lo, hi))
-        elif model_id == _LENGTH_GEOMETRIC:
-            prob = p.take_rational()
-            if not 0 < prob <= 1:
-                raise FormatError("geometric parameter must lie in (0, 1]")
-            regime = GeneralRegime(GeometricLength(prob))
-        else:
-            raise FormatError(f"unknown length-model id {model_id}")
-    else:
-        raise FormatError(f"unknown regime id {rbyte}")
-
-    if fbyte == _FAMILY_BINOMIAL:
-        theta = p.take_rational()
-        if theta > 1:
-            raise FormatError("theta must lie in [0, 1]")
-        family = BinomialFamily(theta)
-    elif fbyte == _FAMILY_BETABIN:
-        alpha = p.take_rational()
-        beta = p.take_rational()
-        if alpha == 0 or beta == 0:
-            raise FormatError("alpha and beta must be positive")
-        family = BetaBinomialFamily(alpha, beta)
-    else:
-        raise FormatError(f"unknown family id {fbyte}")
-
-    return CodecParams(regime=regime, family=family), p.pos
+    regime_id, family_id = p.take(">BB")
+    regime = p.build("regime", regime_id)
+    return CodecParams(regime=regime, family=p.build("family", family_id)), p.pos
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ decoder treats bytes past the end of input as zeros).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .bits import BitReader, BitString
@@ -65,7 +64,6 @@ class RangeEncoder:
         self._pending = 0          # run of 0xFF bytes awaiting carry resolution
         self._finished = False
         self.symbols_coded = 0
-        self.bits_coded = 0.0      # analytic cost, sum of -log2(freq/total)
 
     def _shift_low(self) -> None:
         low = self.low
@@ -97,7 +95,6 @@ class RangeEncoder:
             self._shift_low()
             self.range <<= 8
         self.symbols_coded += 1
-        self.bits_coded += math.log2(iv.total / iv.freq)
 
     def finish(self) -> BitString:
         """Flush and return the payload with its exact bit length.

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from msetzip.bits import BitReader, BitString, BitWriter, as_bitstring
 from msetzip.errors import TruncationError
+from msetzip.msettree import MultisetTree
 
 bit_lists = st.lists(st.integers(0, 1), max_size=200)
 
@@ -59,6 +60,15 @@ class TestBitString:
         assert as_bitstring(bs) is bs
         with pytest.raises(TypeError):
             as_bitstring(5)
+
+    @pytest.mark.parametrize("text", ["01x1", "0 1"])
+    def test_from_str_rejects_other_characters(self, text):
+        with pytest.raises(ValueError):
+            BitString.from_str(text)
+
+    def test_tree_build_rejects_other_characters(self):
+        with pytest.raises(ValueError):
+            MultisetTree.build(["01x1"])
 
 
 class TestBitWriter:

@@ -133,6 +133,25 @@ class TestMalformedInput:
                    "--length-model", "uniform:0:8", "--out", str(tmp_path / "out.msz")) == 1
         assert capsys.readouterr().err.startswith("msetzip:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--length", "0"],
+            ["--length", "70000"],
+            ["--theta", "3/2"],
+            ["--theta", "1/8589934592"],
+            ["--family", "betabin", "--alpha", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_compression_parameters_rejected(self, tmp_path, capsys, flags):
+        src = tmp_path / "in.hex"
+        src.write_text("deadbeef\n")
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), *flags, "--out", str(box)) == 1
+        assert capsys.readouterr().err.startswith("msetzip:")
+        assert not box.exists()
+
 
 class TestBench:
     def test_bench_fib_csv(self, tmp_path):

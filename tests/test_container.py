@@ -121,6 +121,58 @@ class TestHeader:
                 CodecParams(FixedRegime(3), BinomialFamily(Fraction(1, 1 << 33)))
             )
 
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            FixedRegime(70000),
+            SelfDelimitingRegime(FixedLengthDetector(70000)),
+            GeneralRegime(PointLength(70000)),
+            GeneralRegime(UniformLength(0, 70000)),
+        ],
+        ids=repr,
+    )
+    def test_wide_u16_rejected(self, regime):
+        with pytest.raises(ValueError, match="does not fit in u16"):
+            serialize_header(CodecParams(regime))
+
+    # (params, byte offset, replacement): each patch puts one field out of
+    # the range its parameter class accepts.
+    _OUT_OF_RANGE = {
+        "fixed L = 0": (CodecParams(FixedRegime(3)), 7, b"\x00\x00"),
+        "detector L = 0": (
+            CodecParams(SelfDelimitingRegime(FixedLengthDetector(7))), 8, b"\x00\x00"),
+        "uniform lo > hi": (
+            CodecParams(GeneralRegime(UniformLength(2, 5))), 8, b"\x00\x06"),
+        "geometric p = 0": (
+            CodecParams(GeneralRegime(GeometricLength(Fraction(3, 10)))), 8, bytes(4)),
+        "geometric p = 3/2": (
+            CodecParams(GeneralRegime(GeometricLength(Fraction(3, 10)))), 8,
+            (3).to_bytes(4, "big") + (2).to_bytes(4, "big")),
+        "alpha = 0": (CodecParams(FixedRegime(3), BetaBinomialFamily()), -16, bytes(4)),
+        "beta = 0": (CodecParams(FixedRegime(3), BetaBinomialFamily()), -8, bytes(4)),
+    }
+
+    @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+    def test_out_of_range_field_rejected(self, case):
+        params, pos, raw = self._OUT_OF_RANGE[case]
+        blob = bytearray(serialize_header(params))
+        blob[pos:pos + len(raw)] = raw
+        with pytest.raises(FormatError):
+            parse_header(bytes(blob))
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=repr)
+    def test_byte_sweep_parses_or_raises_format_error(self, regime):
+        for family in FAMILIES:
+            blob = serialize_header(CodecParams(regime, family))
+            for pos in range(len(blob)):
+                for value in (0, 1, 2, 0x7F, 0x80, 0xFF):
+                    patched = blob[:pos] + bytes([value]) + blob[pos + 1:]
+                    try:
+                        params, consumed = parse_header(patched)
+                    except FormatError:
+                        continue
+                    assert isinstance(params, CodecParams) and consumed <= len(patched)
+
 
 class TestFraming:
     def test_empty_multiset_frozen_bytes(self):

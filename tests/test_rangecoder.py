@@ -186,4 +186,3 @@ def test_analytic_bits_counter():
     enc.encode_interval(FreqInterval(0, 1, 8))
     enc.encode_interval(FreqInterval(1, 7, 8))
     assert enc.symbols_coded == 2
-    assert enc.bits_coded == pytest.approx(3 + math.log2(8 / 7))

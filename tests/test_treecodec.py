@@ -364,12 +364,13 @@ class TestOptimality:
             assert payload.nbits <= ideal + slack, (trial, payload.nbits, ideal)
 
     def test_single_member_fixed_costs_exactly_L(self):
+        params = CodecParams(FixedRegime(5), BinomialFamily())
         for member in ("10110", "00000", "11111"):
             tree = MultisetTree.build([member])
             enc = RangeEncoder()
-            encode_tree(tree, CodecParams(FixedRegime(5), BinomialFamily()), enc)
+            encode_tree(tree, params, enc)
             payload = enc.finish()
-            assert enc.bits_coded == 5.0  # each level is one fair bit
+            assert ideal_codelength(tree, params) == 5.0  # each level is one fair bit
             assert enc.symbols_coded == 5
             assert payload.nbits <= 6
 
