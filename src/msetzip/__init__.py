@@ -48,7 +48,7 @@ from .models import (
     hazard,
 )
 from .msettree import MultisetTree, TreeNode
-from .rangecoder import FreqInterval, RangeDecoder, RangeEncoder
+from .rangecoder import RangeDecoder, RangeEncoder
 from .treecodec import (
     BetaBinomialFamily,
     BinomialFamily,
@@ -99,7 +99,6 @@ __all__ = [
     "hazard",
     "MultisetTree",
     "TreeNode",
-    "FreqInterval",
     "RangeDecoder",
     "RangeEncoder",
     "BetaBinomialFamily",

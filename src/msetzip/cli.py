@@ -185,7 +185,10 @@ def cmd_compress(args) -> int:
         serialize_header(params)  # refuses a field the container cannot hold
     except ValueError as e:
         raise MsetzipError(f"bad compression parameters: {e}") from None
-    container = compress(members, params)
+    try:
+        container = compress(members, params)
+    except ValueError as e:  # more members than the container can count
+        raise MsetzipError(str(e)) from None
     _write_bytes(args.out, container)
     return 0
 

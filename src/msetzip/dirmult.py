@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .distributions import LN2
-from .quantize import QuantizedPmf, decode_outcome, encode_outcome, quantized_betabin
+from .quantize import QuantizedPmf, quantized_betabin
 from .rangecoder import RangeDecoder, RangeEncoder
 
 DEFAULT_ALPHA = Fraction(1, 2)
@@ -86,7 +86,7 @@ def encode_dirmult(ms: IntMultiset, enc: RangeEncoder, alpha: Fraction = DEFAULT
 
     def encode(lo: int, mid: int, table: QuantizedPmf) -> int:
         left = below[mid] - below[lo]
-        encode_outcome(enc, table, left)
+        enc.encode_interval(table.cum, left)
         return left
 
     _walk(ms.k, ms.n, alpha, encode)
@@ -95,7 +95,7 @@ def encode_dirmult(ms: IntMultiset, enc: RangeEncoder, alpha: Fraction = DEFAULT
 def decode_dirmult(
     k: int, n: int, dec: RangeDecoder, alpha: Fraction = DEFAULT_ALPHA
 ) -> IntMultiset:
-    counts = _walk(k, n, alpha, lambda lo, mid, table: decode_outcome(dec, table))
+    counts = _walk(k, n, alpha, lambda lo, mid, table: dec.decode_target(table.cum))
     return IntMultiset(k=k, counts=tuple(counts))
 
 

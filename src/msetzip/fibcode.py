@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .bits import BitReader
-from .errors import CorruptStreamError, TruncationError
+from .bits import BitReader, BitString
+from .errors import CorruptStreamError
 
 # _FIBS[i] = F(i + 2): 1, 2, 3, 5, 8, ... past 2**64
 _FIBS = [1, 2]
@@ -49,21 +49,12 @@ def fib_length(n: int) -> int:
 def fib_decode(bits: str) -> tuple[int, int]:
     """Decode one codeword from the front of bits.
 
-    Returns (n, bits consumed).  Raises TruncationError if the string
-    ends before the 11 terminator.
+    Returns (n, bits consumed).  Raises ValueError if bits holds a
+    character other than 0 and 1, TruncationError if it ends before the
+    11 terminator.
     """
-    acc = 0
-    prev = 0
-    for i, c in enumerate(bits):
-        b = 1 if c == "1" else 0
-        if b and prev:
-            return acc, i + 1
-        if b:
-            if i >= len(_FIBS):
-                raise CorruptStreamError("Fibonacci codeword exceeds the supported range")
-            acc += _FIBS[i]
-        prev = b
-    raise TruncationError("no terminator in Fibonacci codeword")
+    reader = BitReader(BitString.from_str(bits).data)
+    return read_fib(reader), reader.bit_position
 
 
 def write_fib(writer, n: int) -> None:

@@ -1,7 +1,7 @@
 """Deterministic quantization of pmfs into integer frequency tables.
 
-The range coder consumes integer intervals (cum, freq, total).  This
-module maps a log2-domain pmf onto such a table so that
+This module maps a log2-domain pmf onto a table of integer frequencies,
+kept as the cumulative counts the range coder reads directly, so that
 
   * every outcome with nonzero probability gets freq >= 1 (losslessness:
     anything the model allows must stay encodable),
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,68 +35,37 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import Rational, betabin_log2pmf_table, binomial_log2pmf_table
-from .errors import ModelMismatchError
-from .rangecoder import TOTAL_MAX, FreqInterval, RangeDecoder, RangeEncoder
+from .rangecoder import TOTAL_MAX
 
 TOTAL_TARGET = TOTAL_MAX  # 1 << 24
 
 
 @dataclass(frozen=True)
 class QuantizedPmf:
-    """Integer frequency table over outcomes 0..len(freqs)-1.
+    """Integer frequency table over outcomes 0..len(cum)-2.
 
-    cum[k] holds the cumulative frequency below k (len(freqs) + 1
-    entries), so outcome k owns the slice [cum[k], cum[k + 1]) of
-    [0, total).  cum is an array.array, which the coder reads once per
-    symbol: indexing it and bisecting it cost a fraction of what numpy's
-    per-call overhead does, at the same 8 bytes an entry.
+    cum[k] holds the cumulative frequency below k, so outcome k owns the
+    slice [cum[k], cum[k + 1]) of [0, total); the range coder reads cum
+    directly.  cum is an array.array: indexing it and bisecting it cost a
+    fraction of what numpy's per-call overhead does, at the same 8 bytes
+    an entry.
     """
 
-    freqs: np.ndarray
     cum: array
-    total: int
 
-    def interval_of(self, k: int) -> FreqInterval:
-        if not 0 <= k < len(self.freqs):
-            raise ModelMismatchError(f"outcome {k} outside support 0..{len(self.freqs) - 1}")
-        lo = self.cum[k]
-        f = self.cum[k + 1] - lo
-        if f == 0:
-            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
-        return FreqInterval(lo, f, self.total)
+    @property
+    def total(self) -> int:
+        return self.cum[-1]
 
-    def symbol_of(self, target: int) -> int:
-        """The outcome owning cumulative position target in [0, total)."""
-        # bisect_right skips zero-frequency outcomes, whose cum entries
-        # collapse onto the next live one.
-        return bisect_right(self.cum, target) - 1
+    @property
+    def freqs(self) -> np.ndarray:
+        return np.diff(self.cum)
 
     def log2prob(self, k: int) -> float:
-        f = int(self.freqs[k])
+        f = self.cum[k + 1] - self.cum[k]
         if f == 0:
             return -math.inf
         return math.log2(f) - math.log2(self.total)
-
-
-def encode_outcome(enc: RangeEncoder, table: QuantizedPmf, k: int) -> None:
-    """Code outcome k of table.  A point mass carries no information, so
-    nothing is coded for it."""
-    if table.total == 1:
-        # Anything but the certain outcome is a symbol the model forbids.
-        if k != table.symbol_of(0):
-            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
-        return
-    enc.encode_interval(table.interval_of(k))
-
-
-def decode_outcome(dec: RangeDecoder, table: QuantizedPmf) -> int:
-    """The outcome encode_outcome coded with table."""
-    if table.total == 1:
-        return table.symbol_of(0)
-    target = dec.decode_target(table.total)
-    k = table.symbol_of(target)
-    dec.decode_commit(table.interval_of(k))
-    return k
 
 
 def quantize(log2pmf: np.ndarray, total_target: int = TOTAL_TARGET) -> QuantizedPmf:
@@ -155,14 +123,9 @@ def quantize(log2pmf: np.ndarray, total_target: int = TOTAL_TARGET) -> Quantized
                 deficit += take
         freqs[big] = base
 
-    total = int(freqs.sum())
-    assert 1 <= total <= TOTAL_MAX
-    g = int(np.gcd.reduce(freqs[freqs > 0]))
-    if g > 1:
-        freqs //= g
-        total //= g
-    cum = array("q", accumulate(freqs.tolist(), initial=0))
-    return QuantizedPmf(freqs=freqs, cum=cum, total=total)
+    assert 1 <= int(freqs.sum()) <= TOTAL_MAX
+    freqs //= np.gcd.reduce(freqs[freqs > 0])
+    return QuantizedPmf(array("q", accumulate(freqs.tolist(), initial=0)))
 
 
 # Table construction dominates codec time on trees full of small-count

@@ -48,13 +48,7 @@ from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
 from .msettree import MultisetTree, TreeNode
-from .quantize import (
-    QuantizedPmf,
-    decode_outcome,
-    encode_outcome,
-    quantized_betabin,
-    quantized_binomial,
-)
+from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
 # Bound on member length in the two unbounded regimes: a corrupted
@@ -237,9 +231,9 @@ def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> N
         n = node.count
         if model is not None:
             n_t = node.slack
-            encode_outcome(enc, termination(d, n), n_t)
+            enc.encode_interval(termination(d, n).cum, n_t)
             n -= n_t
-        encode_outcome(enc, split(n), node.child1.count if node.child1 is not None else 0)
+        enc.encode_interval(split(n).cum, node.child1.count if node.child1 is not None else 0)
 
     _walk(tree.root, complete, cap, encode)
 
@@ -256,13 +250,13 @@ def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> Multi
     def decode(node: TreeNode, d: int) -> None:
         n = node.count
         if model is not None:
-            n_t = decode_outcome(dec, termination(d, n))
+            n_t = dec.decode_target(termination(d, n).cum)
             if n_t and model.pmf(d) == 0:
                 # reachable only with full-support termination tables on a
                 # corrupt stream; no encoder output decodes to this state
                 raise CorruptStreamError(f"decoded a member of impossible length {d}")
             n -= n_t
-        n1 = decode_outcome(dec, split(n))
+        n1 = dec.decode_target(split(n).cum)
         if n1:
             node.child1 = TreeNode(n1)
         if n - n1:

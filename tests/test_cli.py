@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from msetzip import container
 from msetzip.cli import main
 from msetzip.container import MAGIC
 
@@ -150,6 +151,17 @@ class TestMalformedInput:
         box = tmp_path / "out.msz"
         assert run("compress", str(src), *flags, "--out", str(box)) == 1
         assert capsys.readouterr().err.startswith("msetzip:")
+        assert not box.exists()
+
+    def test_too_many_members_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(container, "MAX_MEMBERS", 3)
+        src = tmp_path / "in.bits"
+        src.write_text("0\n1\n1\n0\n")
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), "--input-format", "bits", "--length", "1",
+                   "--out", str(box)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("msetzip:") and "capacity 3" in err
         assert not box.exists()
 
 

@@ -128,7 +128,7 @@ class TestCoding:
         ms = IntMultiset(2, (3, 5))
         payload, _ = round_trip(ms)
         enc = RangeEncoder()
-        enc.encode_interval(quantized_betabin(8, HALF, HALF).interval_of(3))
+        enc.encode_interval(quantized_betabin(8, HALF, HALF).cum, 3)
         assert enc.finish() == payload
 
     def test_round_trips(self):

@@ -109,3 +109,10 @@ def test_corrupt_overlong_codeword():
     bits = "10" * 120 + "11"
     with pytest.raises(CorruptStreamError):
         fib_decode(bits)
+
+
+@pytest.mark.parametrize("bits", ["0211", " 11", "abc11"])
+def test_decode_rejects_other_characters(bits):
+    # each used to decode, reading every character other than 1 as 0
+    with pytest.raises(ValueError):
+        fib_decode(bits)

@@ -15,7 +15,7 @@ from msetzip.quantize import (
     quantized_betabin,
     quantized_binomial,
 )
-from msetzip.rangecoder import TOTAL_MAX
+from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
 
 
 def test_dyadic_binomial_is_exact():
@@ -46,7 +46,7 @@ def test_zero_probability_outcomes_get_none():
     assert list(q.freqs) == [1, 0, 0, 0, 0, 0, 0]
     assert q.total == 1
     with pytest.raises(ModelMismatchError):
-        q.interval_of(3)
+        RangeEncoder().encode_interval(q.cum, 3)
 
 
 def test_point_mass_is_free():
@@ -90,20 +90,26 @@ def test_deterministic():
     assert np.array_equal(a.freqs, b.freqs)
 
 
-def test_symbol_of_interval_of_agree():
+def test_every_outcome_round_trips():
     q = quantized_betabin(40, Fraction(1, 2), Fraction(1, 2))
     for k in range(41):
-        iv = q.interval_of(k)
-        assert q.symbol_of(iv.cum) == k
-        assert q.symbol_of(iv.cum + iv.freq - 1) == k
+        enc = RangeEncoder()
+        enc.encode_interval(q.cum, k)
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert dec.decode_target(q.cum) == k
 
 
-def test_symbol_of_skips_dead_outcomes():
+def test_dead_outcomes_are_skipped():
     q = quantize(np.array([math.log2(0.5), -np.inf, math.log2(0.5)]))
     assert list(q.freqs[[0, 2]]) == [1, 1]
     assert q.freqs[1] == 0
-    assert q.symbol_of(0) == 0
-    assert q.symbol_of(1) == 2
+    for k in (0, 2):
+        enc = RangeEncoder()
+        enc.encode_interval(q.cum, k)
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert dec.decode_target(q.cum) == k
+    with pytest.raises(ModelMismatchError):
+        RangeEncoder().encode_interval(q.cum, 1)
 
 
 def test_support_larger_than_budget_rejected():
@@ -114,7 +120,7 @@ def test_support_larger_than_budget_rejected():
 def test_interval_out_of_support_rejected():
     q = quantized_binomial(4, Fraction(1, 2))
     with pytest.raises(ModelMismatchError):
-        q.interval_of(5)
+        RangeEncoder().encode_interval(q.cum, 5)
 
 
 def test_total_never_exceeds_cap():

@@ -2,21 +2,18 @@
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
 from msetzip.bits import BitReader
-from msetzip.rangecoder import (
-    MASK,
-    TOTAL_MAX,
-    FreqInterval,
-    RangeDecoder,
-    RangeEncoder,
-)
+from msetzip.errors import ModelMismatchError
+from msetzip.quantize import quantize
+from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
 
 
-def _random_table(rng: random.Random) -> list[FreqInterval]:
-    """A random frequency table as a list of per-symbol intervals."""
+def _random_table(rng: random.Random) -> list[int]:
+    """A random frequency table as its cumulative frequencies."""
     n_sym = rng.randint(1, 40)
     style = rng.random()
     if style < 0.3:
@@ -30,31 +27,20 @@ def _random_table(rng: random.Random) -> list[FreqInterval]:
     if total > TOTAL_MAX:
         scale = TOTAL_MAX / total
         freqs = [max(1, int(f * scale)) for f in freqs]
-        total = sum(freqs)
-    out = []
-    cum = 0
-    for f in freqs:
-        out.append(FreqInterval(cum, f, total))
-        cum += f
-    return out
+    return list(accumulate(freqs, initial=0))
 
 
 def _round_trip(symbols_and_tables) -> tuple[int, float]:
     """Encode, decode, compare; returns (payload bits, information bits)."""
     enc = RangeEncoder()
     info = 0.0
-    for sym, table in symbols_and_tables:
-        iv = table[sym]
-        enc.encode_interval(iv)
-        info += math.log2(iv.total / iv.freq)
+    for sym, cum in symbols_and_tables:
+        enc.encode_interval(cum, sym)
+        info += math.log2(cum[-1] / (cum[sym + 1] - cum[sym]))
     payload = enc.finish()
     dec = RangeDecoder.from_bytes(payload.data)
-    for sym, table in symbols_and_tables:
-        total = table[0].total
-        target = dec.decode_target(total)
-        got = max(i for i, iv in enumerate(table) if iv.cum <= target)
-        assert got == sym
-        dec.decode_commit(table[got])
+    for sym, cum in symbols_and_tables:
+        assert dec.decode_target(cum) == sym
     return payload.nbits, info
 
 
@@ -69,11 +55,11 @@ def test_single_fair_bit():
     # symbol 0 of a fair coin costs nothing once trailing zeros drop;
     # symbol 1 costs exactly one bit
     enc = RangeEncoder()
-    enc.encode_interval(FreqInterval(0, 1, 2))
+    enc.encode_interval([0, 1, 2], 0)
     assert enc.finish().nbits == 0
 
     enc = RangeEncoder()
-    enc.encode_interval(FreqInterval(1, 1, 2))
+    enc.encode_interval([0, 1, 2], 1)
     out = enc.finish()
     assert out.nbits == 1
     assert out.data == b"\x80"
@@ -81,10 +67,21 @@ def test_single_fair_bit():
 
 def test_whole_table_is_a_no_op():
     enc = RangeEncoder()
-    enc.encode_interval(FreqInterval(0, 1, 2))
+    enc.encode_interval([0, 1, 2], 0)
     state = (enc.low, enc.range)
-    enc.encode_interval(FreqInterval(0, 1, 1))
+    enc.encode_interval([0, 1], 0)
     assert (enc.low, enc.range) == state
+
+
+def test_point_mass_codes_nothing():
+    # a total-1 table, zero-frequency outcomes around its live one
+    enc = RangeEncoder()
+    enc.encode_interval([0, 3, 8], 1)
+    state = (enc.low, enc.range, enc.symbols_coded)
+    enc.encode_interval([0, 0, 1, 1], 1)
+    assert (enc.low, enc.range, enc.symbols_coded) == state
+    with pytest.raises(ModelMismatchError):
+        enc.encode_interval([0, 0, 1, 1], 2)
 
 
 def test_known_byte_sequence_round_trips():
@@ -92,22 +89,17 @@ def test_known_byte_sequence_round_trips():
     bits = [1, 0, 1, 1, 0, 0, 1, 0]
     enc = RangeEncoder()
     for b in bits:
-        enc.encode_interval(FreqInterval(b, 1, 2))
+        enc.encode_interval([0, 1, 2], b)
     payload = enc.finish()
     assert payload.nbits <= 9
     dec = RangeDecoder.from_bytes(payload.data)
-    out = []
-    for _ in bits:
-        t = dec.decode_target(2)
-        out.append(0 if t < 1 else 1)
-        dec.decode_commit(FreqInterval(out[-1], 1, 2))
-    assert out == bits
+    assert [dec.decode_target([0, 1, 2]) for _ in bits] == bits
 
 
 def test_carry_stress_top_symbol_runs():
     # repeatedly coding the top sliver pushes low toward all-ones and
-    # exercises the pending-0xFF carry path
-    table = [FreqInterval(0, TOTAL_MAX - 1, TOTAL_MAX), FreqInterval(TOTAL_MAX - 1, 1, TOTAL_MAX)]
+    # makes carries ripple back through runs of emitted 0xFF bytes
+    table = [0, TOTAL_MAX - 1, TOTAL_MAX]
     seq = [1] * 200 + [0] + [1] * 200
     nbits, info = _round_trip([(s, table) for s in seq])
     assert nbits <= info + 2
@@ -115,23 +107,26 @@ def test_carry_stress_top_symbol_runs():
 
 def test_interval_validation():
     enc = RangeEncoder()
+    with pytest.raises(ModelMismatchError):
+        enc.encode_interval([0, 0, 2], 0)
+    with pytest.raises(ModelMismatchError):
+        enc.encode_interval([0, 1, 2], 2)
+    with pytest.raises(ModelMismatchError):
+        enc.encode_interval([0, 1, 2], -1)
     with pytest.raises(ValueError):
-        enc.encode_interval(FreqInterval(0, 0, 2))
+        enc.encode_interval([0, 1, TOTAL_MAX + 1], 0)
     with pytest.raises(ValueError):
-        enc.encode_interval(FreqInterval(1, 2, 2))
-    with pytest.raises(ValueError):
-        enc.encode_interval(FreqInterval(0, 1, TOTAL_MAX + 1))
+        enc.encode_interval([0, 0], 0)
+    assert enc.symbols_coded == 0
 
 
-def test_decode_commit_containment_check():
-    enc = RangeEncoder()
-    enc.encode_interval(FreqInterval(3, 1, 4))
-    payload = enc.finish()
-    dec = RangeDecoder.from_bytes(payload.data)
-    t = dec.decode_target(4)
-    assert t == 3
-    with pytest.raises(ValueError):
-        dec.decode_commit(FreqInterval(0, 1, 4))
+def test_decoder_never_returns_a_dead_outcome():
+    cum = quantize([math.log2(0.5), -math.inf, math.log2(0.5)]).cum
+    rng = random.Random(11)
+    for _ in range(200):
+        dec = RangeDecoder.from_bytes(rng.randbytes(rng.randint(0, 12)))
+        for _ in range(20):
+            assert dec.decode_target(cum) != 1
 
 
 def test_finish_twice_rejected():
@@ -140,21 +135,19 @@ def test_finish_twice_rejected():
     with pytest.raises(RuntimeError):
         enc.finish()
     with pytest.raises(RuntimeError):
-        enc.encode_interval(FreqInterval(0, 1, 2))
+        enc.encode_interval([0, 1, 2], 0)
 
 
 def test_decoder_from_reader_offset():
     enc = RangeEncoder()
     for s in (2, 0, 1):
-        enc.encode_interval(FreqInterval(s, 1, 3))
+        enc.encode_interval([0, 1, 2, 3], s)
     payload = enc.finish()
     framed = b"\xde\xad" + payload.data
     reader = BitReader(framed, start_bit=16)
     dec = RangeDecoder.from_reader(reader)
     for want in (2, 0, 1):
-        t = dec.decode_target(3)
-        dec.decode_commit(FreqInterval(t, 1, 3))
-        assert t == want
+        assert dec.decode_target([0, 1, 2, 3]) == want
 
 
 def test_randomized_round_trips_with_length_bound():
@@ -164,7 +157,7 @@ def test_randomized_round_trips_with_length_bound():
         n_syms = rng.randint(0, 60)
         seq = []
         for _ in range(n_syms):
-            sym = rng.randrange(len(table))
+            sym = rng.randrange(len(table) - 1)
             seq.append((sym, table))
         nbits, info = _round_trip(seq)
         assert nbits <= info + 2, (nbits, info)
@@ -176,13 +169,13 @@ def test_mixed_tables_in_one_stream():
     seq = []
     for _ in range(400):
         table = rng.choice(tables)
-        seq.append((rng.randrange(len(table)), table))
+        seq.append((rng.randrange(len(table) - 1), table))
     nbits, info = _round_trip(seq)
     assert nbits <= info + 2
 
 
 def test_analytic_bits_counter():
     enc = RangeEncoder()
-    enc.encode_interval(FreqInterval(0, 1, 8))
-    enc.encode_interval(FreqInterval(1, 7, 8))
+    enc.encode_interval([0, 1, 8], 0)
+    enc.encode_interval([0, 1, 8], 1)
     assert enc.symbols_coded == 2
