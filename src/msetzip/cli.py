@@ -198,6 +198,18 @@ def cmd_decompress(args) -> int:
     fmt = args.output_format
     if fmt is None:
         fmt = "hex" if members and all(m.nbits % 8 == 0 and m.nbits for m in members) else "bits"
+    # Refuse output that compress would read back as another multiset:
+    # text input drops blank lines, and raw input splits the stream into
+    # as many records of one length as fit, zero padding included.
+    if fmt != "raw":
+        if any(m.nbits == 0 for m in members):
+            raise MsetzipError(f"{fmt} output cannot hold an empty member")
+    elif members:
+        length = members[0].nbits
+        if length == 0 or any(m.nbits != length for m in members):
+            raise MsetzipError("raw output needs members of one nonzero length")
+        if (-len(members) * length) % 8 >= length:
+            raise MsetzipError(f"raw output would pad to a whole extra {length}-bit record")
     if fmt == "hex":
         if any(m.nbits % 8 for m in members):
             raise MsetzipError("hex output needs byte-multiple member lengths")

@@ -15,29 +15,29 @@ and swept upward with
 
 Working in log2 space keeps n around several thousand comfortably inside
 float range (a literal linear-domain recurrence would start from
-(1 - t)**n and underflow long before that).  All tables are ordinary
-float64 numpy arrays indexed by the outcome k, holding log2
-probabilities; structurally impossible outcomes hold -inf.
+(1 - t)**n and underflow long before that).  A table is an array("d")
+indexed by the outcome k, holding log2 probabilities; structurally
+impossible outcomes hold -inf.
+
+The decoder must rebuild every table bit for bit, so the sweeps use only
+float64 arithmetic and libm through math, adding the anchor to the
+left-to-right prefix sums of the per-step terms.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 LN2 = math.log(2.0)
 
 Rational = Fraction | float | int
 
 
-def _as_float(x: Rational) -> float:
-    return float(x)
-
-
-def _point_mass(n: int, k: int) -> np.ndarray:
-    table = np.full(n + 1, -np.inf)
+def _point_mass(n: int, k: int) -> array:
+    table = array("d", [-math.inf]) * (n + 1)
     table[k] = 0.0
     return table
 
@@ -46,60 +46,50 @@ def _log2_choose(n: int, k: int) -> float:
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
 
 
-def binomial_log2pmf_table(n: int, theta: Rational) -> np.ndarray:
+def binomial_log2pmf_table(n: int, theta: Rational) -> array:
     """log2 Binomial(k | n, theta) for k = 0..n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    t = _as_float(theta)
+    t = float(theta)
     if not 0.0 <= t <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     if t == 0.0:
         return _point_mass(n, 0)
     if t == 1.0:
         return _point_mass(n, n)
-    if n == 0:
-        return np.zeros(1)
     lt = math.log2(t)
     lu = math.log2(1.0 - t)
     mode = min(n, int((n + 1) * t))
     anchor = _log2_choose(n, mode) + mode * lt + (n - mode) * lu
-    table = np.empty(n + 1)
-    table[mode] = anchor
-    if mode < n:
-        ks = np.arange(mode + 1, n + 1, dtype=np.float64)
-        steps = np.log2(n - ks + 1.0) - np.log2(ks) + (lt - lu)
-        table[mode + 1 :] = anchor + np.cumsum(steps)
-    if mode > 0:
-        ks = np.arange(mode - 1, -1, -1, dtype=np.float64)
-        steps = np.log2(ks + 1.0) - np.log2(n - ks) + (lu - lt)
-        table[mode - 1 :: -1] = anchor + np.cumsum(steps)
-    return table
+    up = accumulate(
+        math.log2(n - k + 1.0) - math.log2(k) + (lt - lu) for k in range(mode + 1, n + 1)
+    )
+    down = accumulate(
+        math.log2(k + 1.0) - math.log2(n - k) + (lu - lt) for k in range(mode - 1, -1, -1)
+    )
+    lower = [anchor + s for s in down]
+    return array("d", [*reversed(lower), anchor, *(anchor + s for s in up)])
 
 
-def betabin_log2pmf_table(n: int, alpha: Rational, beta: Rational) -> np.ndarray:
+def betabin_log2pmf_table(n: int, alpha: Rational, beta: Rational) -> array:
     """log2 BetaBin(k | n, alpha, beta) for k = 0..n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = _as_float(alpha)
-    b = _as_float(beta)
+    a = float(alpha)
+    b = float(beta)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("alpha and beta must be positive")
     anchor = (
         math.lgamma(a + b) + math.lgamma(b + n) - math.lgamma(b) - math.lgamma(a + b + n)
     ) / LN2
     if n == 0:
-        return np.zeros(1)
-    ks = np.arange(0, n, dtype=np.float64)
-    steps = (
-        np.log2(n - ks)
-        - np.log2(ks + 1.0)
-        + np.log2(a + ks)
-        - np.log2(b + n - 1.0 - ks)
+        return array("d", [0.0])
+    steps = accumulate(
+        math.log2(n - k) - math.log2(k + 1.0)
+        + math.log2(a + k) - math.log2(b + n - 1.0 - k)
+        for k in range(n)
     )
-    table = np.empty(n + 1)
-    table[0] = anchor
-    table[1:] = anchor + np.cumsum(steps)
-    return table
+    return array("d", [anchor, *(anchor + s for s in steps)])
 
 
 def _xlog2(count: int, p: float) -> float:
@@ -123,8 +113,8 @@ def trinomial_log2pmf(
     if min(n_t, n_0, n_1) < 0:
         raise ValueError("counts must be >= 0")
     n = n_t + n_0 + n_1
-    tt = _as_float(theta_t)
-    t1 = _as_float(theta_1)
+    tt = float(theta_t)
+    t1 = float(theta_1)
     coef = (
         math.lgamma(n + 1)
         - math.lgamma(n_t + 1)

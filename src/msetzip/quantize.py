@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-
-import numpy as np
 
 from .distributions import Rational, betabin_log2pmf_table, binomial_log2pmf_table
 from .rangecoder import TOTAL_MAX
@@ -45,10 +44,8 @@ class QuantizedPmf:
     """Integer frequency table over outcomes 0..len(cum)-2.
 
     cum[k] holds the cumulative frequency below k, so outcome k owns the
-    slice [cum[k], cum[k + 1]) of [0, total); the range coder reads cum
-    directly.  cum is an array.array: indexing it and bisecting it cost a
-    fraction of what numpy's per-call overhead does, at the same 8 bytes
-    an entry.
+    slice [cum[k], cum[k + 1]) of [0, total); the range coder reads cum,
+    an array("q"), directly.
     """
 
     cum: array
@@ -58,8 +55,8 @@ class QuantizedPmf:
         return self.cum[-1]
 
     @property
-    def freqs(self) -> np.ndarray:
-        return np.diff(self.cum)
+    def freqs(self) -> list[int]:
+        return [hi - lo for lo, hi in zip(self.cum, self.cum[1:])]
 
     def log2prob(self, k: int) -> float:
         f = self.cum[k + 1] - self.cum[k]
@@ -68,64 +65,62 @@ class QuantizedPmf:
         return math.log2(f) - math.log2(self.total)
 
 
-def quantize(log2pmf: np.ndarray, total_target: int = TOTAL_TARGET) -> QuantizedPmf:
+def quantize(log2pmf: Sequence[float], total_target: int = TOTAL_TARGET) -> QuantizedPmf:
     """Quantize a log2 pmf to integer frequencies summing to ~total_target.
 
     Deterministic: floor plus largest-remainder top-up with ties broken
     by outcome index.  Raises ValueError if the support alone exceeds
     total_target (every live outcome needs a count of 1).
     """
-    log2pmf = np.asarray(log2pmf, dtype=np.float64)
     n = len(log2pmf)
     if n == 0:
         raise ValueError("empty pmf")
     if not 1 <= total_target <= TOTAL_MAX:
         raise ValueError("total_target out of range")
-    live = log2pmf > -np.inf
-    n_live = int(live.sum())
+    n_live = n - log2pmf.count(-math.inf)
     if n_live == 0:
         raise ValueError("pmf has empty support")
     if n_live > total_target:
         raise ValueError(f"support {n_live} exceeds total budget {total_target}")
 
-    raw = np.exp2(log2pmf, where=live, out=np.zeros(n)) * total_target
-    tiny = live & (raw < 1.0)
-    big = live & ~tiny
-    n_tiny = int(tiny.sum())
+    # A live outcome whose raw frequency is below 1 ("tiny") gets exactly
+    # 1; the others ("big") share what is left of the budget.
+    raw = [math.exp2(lp) * total_target for lp in log2pmf]
+    freqs = [int(lp > -math.inf) for lp in log2pmf]
+    big = [k for k, r in enumerate(raw) if r >= 1.0]
 
-    freqs = np.zeros(n, dtype=np.int64)
-    freqs[tiny] = 1
-
-    if big.any():
-        budget = max(total_target - n_tiny, int(big.sum()))
-        raw_big = raw[big]
-        scaled = raw_big * (budget / raw_big.sum())
-        base = np.floor(scaled).astype(np.int64)
-        rem = scaled - base
+    if big:
+        budget = max(total_target - (n_live - len(big)), len(big))
+        # fsum rounds correctly, so the factor is the same on every Python
+        # (from 3.12 on, sum() compensates its float additions)
+        factor = budget / math.fsum(raw[k] for k in big)
+        scaled = [raw[k] * factor for k in big]
+        base = [math.floor(x) for x in scaled]
+        rem = [x - b for x, b in zip(scaled, base)]
         # A big entry can floor to zero after rescaling; lift it to 1
         # and take the unit from the current largest entry.
-        for i in np.nonzero(base == 0)[0]:
+        for i in [i for i, b in enumerate(base) if b == 0]:
             base[i] = 1
-            j = int(np.argmax(base))
+            j = base.index(max(base))
             if base[j] > 1:
                 base[j] -= 1
-        deficit = budget - int(base.sum())
+        deficit = budget - sum(base)
         if deficit > 0:
-            order = np.argsort(-rem, kind="stable")
-            base[order[:deficit]] += 1
+            for i in sorted(range(len(base)), key=rem.__getitem__, reverse=True)[:deficit]:
+                base[i] += 1
         elif deficit < 0:
-            order = np.argsort(-base, kind="stable")
-            for i in order:
+            for i in sorted(range(len(base)), key=base.__getitem__, reverse=True):
                 if deficit == 0:
                     break
-                take = min(int(base[i]) - 1, -deficit)
+                take = min(base[i] - 1, -deficit)
                 base[i] -= take
                 deficit += take
-        freqs[big] = base
+        for k, b in zip(big, base):
+            freqs[k] = b
 
-    assert 1 <= int(freqs.sum()) <= TOTAL_MAX
-    freqs //= np.gcd.reduce(freqs[freqs > 0])
-    return QuantizedPmf(array("q", accumulate(freqs.tolist(), initial=0)))
+    assert 1 <= sum(freqs) <= TOTAL_MAX
+    g = math.gcd(*freqs)
+    return QuantizedPmf(array("q", accumulate((f // g for f in freqs), initial=0)))
 
 
 # Table construction dominates codec time on trees full of small-count

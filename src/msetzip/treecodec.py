@@ -37,12 +37,11 @@ validate members, not to code.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
@@ -73,10 +72,10 @@ class BinomialFamily:
     def termination_table(self, n: int, theta_t: Fraction) -> QuantizedPmf:
         return quantized_binomial(n, theta_t)
 
-    def split_log2pmf(self, n: int) -> np.ndarray:
+    def split_log2pmf(self, n: int) -> array:
         return binomial_log2pmf_table(n, self.theta)
 
-    def termination_log2pmf(self, n: int, theta_t: Fraction) -> np.ndarray:
+    def termination_log2pmf(self, n: int, theta_t: Fraction) -> array:
         return binomial_log2pmf_table(n, theta_t)
 
 
@@ -97,10 +96,10 @@ class BetaBinomialFamily:
         # unknown, same prior as the splits.
         return quantized_betabin(n, self.alpha, self.beta)
 
-    def split_log2pmf(self, n: int) -> np.ndarray:
+    def split_log2pmf(self, n: int) -> array:
         return betabin_log2pmf_table(n, self.alpha, self.beta)
 
-    def termination_log2pmf(self, n: int, theta_t: Fraction) -> np.ndarray:
+    def termination_log2pmf(self, n: int, theta_t: Fraction) -> array:
         return betabin_log2pmf_table(n, self.alpha, self.beta)
 
 

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from msetzip import container
+from msetzip import CodecParams, GeneralRegime, UniformLength, compress, container
 from msetzip.cli import main
 from msetzip.container import MAGIC
 
@@ -163,6 +163,44 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("msetzip:") and "capacity 3" in err
         assert not box.exists()
+
+
+class TestUnreadableOutput:
+    # compress drops blank text lines and splits raw input into as many
+    # equal-length records as fit, so decompress refuses output that
+    # would read back as another multiset
+    @staticmethod
+    def container(tmp_path, members):
+        box = tmp_path / "in.msz"
+        box.write_bytes(compress(members, CodecParams(GeneralRegime(UniformLength(0, 8)))))
+        return str(box)
+
+    @pytest.mark.parametrize(
+        "fmt,members",
+        [
+            (None, ["", "01", "011"]),
+            ("bits", ["", "01", "011"]),
+            ("hex", ["", "00001111"]),
+            ("raw", ["", "01", "011"]),
+            ("raw", ["01", "011"]),
+            ("raw", ["000", "001", "011"]),  # 7 padding bits hold two more records
+        ],
+    )
+    def test_refused_without_output(self, tmp_path, capsys, fmt, members):
+        back = tmp_path / "back"
+        flags = ["--output-format", fmt] if fmt else []
+        assert run("decompress", self.container(tmp_path, members), *flags,
+                   "--out", str(back)) == 1
+        assert capsys.readouterr().err.startswith("msetzip:")
+        assert not back.exists()
+
+    def test_raw_records_filling_whole_bytes_round_trip(self, tmp_path):
+        members = [f"{i:03b}" for i in range(8)]
+        back = tmp_path / "back.raw"
+        assert run("decompress", self.container(tmp_path, members), "--output-format", "raw",
+                   "--out", str(back)) == 0
+        bits = "".join(f"{b:08b}" for b in back.read_bytes())
+        assert [bits[i:i + 3] for i in range(0, 24, 3)] == members
 
 
 class TestBench:

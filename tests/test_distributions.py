@@ -10,7 +10,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from msetzip.distributions import (
@@ -55,13 +54,13 @@ class TestBinomial:
     @pytest.mark.parametrize("theta", THETAS)
     def test_sums_to_one(self, n, theta):
         table = binomial_log2pmf_table(n, theta)
-        assert abs(np.exp2(table).sum() - 1.0) <= 1e-9
+        assert abs(math.fsum(map(math.exp2, table)) - 1.0) <= 1e-9
 
     def test_degenerate_theta(self):
         t0 = binomial_log2pmf_table(5, 0)
-        assert t0[0] == 0.0 and np.all(np.isneginf(t0[1:]))
+        assert list(t0) == [0.0] + [-math.inf] * 5
         t1 = binomial_log2pmf_table(5, 1)
-        assert t1[5] == 0.0 and np.all(np.isneginf(t1[:5]))
+        assert list(t1) == [-math.inf] * 5 + [0.0]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -85,12 +84,13 @@ class TestBetaBinomial:
     def test_uniform_special_case(self):
         # Beta(1,1) compounds to the uniform distribution on 0..n
         table = betabin_log2pmf_table(64, 1, 1)
-        assert np.allclose(table, -math.log2(65), atol=1e-10)
+        want = -math.log2(65)
+        assert all(abs(x - want) <= 1e-10 + 1e-5 * abs(want) for x in table)
 
     @pytest.mark.parametrize("n", [1, 10, 500, 1000])
     def test_sums_to_one(self, n):
         table = betabin_log2pmf_table(n, 0.5, 0.5)
-        assert abs(np.exp2(table).sum() - 1.0) <= 1e-9
+        assert abs(math.fsum(map(math.exp2, table)) - 1.0) <= 1e-9
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
