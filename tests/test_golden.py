@@ -78,6 +78,16 @@ def _skewed_duplicates(seed: int, n: int, distinct: int) -> list[str]:
     return [pool[min(rng.getrandbits(6), rng.getrandbits(6)) % distinct] for _ in range(n)]
 
 
+def _sha1_members(seed: int, n: int) -> list[str]:
+    """The SHA-1 benchmark's inputs: SHA-1 of n distinct random 64-bit ints."""
+    rng = random.Random((seed << 32) ^ n)
+    seen: set[int] = set()
+    while len(seen) < n:
+        seen.add(rng.getrandbits(64))
+    digests = (hashlib.sha1(v.to_bytes(8, "big")).digest() for v in sorted(seen))
+    return [format(int.from_bytes(d, "big"), "0160b") for d in digests]
+
+
 def _cases() -> dict:
     cases = {}
     for rname, (regime, members) in REGIMES.items():
@@ -111,6 +121,36 @@ def _cases() -> dict:
         _skewed_duplicates(3, 2000, 48),
         CodecParams(GeneralRegime(GeometricLength(Fraction(1, 16))), betabin),
     )
+    # Chains that hold a single distinct member, coded to its end in one go.
+    cases["fixed64/N=1/carry-through-ff"] = (
+        # its coding carries into two 0xFF bytes already written
+        ["1000000000000101110101110111000110010100111100011011101010111001"],
+        CodecParams(FixedRegime(64), BinomialFamily(Fraction(9, 10))),
+    )
+    cases["fixed16/duplicate-chain"] = (
+        ["0110100111010010"] * 5 + ["1011001110001111"],
+        CodecParams(FixedRegime(16), FAMILIES["binom-1/3"]),
+    )
+    cases["fixed12/point-mass"] = (
+        ["1" * 12] * 3,
+        CodecParams(FixedRegime(12), BinomialFamily(Fraction(1))),
+    )
+    cases["geom1/4/N=1/long"] = (
+        ["0010110111010"],
+        CodecParams(GeneralRegime(GeometricLength(Fraction(1, 4))), FAMILIES["binom-1/3"]),
+    )
+    cases["uniform0-10/N=1/long"] = (
+        ["1101001011"],
+        CodecParams(GeneralRegime(UniformLength(0, 10)), FAMILIES["binom-1/2"]),
+    )
+    cases["fib/N=1/long"] = (
+        [fib_encode(123456)],
+        CodecParams(SelfDelimitingRegime(FibTerminatorDetector()), FAMILIES["betabin-1/2,1/2"]),
+    )
+    cases["fixed160/sha1-1024"] = (
+        _sha1_members(0, 1024),
+        CodecParams(FixedRegime(160), FAMILIES["binom-1/2"]),
+    )
     return cases
 
 
@@ -121,12 +161,17 @@ GOLDEN = {
     "fib/N=0": "4d535a31010100000000000100000003c0",
     "fib/N=1/betabin-2,5": "4d535a310101010000000002000000010000000500000001645c",
     "fib/N=1/binom-1/3": "4d535a3101010000000000010000000362dc",
+    "fib/N=1/long": "4d535a31010101000000000100000002000000010000000260092018",
     "fib/betabin-1/2,1/2": "4d535a3101010100000000010000000200000001000000022cc9d91b18af74",
     "fib/betabin-2,5": "4d535a3101010100000000020000000100000005000000012cb2787eda377c",
     "fib/binom-1/2": "4d535a310101000000000001000000022c010c379b02e2",
     "fib/binom-1/3": "4d535a310101000000000001000000032c19d7c061c4f8",
     "fib/duplicates": "4d535a31010100000000000100000003549fffffbffff80004fb186692f62c2e00e9bffff0",
     "fib/random-1500": (2052, "b967a9cfcfd30a50d0a559d37aecda4043079c811965e940e8fbbaecc5096e00"),
+    "fixed12/point-mass": "4d535a31010000000c0000000100000001b0",
+    "fixed16/duplicate-chain": "4d535a31010000001000000001000000035acf2e17de5e92001fbfbf139898",
+    "fixed160/sha1-1024": (19403, "296396050073a6e9559211202ede9bf4e8ba9ccc1845db449bdeaafe09a86cdd"),
+    "fixed64/N=1/carry-through-ff": "4d535a310100000040000000090000000a6333334000025d7a8084e437f2cf88",
     "fixed64/random-1000": (6953, "2218eef55eef5830e7fdf03bf49c46bd6b6ba77034484c7ba3bfd44a85d75ce4"),
     "fixed8/N=0": "4d535a3101000000080000000100000003c0",
     "fixed8/N=1/betabin-2,5": "4d535a310100010008000000020000000100000005000000017fffc0",
@@ -147,6 +192,7 @@ GOLDEN = {
     "geom1/4/N=0": "4d535a310102000200000001000000040000000100000003c0",
     "geom1/4/N=1/betabin-2,5": "4d535a3101020102000000010000000400000002000000010000000500000001716962",
     "geom1/4/N=1/binom-1/3": "4d535a3101020002000000010000000400000001000000037718d0",
+    "geom1/4/N=1/long": "4d535a3101020002000000010000000400000001000000036631b8",
     "geom1/4/betabin-1/2,1/2": "4d535a31010201020000000100000004000000010000000200000001000000020c6d4f6fe9a73f98",
     "geom1/4/betabin-2,5": "4d535a31010201020000000100000004000000020000000100000005000000010ca68ae401964f40",
     "geom1/4/binom-1/2": "4d535a3101020002000000010000000400000001000000020e2252c79a8260",
@@ -161,6 +207,7 @@ GOLDEN = {
     "uniform0-10/N=0": "4d535a31010200010000000a0000000100000003c0",
     "uniform0-10/N=1/betabin-2,5": "4d535a31010201010000000a0000000200000001000000050000000178",
     "uniform0-10/N=1/binom-1/3": "4d535a31010200010000000a00000001000000037e",
+    "uniform0-10/N=1/long": "4d535a31010200010000000a0000000100000002767880",
     "uniform0-10/betabin-1/2,1/2": "4d535a31010201010000000a000000010000000200000001000000024d4b75c9f79eb68c",
     "uniform0-10/betabin-2,5": "4d535a31010201010000000a000000020000000100000005000000014e0822d209bab660",
     "uniform0-10/binom-1/2": "4d535a31010200010000000a00000001000000024f928e75c0fa30",
