@@ -56,7 +56,9 @@ from .treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
+    decode_members,
     decode_tree,
+    encode_members,
     encode_tree,
     ideal_codelength,
 )
@@ -107,7 +109,9 @@ __all__ = [
     "FixedRegime",
     "GeneralRegime",
     "SelfDelimitingRegime",
+    "decode_members",
     "decode_tree",
+    "encode_members",
     "encode_tree",
     "ideal_codelength",
     "__version__",

@@ -86,15 +86,18 @@ class BitString:
     def __hash__(self) -> int:
         return hash((self.nbits, self.data))
 
+    # Pad bits are zero, so comparing (data, nbits) is the text order: a
+    # byte string sorts before its extensions, and equal bytes differ only
+    # in how many of their trailing zeros are bits.
     def __lt__(self, other: "BitString") -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self.to_str() < other.to_str()
+        return (self.data, self.nbits) < (other.data, other.nbits)
 
     def __le__(self, other: "BitString") -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self.to_str() <= other.to_str()
+        return (self.data, self.nbits) <= (other.data, other.nbits)
 
     def __repr__(self) -> str:
         if self.nbits <= 64:

@@ -9,8 +9,12 @@ Subcommands:
 
 Input formats for compress: `hex` (newline-delimited hex strings,
 byte-multiple lengths), `bits` (newline-delimited ASCII 0/1 strings),
-`raw` (concatenated L-bit records, zero-padded to a byte).  Fixed-mode
-defaults to hex, the variable regimes to bits.
+`raw` (L-bit records back to back, L from --length).  A raw file holds as
+many records as fit; the bits left over, fewer than L and fewer than 8,
+are padding and must be zero, so with L < 8 a padding-sized run of zero
+records cannot be told apart from padding and is read as records.
+decompress writes raw output by the same rule.  Fixed-mode defaults to
+hex, the variable regimes to bits.
 """
 
 from __future__ import annotations
@@ -85,7 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="general regime: point:L, uniform:LO:HI, or geometric:A/B",
     )
-    c.add_argument("--input-format", choices=["hex", "bits", "raw"])
+    c.add_argument(
+        "--input-format",
+        choices=["hex", "bits", "raw"],
+        help="raw: as many --length-bit records as fit, then zero padding "
+        "shorter than one record and than a byte",
+    )
     c.set_defaults(func=cmd_compress)
 
     d = sub.add_parser("decompress", help="decompress a container")

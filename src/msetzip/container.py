@@ -53,8 +53,8 @@ from .treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
-    decode_tree,
-    encode_tree,
+    decode_members,
+    encode_members,
 )
 
 MAGIC = b"MSZ1"
@@ -191,25 +191,32 @@ class CompressResult:
         return self.header_bits + self.n_header_bits + self.payload_bits
 
 
-def compress_tree_detail(tree: MultisetTree, params: CodecParams) -> CompressResult:
-    if len(tree) > MAX_MEMBERS:
-        raise ValueError(f"multiset size {len(tree)} exceeds the capacity {MAX_MEMBERS}")
+def _compress_detail(members: Iterable, params: CodecParams) -> CompressResult:
+    members = list(members)
+    if len(members) > MAX_MEMBERS:
+        raise ValueError(f"multiset size {len(members)} exceeds the capacity {MAX_MEMBERS}")
     header = serialize_header(params)
     enc = RangeEncoder()
-    encode_tree(tree, params, enc)  # validates before emitting anything
+    encode_members(members, params, enc)  # validates before emitting anything
     payload = enc.finish()
     w = BitWriter()
     w.write_bytes(header)
-    write_fib(w, len(tree) + 1)
-    if len(tree) > 0:
+    write_fib(w, len(members) + 1)
+    if members:
         w.write_bitstring(payload)
     return CompressResult(
         data=w.getvalue(),
         header_bits=8 * len(header),
-        n_header_bits=fib_length(len(tree) + 1),
-        payload_bits=payload.nbits if len(tree) > 0 else 0,
+        n_header_bits=fib_length(len(members) + 1),
+        payload_bits=payload.nbits if members else 0,
         coded_decisions=enc.symbols_coded,
     )
+
+
+def compress_tree_detail(tree: MultisetTree, params: CodecParams) -> CompressResult:
+    if len(tree) > MAX_MEMBERS:
+        raise ValueError(f"multiset size {len(tree)} exceeds the capacity {MAX_MEMBERS}")
+    return _compress_detail(tree.members(), params)
 
 
 def compress_tree(tree: MultisetTree, params: CodecParams) -> bytes:
@@ -217,10 +224,10 @@ def compress_tree(tree: MultisetTree, params: CodecParams) -> bytes:
 
 
 def compress(members: Iterable, params: CodecParams) -> bytes:
-    return compress_tree(MultisetTree.build(members), params)
+    return _compress_detail(members, params).data
 
 
-def decompress_tree(data: bytes) -> tuple[MultisetTree, CodecParams]:
+def _decompress(data: bytes) -> tuple[CodecParams, list[BitString]]:
     params, header_len = parse_header(data)
     reader = BitReader(data, start_bit=8 * header_len)
     try:
@@ -231,13 +238,15 @@ def decompress_tree(data: bytes) -> tuple[MultisetTree, CodecParams]:
     if n > MAX_MEMBERS:
         raise CorruptStreamError(f"member count {n} exceeds the capacity {MAX_MEMBERS}")
     if n == 0:
-        return MultisetTree(), params
-    dec = RangeDecoder.from_reader(reader)
-    tree = decode_tree(params, n, dec)
-    return tree, params
+        return params, []
+    return params, decode_members(params, n, RangeDecoder.from_reader(reader))
+
+
+def decompress_tree(data: bytes) -> tuple[MultisetTree, CodecParams]:
+    params, members = _decompress(data)
+    return MultisetTree.build(members), params
 
 
 def decompress(data: bytes) -> list[BitString]:
     """Members of the compressed multiset, in lexicographic order."""
-    tree, _ = decompress_tree(data)
-    return tree.enumerate()
+    return _decompress(data)[1]

@@ -11,9 +11,12 @@ Coding outcome k narrows the interval to
 with the top outcome (cum[k + 1] == T) absorbing the division remainder
 so no probability mass is wasted.  RangeEncoder.encode_interval(cum, k)
 codes k; RangeDecoder.decode_target(cum) finds the outcome whose slice
-holds the code value and narrows by it, in the same call.  A table with
-T == 1 is a point mass: it carries no information, so nothing is coded
-for it.
+holds the code value and narrows by it, in the same call.  Their stream
+forms code a whole walk of decisions in one call, with the registers in
+local variables: encode_intervals takes an iterable of (cum, k), and
+decode_walk runs a generator that yields tables and receives outcomes.
+A table with T == 1 is a point mass: it carries no information, so
+nothing is coded for it.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -34,7 +37,7 @@ decoder treats bytes past the end of input as zeros).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 from .bits import BitReader, BitString
 from .errors import ModelMismatchError
@@ -69,33 +72,44 @@ class RangeEncoder:
         Raises ModelMismatchError if k is outside the table or has zero
         frequency, ValueError if cum[-1] is not in [1, TOTAL_MAX].
         """
+        self.encode_intervals(((cum, k),))
+
+    def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int]]) -> None:
+        """Code outcome k of the table cum for each (cum, k) in turn.
+
+        One call codes a whole stream of decisions with the registers in
+        local variables.  An error leaves the decisions before the failing
+        one coded, as that many encode_interval calls would.
+        """
         if self._finished:
             raise RuntimeError("encoder already finished")
-        total = cum[-1]
-        if not 1 <= total <= TOTAL_MAX:
-            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-        if not 0 <= k < len(cum) - 1:
-            raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
-        lo = cum[k]
-        hi = cum[k + 1]
-        if lo == hi:
-            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
-        if total == 1:
-            return
-        rng = self.range
-        q = rng // total
-        low = self.low + q * lo
-        rng = rng - q * lo if hi == total else q * (hi - lo)
-        if low > MASK:
-            self._carry()
-            low &= MASK
-        while rng < TOP:
-            self._out.append(low >> (RANGE_BITS - 8))
-            low = (low << 8) & MASK
-            rng <<= 8
-        self.low = low
-        self.range = rng
-        self.symbols_coded += 1
+        low, rng, out, coded = self.low, self.range, self._out, self.symbols_coded
+        try:
+            for cum, k in decisions:
+                total = cum[-1]
+                if not 1 <= total <= TOTAL_MAX:
+                    raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                if not 0 <= k < len(cum) - 1:
+                    raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
+                lo = cum[k]
+                hi = cum[k + 1]
+                if lo == hi:
+                    raise ModelMismatchError(f"outcome {k} has zero probability under the model")
+                if total == 1:
+                    continue
+                q = rng // total
+                low += q * lo
+                rng = rng - q * lo if hi == total else q * (hi - lo)
+                if low > MASK:
+                    self._carry()
+                    low &= MASK
+                while rng < TOP:
+                    out.append(low >> (RANGE_BITS - 8))
+                    low = (low << 8) & MASK
+                    rng <<= 8
+                coded += 1
+        finally:
+            self.low, self.range, self.symbols_coded = low, rng, coded
 
     def finish(self) -> BitString:
         """Flush and return the payload with its exact bit length.
@@ -152,23 +166,43 @@ class RangeDecoder:
 
         A point mass (cum[-1] == 1) leaves the decoder's state as it is.
         """
-        total = cum[-1]
-        if not 1 <= total <= TOTAL_MAX:
-            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-        rng = self.range
-        q = rng // total
-        t = self.value // q
-        if t >= total:   # remainder zone belongs to the top outcome
-            t = total - 1
-        # bisect_right skips zero-frequency outcomes, whose cum entries
-        # collapse onto the next live one.
-        k = bisect_right(cum, t) - 1
-        lo = cum[k]
-        value = self.value - q * lo
-        rng = rng - q * lo if cum[k + 1] == total else q * (cum[k + 1] - lo)
-        while rng < TOP:
-            value = ((value << 8) | (self._pull() & 0xFF)) & MASK
-            rng <<= 8
-        self.value = value
-        self.range = rng
-        return k
+        outcome = []
+
+        def one():
+            outcome.append((yield cum))
+
+        self.decode_walk(one())
+        return outcome[0]
+
+    def decode_walk(self, walk: Generator[Sequence[int], int, None]) -> None:
+        """Run walk, a generator that yields tables, sending it the decoded
+        outcome of each one, until it returns.
+
+        The mirror of encode_intervals: one call decodes a whole stream of
+        decisions whose tables depend on the outcomes before them.
+        """
+        value, rng, pull = self.value, self.range, self._pull
+        try:
+            cum = next(walk)
+            while True:
+                total = cum[-1]
+                if not 1 <= total <= TOTAL_MAX:
+                    raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                q = rng // total
+                t = value // q
+                if t >= total:  # remainder zone belongs to the top outcome
+                    t = total - 1
+                # bisect_right skips zero-frequency outcomes, whose cum
+                # entries collapse onto the next live one.
+                k = bisect_right(cum, t) - 1
+                lo = cum[k]
+                value -= q * lo
+                rng = rng - q * lo if cum[k + 1] == total else q * (cum[k + 1] - lo)
+                while rng < TOP:
+                    value = ((value << 8) | (pull() & 0xFF)) & MASK
+                    rng <<= 8
+                cum = walk.send(k)
+        except StopIteration:
+            pass
+        finally:
+            self.value, self.range = value, rng

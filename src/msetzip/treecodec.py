@@ -1,12 +1,28 @@
-"""Multiset codecs over count-annotated tries.
+"""Multiset codecs over the sorted members: the trie code without a trie.
 
-The codec is one pre-order walk of the trie (parents before children,
-child 0 before child 1) that codes, at every node short of a complete
-member, how the node's n members divide.  Validation, encoding, decoding
-and the ideal codelength are that walk with a different step per node:
-check it, encode its counts, decode them and create the children, or add
-their -log2 p.  The decoder recovers each count before descending, so
-both sides always agree on the next distribution.
+The code is that of the multiset's count-annotated binary trie: at every
+node short of a complete member it codes how the node's n members divide,
+parents before children and child 0 before child 1.  The decoder recovers
+each count before it needs it, so both sides always agree on the next
+distribution.
+
+No trie is built.  Sorted lexicographically (a prefix before its
+extensions), the members below a node are a contiguous range [lo, hi) of
+the sorted distinct members.  A node's count is a difference of prefix sums
+of their multiplicities, and the members whose next bit is 1 start where a
+bisection of the range puts the node's prefix followed by 1.  A range of one
+distinct member, of multiplicity m, is a run: its chain never branches
+again, so its remaining decisions come straight from the member's bits,
+split(m) with outcome 0 or m per bit and, in the general regime, one
+termination count per depth.
+
+One walk, _decisions, yields every decision as (table, outcome) in coding
+order.  The range coder codes that stream in one call, and the ideal
+codelength sums it over the exact log2 pmf.  The decoder runs the walk's
+mirror, _decode_walk: it hands each table to the range decoder, takes back
+the count, and follows a chain without the stack until the chain branches,
+which at n = 1 is the whole rest of a member.  Every distinct member is
+checked against the regime before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -38,15 +54,19 @@ validate members, not to code.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
+from .bits import BitString, as_bitstring
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
-from .msettree import MultisetTree, TreeNode
+from .msettree import MultisetTree
 from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -151,33 +171,6 @@ def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int]:
     raise TypeError(f"unknown regime {regime!r}")
 
 
-def _walk(
-    root: TreeNode, complete: Completion, cap: int, step, error: type = ModelMismatchError
-) -> None:
-    """Call step(node, depth) at every node under root that is short of a
-    complete member, in pre-order with child 0 before child 1, then descend
-    into the children the node has once step returns (the decoder's step
-    creates them).  A node past the depth cap, or a complete node with
-    children, raises error: the regime cannot hold its members."""
-    prefix: list[int] = []
-    stack = [(root, 0, 0)]
-    while stack:
-        node, d, bit = stack.pop()
-        if d > cap:
-            raise error(f"member longer than the depth cap of {cap} bits")
-        if d:
-            prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
-        if complete(prefix):
-            if node.child0 is not None or node.child1 is not None:
-                raise error(f"member extends a complete {d}-bit prefix")
-            continue
-        step(node, d)
-        if node.child1 is not None:
-            stack.append((node.child1, d + 1, 1))
-        if node.child0 is not None:
-            stack.append((node.child0, d + 1, 0))
-
-
 # Tables one call keeps per kind (split, termination): bounded, so a deep
 # chain's distinct counts (~N^2/2 entries in all) never stay alive at once.
 _TABLES_PER_CALL = 1024
@@ -205,86 +198,185 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
     return split, at_depth
 
 
-def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
-    """Raise ModelMismatchError unless the regime can code every member.
-    Checked in full before anything is emitted."""
+class _Sorted(NamedTuple):
+    """The distinct members in lexicographic order.  values[i] holds member
+    i's bits followed by zeros, width bits in all, so the order of values
+    is the members' order; lengths[i] is its bit length and
+    cum[i + 1] - cum[i] its multiplicity."""
+
+    values: list[int]
+    lengths: list[int]
+    cum: list[int]
+    width: int
+
+
+def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
+    """The family's per-call table caches, giving each table's cum."""
+    fam = params.family
+    split, termination = _tables(fam.split_table, fam.termination_table, model)
+    return (lambda n: split(n).cum), (lambda d, n: termination(d, n).cum)
+
+
+def _sort(members: Iterable, regime: Regime) -> _Sorted:
+    """Sort and count the members, then check that the regime can code
+    every distinct one; ModelMismatchError otherwise, before anything is
+    coded."""
+    counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
+    # (data, nbits) is BitString's order: pad bits are zero
+    distinct = sorted(counts.items())
+    width = 8 * max((len(data) for (data, _), _ in distinct), default=0)
+    values = [int.from_bytes(data, "big") << (width - 8 * len(data)) for (data, _), _ in distinct]
+    lengths = [nbits for (_, nbits), _ in distinct]
+    cum = list(accumulate((m for _, m in distinct), initial=0))
+
+    complete, model, cap = _schedule(regime)
+    for length in set(lengths):
+        if length > cap:
+            raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
+        if model is not None and model.pmf(length) == 0:
+            raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
+        if isinstance(regime, FixedRegime) and length != regime.length:
+            raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
+    if isinstance(regime, SelfDelimitingRegime):
+        # each member must end complete and pass no complete prefix; the
+        # detector is a pure predicate, so the prefixes a member shares
+        # with the one before it are not checked again
+        prefix: list[int] = []
+        for i, (value, length) in enumerate(zip(values, lengths)):
+            d = 0
+            if i:
+                d = min(width - (value ^ values[i - 1]).bit_length(), lengths[i - 1])
+                if d == lengths[i - 1]:
+                    raise ModelMismatchError(f"member extends a complete {d}-bit prefix")
+                del prefix[d:]
+                prefix.append(value >> (width - 1 - d) & 1)
+                d += 1
+            while not complete(prefix):
+                if d == length:
+                    raise ModelMismatchError(f"member of {length} bits does not end complete")
+                prefix.append(value >> (width - 1 - d) & 1)
+                d += 1
+            if d < length:
+                raise ModelMismatchError(f"member extends a complete {d}-bit prefix")
+    return _Sorted(values, lengths, cum, width)
+
+
+def _decisions(s: _Sorted, model: Optional[LengthModel], split: Callable, termination: Callable):
+    """Yield (table, outcome) for every decision the encoder codes, in
+    coding order.  A trie node is a range [lo, hi) of s at a depth d; a
+    range of one distinct member is a run, coded from the member's bits to
+    its end without the stack."""
+    values, lengths, cum, width = s
+    stack = [(0, len(values), 0)] if values else []
+    while stack:
+        lo, hi, d = stack.pop()
+        n = cum[hi] - cum[lo]
+        if hi - lo == 1:
+            value, end = values[lo], lengths[lo]
+            table = split(n)
+            for e in range(d, end):
+                if model is not None:
+                    yield termination(e, n), 0
+                yield table, n if value >> (width - 1 - e) & 1 else 0
+            if model is not None:
+                yield termination(end, n), n
+            continue
+        if model is not None:
+            n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
+            yield termination(d, n), n_t
+            if n_t:
+                lo += 1
+                n -= n_t
+        # members whose bit d is 1 sort at or after the node's prefix
+        # followed by 1 and zeros
+        shift = width - 1 - d
+        mid = bisect_left(values, (values[lo] >> shift | 1) << shift, lo, hi)
+        yield split(n), cum[hi] - cum[mid]
+        if mid < hi:
+            stack.append((mid, hi, d + 1))
+        if lo < mid:
+            stack.append((lo, mid, d + 1))
+
+
+def _decode_walk(n_members: int, params: CodecParams, out: list):
+    """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
+    yield each decision's table, receive its outcome.  Appends (bits,
+    multiplicity) per distinct member to out, in lexicographic order.  A
+    node's chain is followed without the stack until it branches, which at
+    n = 1 is the whole rest of a member."""
     complete, model, cap = _schedule(params.regime)
+    split, termination = _cum_tables(params, model)
+    prefix: list[int] = []
+    stack = [(n_members, 0, 0)]
+    while stack:
+        n, d, bit = stack.pop()
+        if d:
+            prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
+        table = split(n)
+        while True:
+            if d > cap:
+                raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
+            if complete(prefix):
+                out.append((prefix[:], n))
+                break
+            if model is not None:
+                n_t = yield termination(d, n)
+                if n_t:
+                    if model.pmf(d) == 0:
+                        # reachable only with full-support termination tables on a
+                        # corrupt stream; no encoder output decodes to this state
+                        raise CorruptStreamError(f"decoded a member of impossible length {d}")
+                    out.append((prefix[:], n_t))
+                    n -= n_t
+                    if not n:
+                        break
+                    table = split(n)
+            n1 = yield table
+            if 0 < n1 < n:
+                stack.append((n1, d + 1, 1))
+                stack.append((n - n1, d + 1, 0))
+                break
+            prefix.append(1 if n1 else 0)
+            d += 1
 
-    def check(node: TreeNode, d: int) -> None:
-        if node.slack and (model is None or model.pmf(d) == 0):
-            raise ModelMismatchError(f"member of length {d} cannot occur under the regime")
 
-    _walk(tree.root, complete, cap, check)
+def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
+    """Code the multiset's counts.  N itself is the container's job."""
+    s = _sort(members, params.regime)  # validates before emitting anything
+    _, model, _ = _schedule(params.regime)
+    enc.encode_intervals(_decisions(s, model, *_cum_tables(params, model)))
+
+
+def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
+    """The n_members members encode_members coded, in lexicographic order."""
+    out: list = []
+    if n_members:
+        dec.decode_walk(_decode_walk(n_members, params, out))
+    return [BitString.from_bits(bits) for bits, m in out for _ in range(m)]
+
+
+def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
+    """Raise ModelMismatchError unless the regime can code every member."""
+    _sort(tree.members(), params.regime)
 
 
 def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> None:
-    """Code the tree's counts.  N itself is the container's job."""
-    validate_tree(tree, params)
-    if len(tree) == 0:
-        return
-    complete, model, cap = _schedule(params.regime)
-    fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, model)
-
-    def encode(node: TreeNode, d: int) -> None:
-        n = node.count
-        if model is not None:
-            n_t = node.slack
-            enc.encode_interval(termination(d, n).cum, n_t)
-            n -= n_t
-        enc.encode_interval(split(n).cum, node.child1.count if node.child1 is not None else 0)
-
-    _walk(tree.root, complete, cap, encode)
+    encode_members(tree.members(), params, enc)
 
 
 def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> MultisetTree:
-    tree = MultisetTree()
-    if n_members == 0:
-        return tree
-    tree.root.count = n_members
-    complete, model, cap = _schedule(params.regime)
-    fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, model)
-
-    def decode(node: TreeNode, d: int) -> None:
-        n = node.count
-        if model is not None:
-            n_t = dec.decode_target(termination(d, n).cum)
-            if n_t and model.pmf(d) == 0:
-                # reachable only with full-support termination tables on a
-                # corrupt stream; no encoder output decodes to this state
-                raise CorruptStreamError(f"decoded a member of impossible length {d}")
-            n -= n_t
-        n1 = dec.decode_target(split(n).cum)
-        if n1:
-            node.child1 = TreeNode(n1)
-        if n - n1:
-            node.child0 = TreeNode(n - n1)
-
-    _walk(tree.root, complete, cap, decode, CorruptStreamError)
-    return tree
+    return MultisetTree.build(decode_members(params, n_members, dec))
 
 
 def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    validate_tree(tree, params)
-    if len(tree) == 0:
-        return 0.0
-    complete, model, cap = _schedule(params.regime)
+    s = _sort(tree.members(), params.regime)
+    _, model, _ = _schedule(params.regime)
     fam = params.family
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0
-
-    def add(node: TreeNode, d: int) -> None:
-        nonlocal total
-        n = node.count
-        if model is not None:
-            n_t = node.slack
-            total -= float(termination(d, n)[n_t])
-            n -= n_t
-        total -= float(split(n)[node.child1.count if node.child1 is not None else 0])
-
-    _walk(tree.root, complete, cap, add)
+    for table, k in _decisions(s, model, split, termination):
+        total -= table[k]
     return total

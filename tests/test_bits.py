@@ -1,5 +1,7 @@
 """BitString / BitWriter / BitReader."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,15 @@ class TestBitString:
     def test_ordering_matches_strings(self, a, b):
         x, y = BitString.from_bits(a), BitString.from_bits(b)
         assert (x < y) == (x.to_str() < y.to_str())
+
+    def test_ordering_is_the_text_order_up_to_11_bits(self):
+        # all 4,095 strings of at most 11 bits, so every pad length and
+        # every prefix relation within two bytes
+        texts = ["".join(t) for n in range(12) for t in itertools.product("01", repeat=n)]
+        ordered = sorted(BitString.from_str(t) for t in reversed(texts))
+        assert [b.to_str() for b in ordered] == sorted(texts)
+        for a, b in zip(ordered, ordered[1:]):
+            assert a < b and a <= b and not b < a and not b <= a
 
     def test_as_bitstring(self):
         assert as_bitstring("101").to_str() == "101"

@@ -76,6 +76,17 @@ class TestCompressDecompress:
         assert run("compress", str(src), "--input-format", "raw", "--length", "12") == 1
         assert "padding" in capsys.readouterr().err
 
+    def test_raw_input_reads_every_record_that_fits(self, tmp_path):
+        # 16 bits hold five 3-bit records; the one bit left is padding
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0x05, 0x80]))
+        box = tmp_path / "out.msz"
+        back = tmp_path / "back.bits"
+        assert run("compress", str(src), "--input-format", "raw", "--length", "3",
+                   "--out", str(box)) == 0
+        assert run("decompress", str(box), "--output-format", "bits", "--out", str(back)) == 0
+        assert back.read_text().split() == ["000", "000", "000", "001", "011"]
+
     def test_empty_input_needs_length(self, tmp_path, capsys):
         src = tmp_path / "empty"
         src.write_text("")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msetzip.bits import BitString
 from msetzip.container import (
@@ -22,7 +24,7 @@ from msetzip.errors import (
     FormatError,
     MsetzipError,
 )
-from msetzip.fibcode import fib_length
+from msetzip.fibcode import fib_encode, fib_length
 from msetzip.models import (
     FibTerminatorDetector,
     FixedLengthDetector,
@@ -263,6 +265,47 @@ class TestEndToEnd:
             rng.shuffle(shuffled)
             blobs.add(compress(shuffled, params))
         assert len(blobs) == 1
+
+
+# name -> (regime, strategy for one member it can code)
+CODABLE = {
+    "fixed": (FixedRegime(6), st.text("01", min_size=6, max_size=6)),
+    "fib": (SelfDelimitingRegime(FibTerminatorDetector()), st.integers(1, 300).map(fib_encode)),
+    "uniform": (GeneralRegime(UniformLength(0, 8)), st.text("01", max_size=8)),
+    "geometric": (
+        GeneralRegime(GeometricLength(Fraction(1, 3))),
+        st.text("01", min_size=1, max_size=12),
+    ),
+}
+
+
+class TestMemberOrder:
+    @pytest.mark.parametrize(
+        "family",
+        [BinomialFamily(Fraction(t)) for t in ("0", "1/3", "1/2", "1")] + [BetaBinomialFamily()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("name", list(CODABLE))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_input_order_and_tree_give_one_container(self, name, family, data):
+        regime, member = CODABLE[name]
+        theta = getattr(family, "theta", None)
+        if theta in (0, 1):
+            # a degenerate bias codes one bit value only
+            if name == "fib":
+                # every codeword ends in 11, so theta = 0 codes none of them
+                member = st.just("11") if theta == 1 else None
+            else:
+                member = member.map(lambda m: str(theta) * len(m))
+        pool = data.draw(st.lists(member, max_size=6)) if member is not None else []
+        members = data.draw(st.lists(st.sampled_from(pool), max_size=25) if pool else st.just([]))
+        shuffled = data.draw(st.permutations(members))
+        params = CodecParams(regime, family)
+        blob = compress(members, params)
+        assert compress(shuffled, params) == blob
+        assert compress_tree(MultisetTree.build(members), params) == blob
+        assert [m.to_str() for m in decompress(blob)] == sorted(members)
 
 
 class TestCorruption:

@@ -494,7 +494,10 @@ class TestTableMemory:
 
 
 class TestCorruptStreams:
-    def test_selfdelim_depth_cap(self, monkeypatch):
+    # n = 1 is a single member decoded to its end in one chain: the cap
+    # must stop it there too
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_selfdelim_depth_cap(self, monkeypatch, n_members):
         class NeverEnds:
             def is_complete(self, prefix):
                 return False
@@ -503,14 +506,15 @@ class TestCorruptStreams:
         params = CodecParams(SelfDelimitingRegime(NeverEnds()), BinomialFamily())
         dec = RangeDecoder.from_bytes(b"\x00" * 64)
         with pytest.raises(CorruptStreamError):
-            decode_tree(params, 3, dec)
+            decode_tree(params, n_members, dec)
 
-    def test_general_depth_cap_unbounded_model(self, monkeypatch):
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_general_depth_cap_unbounded_model(self, monkeypatch, n_members):
         monkeypatch.setattr(treecodec, "DECODE_DEPTH_CAP", 40)
         params = CodecParams(GeneralRegime(GeometricLength(HALF)), BinomialFamily())
         dec = RangeDecoder.from_bytes(b"\x00" * 64)
         with pytest.raises(CorruptStreamError):
-            decode_tree(params, 3, dec)
+            decode_tree(params, n_members, dec)
 
     def test_general_bounded_model_never_overruns(self):
         # Beta-binomial termination tables have full support, so corrupt
