@@ -59,11 +59,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .bits import BitString, as_bitstring
+from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
 from .msettree import MultisetTree
@@ -230,7 +230,7 @@ def _sort(members: Iterable, regime: Regime) -> _Sorted:
     cum = list(accumulate((m for _, m in distinct), initial=0))
 
     complete, model, cap = _schedule(regime)
-    for length in set(lengths):
+    for length in sorted(set(lengths)):
         if length > cap:
             raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
         if model is not None and model.pmf(length) == 0:
@@ -272,13 +272,17 @@ def _decisions(s: _Sorted, model: Optional[LengthModel], split: Callable, termin
         lo, hi, d = stack.pop()
         n = cum[hi] - cum[lo]
         if hi - lo == 1:
-            value, end = values[lo], lengths[lo]
+            end = lengths[lo]
+            # the member's bits from depth d on, as text
+            rest = format(values[lo] >> (width - end), f"0{end}b")[d:] if d < end else ""
+            outcome = {"0": 0, "1": n}
             table = split(n)
-            for e in range(d, end):
-                if model is not None:
+            if model is None:
+                yield from zip(repeat(table), map(outcome.__getitem__, rest))
+            else:
+                for e, bit in enumerate(rest, d):
                     yield termination(e, n), 0
-                yield table, n if value >> (width - 1 - e) & 1 else 0
-            if model is not None:
+                    yield table, outcome[bit]
                 yield termination(end, n), n
             continue
         if model is not None:
