@@ -72,14 +72,41 @@ class RangeEncoder:
         Raises ModelMismatchError if k is outside the table or has zero
         frequency, ValueError if cum[-1] is not in [1, TOTAL_MAX].
         """
-        self.encode_intervals(((cum, k),))
+        if self._finished:
+            raise RuntimeError("encoder already finished")
+        total = cum[-1]
+        if not 1 <= total <= TOTAL_MAX:
+            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+        if not 0 <= k < len(cum) - 1:
+            raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
+        lo = cum[k]
+        hi = cum[k + 1]
+        if lo == hi:
+            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
+        if total == 1:
+            return
+        rng = self.range
+        q = rng // total
+        low = self.low + q * lo
+        rng = rng - q * lo if hi == total else q * (hi - lo)
+        if low > MASK:
+            self._carry()
+            low &= MASK
+        while rng < TOP:
+            self._out.append(low >> (RANGE_BITS - 8))
+            low = (low << 8) & MASK
+            rng <<= 8
+        self.low = low
+        self.range = rng
+        self.symbols_coded += 1
 
     def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int]]) -> None:
-        """Code outcome k of the table cum for each (cum, k) in turn.
+        """Code outcome k of the table cum for each (cum, k) in turn: the
+        arithmetic of encode_interval, with the registers in local
+        variables and no call per decision, for streams of many decisions.
 
-        One call codes a whole stream of decisions with the registers in
-        local variables.  An error leaves the decisions before the failing
-        one coded, as that many encode_interval calls would.
+        An error leaves the decisions before the failing one coded, as
+        that many encode_interval calls would.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -166,20 +193,32 @@ class RangeDecoder:
 
         A point mass (cum[-1] == 1) leaves the decoder's state as it is.
         """
-        outcome = []
-
-        def one():
-            outcome.append((yield cum))
-
-        self.decode_walk(one())
-        return outcome[0]
+        total = cum[-1]
+        if not 1 <= total <= TOTAL_MAX:
+            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+        rng = self.range
+        q = rng // total
+        t = self.value // q
+        if t >= total:   # remainder zone belongs to the top outcome
+            t = total - 1
+        # bisect_right skips zero-frequency outcomes, whose cum entries
+        # collapse onto the next live one.
+        k = bisect_right(cum, t) - 1
+        lo = cum[k]
+        value = self.value - q * lo
+        rng = rng - q * lo if cum[k + 1] == total else q * (cum[k + 1] - lo)
+        while rng < TOP:
+            value = ((value << 8) | (self._pull() & 0xFF)) & MASK
+            rng <<= 8
+        self.value = value
+        self.range = rng
+        return k
 
     def decode_walk(self, walk: Generator[Sequence[int], int, None]) -> None:
         """Run walk, a generator that yields tables, sending it the decoded
-        outcome of each one, until it returns.
-
-        The mirror of encode_intervals: one call decodes a whole stream of
-        decisions whose tables depend on the outcomes before them.
+        outcome of each one, until it returns: the arithmetic of
+        decode_target, with the registers in local variables and no call
+        per decision, for streams whose tables depend on earlier outcomes.
         """
         value, rng, pull = self.value, self.range, self._pull
         try:

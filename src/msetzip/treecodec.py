@@ -238,26 +238,18 @@ def _sort(members: Iterable, regime: Regime) -> _Sorted:
         if isinstance(regime, FixedRegime) and length != regime.length:
             raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
     if isinstance(regime, SelfDelimitingRegime):
-        # each member must end complete and pass no complete prefix; the
-        # detector is a pure predicate, so the prefixes a member shares
-        # with the one before it are not checked again
         prefix: list[int] = []
         for i, (value, length) in enumerate(zip(values, lengths)):
-            d = 0
-            if i:
-                d = min(width - (value ^ values[i - 1]).bit_length(), lengths[i - 1])
-                if d == lengths[i - 1]:
+            # the detector is a pure predicate, and the prefixes shorter
+            # than the one shared with the member before passed with it
+            shared = min(width - (value ^ values[i - 1]).bit_length(), lengths[i - 1]) if i else 0
+            del prefix[shared:]
+            for d in range(shared, length):
+                if complete(prefix):
                     raise ModelMismatchError(f"member extends a complete {d}-bit prefix")
-                del prefix[d:]
                 prefix.append(value >> (width - 1 - d) & 1)
-                d += 1
-            while not complete(prefix):
-                if d == length:
-                    raise ModelMismatchError(f"member of {length} bits does not end complete")
-                prefix.append(value >> (width - 1 - d) & 1)
-                d += 1
-            if d < length:
-                raise ModelMismatchError(f"member extends a complete {d}-bit prefix")
+            if not complete(prefix):
+                raise ModelMismatchError(f"member of {length} bits does not end complete")
     return _Sorted(values, lengths, cum, width)
 
 

@@ -179,3 +179,44 @@ def test_analytic_bits_counter():
     enc.encode_interval([0, 1, 8], 0)
     enc.encode_interval([0, 1, 8], 1)
     assert enc.symbols_coded == 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stream_forms_match_single_calls(seed):
+    # encode_intervals and decode_walk repeat the per-call arithmetic;
+    # the bytes, the count and the outcomes must be the same.  Point
+    # masses and runs of the top sliver (carries) are mixed in.
+    rng = random.Random(seed)
+    sliver = [0, TOTAL_MAX - 1, TOTAL_MAX]
+    stream = []
+    for _ in range(400):
+        cum = rng.choice([_random_table(rng), [0, 1], sliver, sliver])
+        stream.append((cum, rng.randrange(len(cum) - 1)))
+    one, many = RangeEncoder(), RangeEncoder()
+    for cum, k in stream:
+        one.encode_interval(cum, k)
+    many.encode_intervals(iter(stream))
+    assert many.symbols_coded == one.symbols_coded
+    payload = many.finish()
+    assert payload == one.finish()
+
+    got = []
+
+    def walk():
+        for cum, _ in stream:
+            got.append((yield cum))
+
+    RangeDecoder.from_bytes(payload.data).decode_walk(walk())
+    single = RangeDecoder.from_bytes(payload.data)
+    assert got == [single.decode_target(cum) for cum, _ in stream] == [k for _, k in stream]
+
+
+def test_stream_error_keeps_what_came_before():
+    cum = [0, 3, 8]
+    enc, ref = RangeEncoder(), RangeEncoder()
+    for k in (1, 0):
+        ref.encode_interval(cum, k)
+    with pytest.raises(ModelMismatchError):
+        enc.encode_intervals([(cum, 1), (cum, 0), ([0, 0, 2], 0), (cum, 1)])
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    assert enc.finish() == ref.finish()
