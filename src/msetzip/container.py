@@ -237,8 +237,6 @@ def _decompress(data: bytes) -> tuple[CodecParams, list[BitString]]:
     n = n_plus_1 - 1
     if n > MAX_MEMBERS:
         raise CorruptStreamError(f"member count {n} exceeds the capacity {MAX_MEMBERS}")
-    if n == 0:
-        return params, []
     return params, decode_members(params, n, RangeDecoder.from_reader(reader))
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bits import BitString, as_bitstring
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
@@ -198,18 +198,6 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
     return split, at_depth
 
 
-class _Sorted(NamedTuple):
-    """The distinct members in lexicographic order.  values[i] holds member
-    i's bits followed by zeros, width bits in all, so the order of values
-    is the members' order; lengths[i] is its bit length and
-    cum[i + 1] - cum[i] its multiplicity."""
-
-    values: list[int]
-    lengths: list[int]
-    cum: list[int]
-    width: int
-
-
 def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
     """The family's per-call table caches, giving each table's cum."""
     fam = params.family
@@ -217,10 +205,14 @@ def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
     return (lambda n: split(n).cum), (lambda d, n: termination(d, n).cum)
 
 
-def _sort(members: Iterable, regime: Regime) -> _Sorted:
-    """Sort and count the members, then check that the regime can code
-    every distinct one; ModelMismatchError otherwise, before anything is
-    coded."""
+def _sort(members: Iterable, regime: Regime) -> tuple[list[int], list[int], list[int], int]:
+    """(values, lengths, cum, width) of the distinct members in
+    lexicographic order.  values[i] holds member i's bits followed by
+    zeros, width bits in all, so the values are in the members' order;
+    lengths[i] is its bit length and cum[i + 1] - cum[i] its multiplicity.
+
+    Raises ModelMismatchError unless the regime can code every distinct
+    member, so before anything is coded."""
     counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
     # (data, nbits) is BitString's order: pad bits are zero
     distinct = sorted(counts.items())
@@ -250,15 +242,17 @@ def _sort(members: Iterable, regime: Regime) -> _Sorted:
                 prefix.append(value >> (width - 1 - d) & 1)
             if not complete(prefix):
                 raise ModelMismatchError(f"member of {length} bits does not end complete")
-    return _Sorted(values, lengths, cum, width)
+    return values, lengths, cum, width
 
 
-def _decisions(s: _Sorted, model: Optional[LengthModel], split: Callable, termination: Callable):
+def _decisions(
+    sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable
+):
     """Yield (table, outcome) for every decision the encoder codes, in
-    coding order.  A trie node is a range [lo, hi) of s at a depth d; a
-    range of one distinct member is a run, coded from the member's bits to
-    its end without the stack."""
-    values, lengths, cum, width = s
+    coding order, from _sort's output.  A trie node is a range [lo, hi) of
+    the sorted members at a depth d; a range of one distinct member is a
+    run, coded from the member's bits to its end without the stack."""
+    values, lengths, cum, width = sorted_members
     stack = [(0, len(values), 0)] if values else []
     while stack:
         lo, hi, d = stack.pop()
@@ -338,9 +332,9 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
 
 def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
     """Code the multiset's counts.  N itself is the container's job."""
-    s = _sort(members, params.regime)  # validates before emitting anything
+    sorted_members = _sort(members, params.regime)  # validates before emitting anything
     _, model, _ = _schedule(params.regime)
-    enc.encode_intervals(_decisions(s, model, *_cum_tables(params, model)))
+    enc.encode_intervals(_decisions(sorted_members, model, *_cum_tables(params, model)))
 
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
@@ -368,11 +362,11 @@ def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    s = _sort(tree.members(), params.regime)
+    sorted_members = _sort(tree.members(), params.regime)
     _, model, _ = _schedule(params.regime)
     fam = params.family
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0
-    for table, k in _decisions(s, model, split, termination):
+    for table, k in _decisions(sorted_members, model, split, termination):
         total -= table[k]
     return total
