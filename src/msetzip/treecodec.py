@@ -262,7 +262,7 @@ def _decisions(
             # the member's bits from depth d on, as text
             rest = format(values[lo] >> (width - end), f"0{end}b")[d:] if d < end else ""
             outcome = {"0": 0, "1": n}
-            table = split(n)
+            table = split(n) if rest else None
             if model is None:
                 yield from zip(repeat(table), map(outcome.__getitem__, rest))
             else:
@@ -302,7 +302,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
         n, d, bit = stack.pop()
         if d:
             prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
-        table = split(n)
+        table = None  # fetched when first needed: a complete node codes no split
         while True:
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
@@ -320,7 +320,9 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                     n -= n_t
                     if not n:
                         break
-                    table = split(n)
+                    table = None
+            if table is None:
+                table = split(n)
             n1 = yield table
             if 0 < n1 < n:
                 stack.append((n1, d + 1, 1))
