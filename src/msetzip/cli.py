@@ -11,10 +11,9 @@ Input formats for compress: `hex` (newline-delimited hex strings,
 byte-multiple lengths), `bits` (newline-delimited ASCII 0/1 strings),
 `raw` (L-bit records back to back, L from --length).  A raw file holds as
 many records as fit; the bits left over, fewer than L and fewer than 8,
-are padding and must be zero, so with L < 8 a padding-sized run of zero
-records cannot be told apart from padding and is read as records.
-decompress writes raw output by the same rule.  Fixed-mode defaults to
-hex, the variable regimes to bits.
+are padding and must be zero, so when L < 8, padding long enough for
+whole records reads as zero records.  decompress writes raw output by the
+same rule.  Fixed-mode defaults to hex, the variable regimes to bits.
 """
 
 from __future__ import annotations

@@ -308,6 +308,22 @@ class TestMemberOrder:
         assert [m.to_str() for m in decompress(blob)] == sorted(members)
 
 
+def test_round_trip_builds_no_trie(monkeypatch):
+    from msetzip import msettree
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a TreeNode was built")
+
+    monkeypatch.setattr(msettree.TreeNode, "__init__", refuse)
+    cases = [
+        (FixedRegime(4), ["0110", "0110", "1101"]),
+        (GeneralRegime(UniformLength(0, 4)), ["", "0", "0", "0110", "10", "1101"]),
+    ]
+    for regime, members in cases:
+        params = CodecParams(regime, BetaBinomialFamily())
+        assert [m.to_str() for m in decompress(compress(members, params))] == sorted(members)
+
+
 class TestCorruption:
     """Arbitrary damage must surface as MsetzipError or decode cleanly."""
 
