@@ -290,10 +290,10 @@ def _decisions(
 
 def _decode_walk(n_members: int, params: CodecParams, out: list):
     """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
-    yield each decision's table, receive its outcome.  Appends (bits,
-    multiplicity) per distinct member to out, in lexicographic order.  A
-    node's chain is followed without the stack until it branches, which at
-    n = 1 is the whole rest of a member."""
+    yield each decision's table, receive its outcome.  Appends the members
+    to out in lexicographic order, one BitString per copy.  A node's chain
+    is followed without the stack until it branches, which at n = 1 is the
+    whole rest of a member."""
     complete, model, cap = _schedule(params.regime)
     split, termination = _cum_tables(params, model)
     prefix: list[int] = []
@@ -307,7 +307,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
             if complete(prefix):
-                out.append((prefix[:], n))
+                out.extend(BitString.from_bits(prefix) for _ in range(n))
                 break
             if model is not None:
                 n_t = yield termination(d, n)
@@ -316,7 +316,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                         # reachable only with full-support termination tables on a
                         # corrupt stream; no encoder output decodes to this state
                         raise CorruptStreamError(f"decoded a member of impossible length {d}")
-                    out.append((prefix[:], n_t))
+                    out.extend(BitString.from_bits(prefix) for _ in range(n_t))
                     n -= n_t
                     if not n:
                         break
@@ -341,10 +341,10 @@ def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) ->
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
     """The n_members members encode_members coded, in lexicographic order."""
-    out: list = []
+    out: list[BitString] = []
     if n_members:
         dec.decode_walk(_decode_walk(n_members, params, out))
-    return [BitString.from_bits(bits) for bits, m in out for _ in range(m)]
+    return out
 
 
 def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
