@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .distributions import LN2
-from .quantize import QuantizedPmf, quantized_betabin
+from .quantize import quantized_betabin
 from .rangecoder import RangeDecoder, RangeEncoder
 
 DEFAULT_ALPHA = Fraction(1, 2)
@@ -59,11 +59,14 @@ class IntMultiset:
         return sum(self.counts)
 
 
-def _walk(k: int, n: int, alpha: Fraction, step) -> list[int]:
+def _walk(k: int, n: int, alpha: Fraction, below=None):
     """Walk the halving tree of slots 0..k-1 holding n members in
-    pre-order, left half first.  At every node with members and more
-    than one slot, step(lo, mid, table) codes the count in slots
-    lo..mid-1 with table and returns it.  Returns the count vector."""
+    pre-order, left half first, as the range coder's decision stream.
+    Every node with members and more than one slot codes the count in
+    its left half.  Given below, the counts' prefix sums, the walk
+    yields (table, count) for RangeEncoder.encode_intervals; without it,
+    it yields the table and receives the count, as RangeDecoder.decode_walk
+    runs it.  Returns the count vector."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     counts = [0] * k
@@ -74,7 +77,12 @@ def _walk(k: int, n: int, alpha: Fraction, step) -> list[int]:
             counts[lo] = n
         elif n:
             mid = (lo + hi) // 2
-            left = step(lo, mid, quantized_betabin(n, (mid - lo) * alpha, (hi - mid) * alpha))
+            cum = quantized_betabin(n, (mid - lo) * alpha, (hi - mid) * alpha).cum
+            if below is None:
+                left = yield cum
+            else:
+                left = below[mid] - below[lo]
+                yield cum, left
             stack.append((mid, hi, n - left))
             stack.append((lo, mid, left))
     return counts
@@ -83,20 +91,13 @@ def _walk(k: int, n: int, alpha: Fraction, step) -> list[int]:
 def encode_dirmult(ms: IntMultiset, enc: RangeEncoder, alpha: Fraction = DEFAULT_ALPHA) -> None:
     """Code the count vector; N and K themselves are framing, not coded here."""
     below = list(accumulate(ms.counts, initial=0))  # below[i]: members in slots 0..i-1
-
-    def encode(lo: int, mid: int, table: QuantizedPmf) -> int:
-        left = below[mid] - below[lo]
-        enc.encode_interval(table.cum, left)
-        return left
-
-    _walk(ms.k, ms.n, alpha, encode)
+    enc.encode_intervals(_walk(ms.k, ms.n, alpha, below))
 
 
 def decode_dirmult(
     k: int, n: int, dec: RangeDecoder, alpha: Fraction = DEFAULT_ALPHA
 ) -> IntMultiset:
-    counts = _walk(k, n, alpha, lambda lo, mid, table: dec.decode_target(table.cum))
-    return IntMultiset(k=k, counts=tuple(counts))
+    return IntMultiset(k=k, counts=tuple(dec.decode_walk(_walk(k, n, alpha))))
 
 
 def ideal_codelength_dirmult(ms: IntMultiset, alpha: Fraction = DEFAULT_ALPHA) -> float:

@@ -9,13 +9,13 @@ Coding outcome k narrows the interval to
     range  = (range // T) * (cum[k + 1] - cum[k])
 
 with the top outcome (cum[k + 1] == T) absorbing the division remainder
-so no probability mass is wasted.  RangeEncoder.encode_interval(cum, k)
-codes k; RangeDecoder.decode_target(cum) finds the outcome whose slice
-holds the code value and narrows by it, in the same call.  Their stream
-forms code a whole walk of decisions in one call, with the registers in
-local variables: encode_intervals takes an iterable of (cum, k), and
-decode_walk runs a generator that yields tables and receives outcomes.
-A table with T == 1 is a point mass: it carries no information, so
+so no probability mass is wasted.  The coder takes a whole stream of
+decisions in one call, with the registers in local variables:
+RangeEncoder.encode_intervals codes each (cum, k) of an iterable, and
+RangeDecoder.decode_walk runs a generator that yields tables and
+receives, for each, the outcome whose slice holds the code value.
+encode_interval(cum, k) and decode_target(cum) are the one-decision
+streams.  A table with T == 1 is a point mass: it carries no information, so
 nothing is coded for it.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
@@ -37,7 +37,7 @@ decoder treats bytes past the end of input as zeros).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence, TypeVar
 
 from .bits import BitReader, BitString
 from .errors import ModelMismatchError
@@ -46,6 +46,8 @@ RANGE_BITS = 64
 TOP = 1 << (RANGE_BITS - 8)
 MASK = (1 << RANGE_BITS) - 1
 TOTAL_MAX = 1 << 24
+
+T = TypeVar("T")
 
 
 class RangeEncoder:
@@ -72,41 +74,13 @@ class RangeEncoder:
         Raises ModelMismatchError if k is outside the table or has zero
         frequency, ValueError if cum[-1] is not in [1, TOTAL_MAX].
         """
-        if self._finished:
-            raise RuntimeError("encoder already finished")
-        total = cum[-1]
-        if not 1 <= total <= TOTAL_MAX:
-            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-        if not 0 <= k < len(cum) - 1:
-            raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
-        lo = cum[k]
-        hi = cum[k + 1]
-        if lo == hi:
-            raise ModelMismatchError(f"outcome {k} has zero probability under the model")
-        if total == 1:
-            return
-        rng = self.range
-        q = rng // total
-        low = self.low + q * lo
-        rng = rng - q * lo if hi == total else q * (hi - lo)
-        if low > MASK:
-            self._carry()
-            low &= MASK
-        while rng < TOP:
-            self._out.append(low >> (RANGE_BITS - 8))
-            low = (low << 8) & MASK
-            rng <<= 8
-        self.low = low
-        self.range = rng
-        self.symbols_coded += 1
+        self.encode_intervals(((cum, k),))
 
     def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int]]) -> None:
-        """Code outcome k of the table cum for each (cum, k) in turn: the
-        arithmetic of encode_interval, with the registers in local
-        variables and no call per decision, for streams of many decisions.
+        """Code outcome k of the table cum for each (cum, k) in turn, with
+        the registers in local variables and no call per decision.
 
-        An error leaves the decisions before the failing one coded, as
-        that many encode_interval calls would.
+        An error leaves the decisions before the failing one coded.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -169,8 +143,8 @@ class RangeDecoder:
     """Mirror of RangeEncoder.
 
     Construct with a pull() callable returning one byte per call (return
-    0 past the end of data), or use from_bytes / from_reader, then call
-    decode_target(cum) once per coded outcome.
+    0 past the end of data), or use from_bytes / from_reader, then run
+    the decisions through decode_walk, or decode_target one at a time.
     """
 
     def __init__(self, pull: Callable[[], int]):
@@ -193,32 +167,13 @@ class RangeDecoder:
 
         A point mass (cum[-1] == 1) leaves the decoder's state as it is.
         """
-        total = cum[-1]
-        if not 1 <= total <= TOTAL_MAX:
-            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-        rng = self.range
-        q = rng // total
-        t = self.value // q
-        if t >= total:   # remainder zone belongs to the top outcome
-            t = total - 1
-        # bisect_right skips zero-frequency outcomes, whose cum entries
-        # collapse onto the next live one.
-        k = bisect_right(cum, t) - 1
-        lo = cum[k]
-        value = self.value - q * lo
-        rng = rng - q * lo if cum[k + 1] == total else q * (cum[k + 1] - lo)
-        while rng < TOP:
-            value = ((value << 8) | (self._pull() & 0xFF)) & MASK
-            rng <<= 8
-        self.value = value
-        self.range = rng
-        return k
+        return self.decode_walk(_single(cum))
 
-    def decode_walk(self, walk: Generator[Sequence[int], int, None]) -> None:
+    def decode_walk(self, walk: Generator[Sequence[int], int, T]) -> T:
         """Run walk, a generator that yields tables, sending it the decoded
-        outcome of each one, until it returns: the arithmetic of
-        decode_target, with the registers in local variables and no call
-        per decision, for streams whose tables depend on earlier outcomes.
+        outcome of each one, and return what it returns.  The registers
+        stay in local variables, with no call per decision, so a stream
+        whose tables depend on earlier outcomes decodes in one call.
         """
         value, rng, pull = self.value, self.range, self._pull
         try:
@@ -241,7 +196,12 @@ class RangeDecoder:
                     value = ((value << 8) | (pull() & 0xFF)) & MASK
                     rng <<= 8
                 cum = walk.send(k)
-        except StopIteration:
-            pass
+        except StopIteration as end:
+            return end.value
         finally:
             self.value, self.range = value, rng
+
+
+def _single(cum: Sequence[int]) -> Generator[Sequence[int], int, int]:
+    """The walk of one decision: decode_target as a decode_walk."""
+    return (yield cum)
