@@ -149,6 +149,9 @@ Regime = Union[FixedRegime, SelfDelimitingRegime, GeneralRegime]
 
 # Whether a prefix ends every member that reaches it.
 Completion = Callable[[Sequence[int]], bool]
+# Raises ModelMismatchError unless the regime can code every member of a
+# lexicographically sorted list of distinct (data, nbits) pairs.
+MemberCheck = Callable[[list], None]
 
 
 @dataclass(frozen=True)
@@ -157,18 +160,61 @@ class CodecParams:
     family: Family = BinomialFamily()
 
 
-def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int]:
-    """(completion, length model whose termination counts are coded, depth cap).
-    DECODE_DEPTH_CAP is read per call, so lowering it takes effect at once."""
+def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int, MemberCheck]:
+    """(completion, length model whose termination counts are coded, depth
+    cap, member check).  DECODE_DEPTH_CAP is read per call, so lowering it
+    takes effect at once."""
     if isinstance(regime, FixedRegime):
         length = regime.length
-        return lambda prefix: len(prefix) == length, None, length
+        return lambda prefix: len(prefix) == length, None, length, _lengths(lambda n: n == length)
     if isinstance(regime, SelfDelimitingRegime):
-        return regime.detector.is_complete, None, DECODE_DEPTH_CAP
+        complete = regime.detector.is_complete
+        return complete, None, DECODE_DEPTH_CAP, _prefix_free(complete)
     if isinstance(regime, GeneralRegime):
-        cap = regime.length_model.max_length()
-        return lambda prefix: False, regime.length_model, DECODE_DEPTH_CAP if cap is None else cap
+        model = regime.length_model
+        cap = model.max_length()
+        return (
+            lambda prefix: False,
+            model,
+            DECODE_DEPTH_CAP if cap is None else cap,
+            _lengths(lambda n: model.pmf(n) > 0),
+        )
     raise TypeError(f"unknown regime {regime!r}")
+
+
+def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
+    """The check that every member's length is possible."""
+
+    def check(distinct: list) -> None:
+        for length in sorted({nbits for _, nbits in distinct}):
+            if not possible(length):
+                raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
+
+    return check
+
+
+def _prefix_free(complete: Completion) -> MemberCheck:
+    """The check that complete holds at every member's end and at no
+    shorter prefix.  The detector is a pure predicate, so each member
+    starts at the prefix it shares with the member before, whose shorter
+    prefixes passed with that member."""
+
+    def check(distinct: list) -> None:
+        prefix: list[int] = []
+        before = before_nbits = 0
+        for data, nbits in distinct:
+            value = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
+            m = min(nbits, before_nbits)
+            del prefix[m - ((value >> (nbits - m)) ^ (before >> (before_nbits - m))).bit_length() :]
+            for bit in map(int, format(value, f"0{nbits}b")[len(prefix) : nbits]):
+                if complete(prefix):
+                    raise ModelMismatchError(f"member extends a complete {len(prefix)}-bit prefix")
+                prefix.append(bit)
+            if not complete(prefix):
+                raise ModelMismatchError(f"member of {nbits} bits does not end complete")
+            before, before_nbits = value, nbits
+
+    return check
 
 
 # Tables one call keeps per kind (split, termination): bounded, so a deep
@@ -205,62 +251,42 @@ def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
     return (lambda n: split(n).cum), (lambda d, n: termination(d, n).cum)
 
 
-def _sort(members: Iterable, regime: Regime) -> tuple[list[int], list[int], list[int], int]:
-    """(values, lengths, cum, width) of the distinct members in
-    lexicographic order.  values[i] holds member i's bits followed by
-    zeros, width bits in all, so the values are in the members' order;
-    lengths[i] is its bit length and cum[i + 1] - cum[i] its multiplicity.
+def _sort(members: Iterable, regime: Regime):
+    """((datas, lengths, cum), model): the distinct members in
+    lexicographic order, datas[i] holding member i's bytes and lengths[i]
+    its bit length, with cum[i + 1] - cum[i] its multiplicity; and the
+    length model whose termination counts are coded.
 
     Raises ModelMismatchError unless the regime can code every distinct
     member, so before anything is coded."""
     counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
     # (data, nbits) is BitString's order: pad bits are zero
-    distinct = sorted(counts.items())
-    width = 8 * max((len(data) for (data, _), _ in distinct), default=0)
-    values = [int.from_bytes(data, "big") << (width - 8 * len(data)) for (data, _), _ in distinct]
-    lengths = [nbits for (_, nbits), _ in distinct]
-    cum = list(accumulate((m for _, m in distinct), initial=0))
-
-    complete, model, cap = _schedule(regime)
-    for length in sorted(set(lengths)):
-        if length > cap:
-            raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
-        if model is not None and model.pmf(length) == 0:
-            raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
-        if isinstance(regime, FixedRegime) and length != regime.length:
-            raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
-    if isinstance(regime, SelfDelimitingRegime):
-        prefix: list[int] = []
-        for i, (value, length) in enumerate(zip(values, lengths)):
-            # the detector is a pure predicate, and the prefixes shorter
-            # than the one shared with the member before passed with it
-            shared = min(width - (value ^ values[i - 1]).bit_length(), lengths[i - 1]) if i else 0
-            del prefix[shared:]
-            for d in range(shared, length):
-                if complete(prefix):
-                    raise ModelMismatchError(f"member extends a complete {d}-bit prefix")
-                prefix.append(value >> (width - 1 - d) & 1)
-            if not complete(prefix):
-                raise ModelMismatchError(f"member of {length} bits does not end complete")
-    return values, lengths, cum, width
+    distinct = sorted(counts)
+    _, model, cap, check = _schedule(regime)
+    longest = max((nbits for _, nbits in distinct), default=0)
+    if longest > cap:
+        raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
+    check(distinct)
+    datas = [data for data, _ in distinct]
+    lengths = [nbits for _, nbits in distinct]
+    cum = list(accumulate(map(counts.__getitem__, distinct), initial=0))
+    return (datas, lengths, cum), model
 
 
-def _decisions(
-    sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable
-):
+def _decisions(sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable):
     """Yield (table, outcome) for every decision the encoder codes, in
-    coding order, from _sort's output.  A trie node is a range [lo, hi) of
-    the sorted members at a depth d; a range of one distinct member is a
-    run, coded from the member's bits to its end without the stack."""
-    values, lengths, cum, width = sorted_members
-    stack = [(0, len(values), 0)] if values else []
+    coding order, from _sort's members.  A trie node is a range [lo, hi)
+    of the sorted members at a depth d; a range of one distinct member is
+    a run, coded from the member's bits to its end without the stack."""
+    datas, lengths, cum = sorted_members
+    stack = [(0, len(datas), 0)] if datas else []
     while stack:
         lo, hi, d = stack.pop()
         n = cum[hi] - cum[lo]
         if hi - lo == 1:
             end = lengths[lo]
-            # the member's bits from depth d on, as text
-            rest = format(values[lo] >> (width - end), f"0{end}b")[d:] if d < end else ""
+            data = datas[lo]
+            rest = format(int.from_bytes(data, "big") >> (8 * len(data) - end), f"0{end}b")[d:end]
             outcome = {"0": 0, "1": n}
             table = split(n) if rest else None
             if model is None:
@@ -278,9 +304,10 @@ def _decisions(
                 lo += 1
                 n -= n_t
         # members whose bit d is 1 sort at or after the node's prefix
-        # followed by 1 and zeros
-        shift = width - 1 - d
-        mid = bisect_left(values, (values[lo] >> shift | 1) << shift, lo, hi)
+        # followed by 1, packed into bytes with zero padding
+        q, r = divmod(d, 8)
+        head = datas[lo]
+        mid = bisect_left(datas, head[:q] + bytes(((head[q] & 0xFF00 >> r) | 0x80 >> r,)), lo, hi)
         yield split(n), cum[hi] - cum[mid]
         if mid < hi:
             stack.append((mid, hi, d + 1))
@@ -294,7 +321,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     to out in lexicographic order, one BitString per copy.  A node's chain
     is followed without the stack until it branches, which at n = 1 is the
     whole rest of a member."""
-    complete, model, cap = _schedule(params.regime)
+    complete, model, cap, _ = _schedule(params.regime)
     split, termination = _cum_tables(params, model)
     prefix: list[int] = []
     stack = [(n_members, 0, 0)]
@@ -334,8 +361,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
 
 def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
     """Code the multiset's counts.  N itself is the container's job."""
-    sorted_members = _sort(members, params.regime)  # validates before emitting anything
-    _, model, _ = _schedule(params.regime)
+    sorted_members, model = _sort(members, params.regime)  # validates before emitting anything
     enc.encode_intervals(_decisions(sorted_members, model, *_cum_tables(params, model)))
 
 
@@ -364,8 +390,7 @@ def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    sorted_members = _sort(tree.members(), params.regime)
-    _, model, _ = _schedule(params.regime)
+    sorted_members, model = _sort(tree.members(), params.regime)
     fam = params.family
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0

@@ -16,6 +16,8 @@ of the ideal.
 
 import dataclasses
 import math
+import random
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -491,6 +493,28 @@ class TestTableMemory:
         ideal_codelength(MultisetTree.build(members), params)
         # 8 split + 8 termination tables cached, plus the one in hand
         assert 0 < peak <= 2 * 8 + 2
+
+
+class TestMemberMemory:
+    def test_one_long_member_costs_only_its_own_bits(self):
+        # Each distinct member is held at its own length: one 16,000-bit
+        # member beside 4,000 short ones must not widen them all to its
+        # width, which would hold 4,000 x 2 kB = 8 MB before any coding.
+        rng = random.Random(0)
+        short = [BitString.from_bits([rng.randrange(2) for _ in range(rng.randint(1, 24))])
+                 for _ in range(4000)]
+        members = short + [BitString(bytes(2000), 16000)]
+        params = CodecParams(GeneralRegime(GeometricLength(HALF)), BinomialFamily())
+        enc = RangeEncoder()
+        tracemalloc.start()
+        try:
+            treecodec.encode_members(members, params, enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert treecodec.decode_members(params, len(members), dec) == sorted(members)
 
 
 class TestCorruptStreams:
