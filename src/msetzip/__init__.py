@@ -56,9 +56,7 @@ from .treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
-    decode_members,
     decode_tree,
-    encode_members,
     encode_tree,
     ideal_codelength,
 )
@@ -109,9 +107,7 @@ __all__ = [
     "FixedRegime",
     "GeneralRegime",
     "SelfDelimitingRegime",
-    "decode_members",
     "decode_tree",
-    "encode_members",
     "encode_tree",
     "ideal_codelength",
     "__version__",

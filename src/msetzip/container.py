@@ -214,8 +214,6 @@ def _compress_detail(members: Iterable, params: CodecParams) -> CompressResult:
 
 
 def compress_tree_detail(tree: MultisetTree, params: CodecParams) -> CompressResult:
-    if len(tree) > MAX_MEMBERS:
-        raise ValueError(f"multiset size {len(tree)} exceeds the capacity {MAX_MEMBERS}")
     return _compress_detail(tree.members(), params)
 
 
