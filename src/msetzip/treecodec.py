@@ -273,7 +273,9 @@ def _sort(members: Iterable, regime: Regime):
     return (datas, lengths, cum), model
 
 
-def _decisions(sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable):
+def _decisions(
+    sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable
+):
     """Yield (table, outcome) for every decision the encoder codes, in
     coding order, from _sort's members.  A trie node is a range [lo, hi)
     of the sorted members at a depth d; a range of one distinct member is
