@@ -15,10 +15,8 @@ from .bits import BitReader, BitString, BitWriter, as_bitstring
 from .container import (
     CompressResult,
     compress,
-    compress_tree,
     compress_tree_detail,
     decompress,
-    decompress_tree,
     parse_header,
     serialize_header,
 )
@@ -56,8 +54,6 @@ from .treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
-    decode_tree,
-    encode_tree,
     ideal_codelength,
 )
 
@@ -70,10 +66,8 @@ __all__ = [
     "as_bitstring",
     "CompressResult",
     "compress",
-    "compress_tree",
     "compress_tree_detail",
     "decompress",
-    "decompress_tree",
     "parse_header",
     "serialize_header",
     "DEFAULT_ALPHA",
@@ -107,8 +101,6 @@ __all__ = [
     "FixedRegime",
     "GeneralRegime",
     "SelfDelimitingRegime",
-    "decode_tree",
-    "encode_tree",
     "ideal_codelength",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, TextIO
 
 from .bits import BitString
 from .container import compress_tree_detail
@@ -34,7 +34,6 @@ from .dirmult import DEFAULT_ALPHA, IntMultiset, encode_dirmult, ideal_codelengt
 from .distributions import LN2
 from .fibcode import fib_encode, fib_length
 from .models import FibTerminatorDetector
-from .msettree import MultisetTree
 from .rangecoder import RangeEncoder
 from .treecodec import (
     BetaBinomialFamily,
@@ -85,11 +84,11 @@ def sha1_members(rng: random.Random, n: int) -> list[BitString]:
 
 
 def _tree_record(
-    tree: MultisetTree, params: CodecParams, family_label: str, ideal_per_elem: float
+    members: list[BitString], params: CodecParams, family_label: str, ideal_per_elem: float
 ) -> BenchRecord:
-    n = len(tree)
+    n = len(members)
     t0 = time.perf_counter()
-    result = compress_tree_detail(tree, params)
+    result = compress_tree_detail(members, params)
     wall = time.perf_counter() - t0
     return BenchRecord(
         n=n,
@@ -110,14 +109,13 @@ def bench_rsha1(
         if n < 1:
             raise ValueError("benchmark points need N >= 1")
         members = sha1_members(_rng_for(seed, n), n)
-        tree = MultisetTree.build(members)
         limit = SHA1_BITS - log2_factorial(n) / n
         for label, family in (
             ("binomial", BinomialFamily(Fraction(1, 2))),
             ("beta_binomial", BetaBinomialFamily()),
         ):
             params = CodecParams(regime=FixedRegime(SHA1_BITS), family=family)
-            records.append(_tree_record(tree, params, label, limit))
+            records.append(_tree_record(members, params, label, limit))
         records.append(
             BenchRecord(
                 n=n,
@@ -142,7 +140,6 @@ def bench_fib(
         rng = _rng_for(seed, n)
         values = [rng.randint(1, k) for _ in range(n)]
         members = [BitString.from_str(fib_encode(v)) for v in values]
-        tree = MultisetTree.build(members)
 
         for label, family in (
             ("binomial", BinomialFamily(Fraction(1, 2))),
@@ -151,8 +148,8 @@ def bench_fib(
             params = CodecParams(
                 regime=SelfDelimitingRegime(FibTerminatorDetector()), family=family
             )
-            ideal = ideal_codelength(tree, params) / n
-            records.append(_tree_record(tree, params, label, ideal))
+            ideal = ideal_codelength(members, params) / n
+            records.append(_tree_record(members, params, label, ideal))
 
         ms = IntMultiset.from_values(values, k)
         t0 = time.perf_counter()

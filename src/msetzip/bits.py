@@ -12,6 +12,9 @@ from typing import Iterable, Iterator
 
 from .errors import TruncationError
 
+# byte 0 or 1 -> ASCII digit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class BitString:
     """An immutable sequence of bits backed by (bytes, bit length).
@@ -43,22 +46,19 @@ class BitString:
     def from_str(cls, s: str) -> "BitString":
         if s.strip("01"):
             raise ValueError(f"bit string {s[:40]!r} has characters other than 0 and 1")
-        return cls.from_bits(1 if c == "1" else 0 for c in s)
+        return cls._from_digits(s)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        buf = bytearray()
-        acc = 0
-        n = 0
-        for b in bits:
-            acc = (acc << 1) | (1 if b else 0)
-            n += 1
-            if not n & 7:
-                buf.append(acc)
-                acc = 0
-        if n & 7:
-            buf.append(acc << (8 - (n & 7)))
-        return cls(bytes(buf), n)
+        """Any truthy item is a 1 bit."""
+        return cls._from_digits(bytes(map(bool, bits)).translate(_DIGITS))
+
+    @classmethod
+    def _from_digits(cls, digits) -> "BitString":
+        """The bits of ASCII 0/1 digits, a str or bytes, packed by int() in C."""
+        nbits = len(digits)
+        value = int(digits, 2) << (-nbits & 7) if nbits else 0
+        return cls(value.to_bytes((nbits + 7) >> 3, "big"), nbits)
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.nbits:

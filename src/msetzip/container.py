@@ -44,7 +44,6 @@ from .models import (
     PointLength,
     UniformLength,
 )
-from .msettree import MultisetTree
 from .rangecoder import RangeDecoder, RangeEncoder
 from .treecodec import (
     BetaBinomialFamily,
@@ -191,7 +190,9 @@ class CompressResult:
         return self.header_bits + self.n_header_bits + self.payload_bits
 
 
-def _compress_detail(members: Iterable, params: CodecParams) -> CompressResult:
+def compress_tree_detail(members: Iterable, params: CodecParams) -> CompressResult:
+    """The container of members with its bit accounting.  A MultisetTree
+    is an iterable of its members."""
     members = list(members)
     if len(members) > MAX_MEMBERS:
         raise ValueError(f"multiset size {len(members)} exceeds the capacity {MAX_MEMBERS}")
@@ -213,19 +214,12 @@ def _compress_detail(members: Iterable, params: CodecParams) -> CompressResult:
     )
 
 
-def compress_tree_detail(tree: MultisetTree, params: CodecParams) -> CompressResult:
-    return _compress_detail(tree.members(), params)
-
-
-def compress_tree(tree: MultisetTree, params: CodecParams) -> bytes:
-    return compress_tree_detail(tree, params).data
-
-
 def compress(members: Iterable, params: CodecParams) -> bytes:
-    return _compress_detail(members, params).data
+    return compress_tree_detail(members, params).data
 
 
-def _decompress(data: bytes) -> tuple[CodecParams, list[BitString]]:
+def decompress(data: bytes) -> list[BitString]:
+    """Members of the compressed multiset, in lexicographic order."""
     params, header_len = parse_header(data)
     reader = BitReader(data, start_bit=8 * header_len)
     try:
@@ -235,14 +229,4 @@ def _decompress(data: bytes) -> tuple[CodecParams, list[BitString]]:
     n = n_plus_1 - 1
     if n > MAX_MEMBERS:
         raise CorruptStreamError(f"member count {n} exceeds the capacity {MAX_MEMBERS}")
-    return params, decode_members(params, n, RangeDecoder.from_reader(reader))
-
-
-def decompress_tree(data: bytes) -> tuple[MultisetTree, CodecParams]:
-    params, members = _decompress(data)
-    return MultisetTree.build(members), params
-
-
-def decompress(data: bytes) -> list[BitString]:
-    """Members of the compressed multiset, in lexicographic order."""
-    return _decompress(data)[1]
+    return decode_members(params, n, RangeDecoder.from_reader(reader))

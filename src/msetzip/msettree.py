@@ -13,6 +13,7 @@ Zero-count nodes are never kept.  A present child always has count >= 1.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .bits import BitString, as_bitstring
@@ -111,11 +112,12 @@ class MultisetTree:
                 return
             node = nxt
 
-    def members(self) -> Iterator[BitString]:
+    def __iter__(self) -> Iterator[BitString]:
         """Yield members in lexicographic order, repeated per multiplicity.
 
         A prefix sorts before its extensions, so terminations at a node
-        come out before anything in its subtrees.
+        come out before anything in its subtrees.  BitString is immutable,
+        so the copies of a member are one shared object.
         """
         prefix: list[int] = []
         stack = [(self.root, 0, 0)]
@@ -123,15 +125,13 @@ class MultisetTree:
             node, d, bit = stack.pop()
             if d:
                 prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
-            for _ in range(node.slack):
-                yield BitString.from_bits(prefix)
+            slack = node.slack
+            if slack:
+                yield from repeat(BitString.from_bits(prefix), slack)
             if node.child1 is not None:
                 stack.append((node.child1, d + 1, 1))
             if node.child0 is not None:
                 stack.append((node.child0, d + 1, 0))
-
-    def enumerate(self) -> list[BitString]:
-        return list(self.members())
 
     def sample(self, rng: random.Random | int | None = None) -> BitString:
         """Draw a member with probability multiplicity / N."""

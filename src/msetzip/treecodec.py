@@ -66,7 +66,6 @@ from .bits import BitString, as_bitstring
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
-from .msettree import MultisetTree
 from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -160,21 +159,27 @@ class CodecParams:
     family: Family = BinomialFamily()
 
 
-def _schedule(regime: Regime) -> tuple[Completion, Optional[LengthModel], int, MemberCheck]:
-    """(completion, length model whose termination counts are coded, depth
-    cap, member check).  DECODE_DEPTH_CAP is read per call, so lowering it
-    takes effect at once."""
+def _schedule(
+    regime: Regime,
+) -> tuple[Optional[int], Optional[Completion], Optional[LengthModel], int, MemberCheck]:
+    """(depth at which every member ends, completion, length model whose
+    termination counts are coded, depth cap, member check).  The fixed
+    regime ends members by depth alone and the general regime never ends
+    one early, so only the self-delimiting regime has a completion, its
+    detector.  DECODE_DEPTH_CAP is read per call, so lowering it takes
+    effect at once."""
     if isinstance(regime, FixedRegime):
         length = regime.length
-        return lambda prefix: len(prefix) == length, None, length, _lengths(lambda n: n == length)
+        return length, None, None, length, _lengths(lambda n: n == length)
     if isinstance(regime, SelfDelimitingRegime):
         complete = regime.detector.is_complete
-        return complete, None, DECODE_DEPTH_CAP, _prefix_free(complete)
+        return None, complete, None, DECODE_DEPTH_CAP, _prefix_free(complete)
     if isinstance(regime, GeneralRegime):
         model = regime.length_model
         cap = model.max_length()
         return (
-            lambda prefix: False,
+            None,
+            None,
             model,
             DECODE_DEPTH_CAP if cap is None else cap,
             _lengths(lambda n: model.pmf(n) > 0),
@@ -217,8 +222,10 @@ def _prefix_free(complete: Completion) -> MemberCheck:
     return check
 
 
-# Tables one call keeps per kind (split, termination): bounded, so a deep
-# chain's distinct counts (~N^2/2 entries in all) never stay alive at once.
+# Entries one call keeps per cache (split tables, termination tables, and
+# each depth's first depth with its hazard): bounded, so neither a deep
+# chain's distinct counts (~N^2/2 table entries in all) nor a long member's
+# depths stay alive at once.
 _TABLES_PER_CALL = 1024
 
 
@@ -229,19 +236,16 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
     tables through the first depth that has that hazard."""
     split = lru_cache(maxsize=_TABLES_PER_CALL)(split)
     first_depth: dict[Fraction, int] = {}  # hazard -> first depth with it
-    depth_of: dict[int, int] = {}  # depth -> first depth with its hazard
+
+    @lru_cache(maxsize=_TABLES_PER_CALL)
+    def depth_of(d: int) -> int:
+        return first_depth.setdefault(hazard(model, d), d)
 
     @lru_cache(maxsize=_TABLES_PER_CALL)
     def shared(d0: int, n: int):
         return termination(n, hazard(model, d0))
 
-    def at_depth(d: int, n: int):
-        d0 = depth_of.get(d)
-        if d0 is None:
-            d0 = depth_of[d] = first_depth.setdefault(hazard(model, d), d)
-        return shared(d0, n)
-
-    return split, at_depth
+    return split, lambda d, n: shared(depth_of(d), n)
 
 
 def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
@@ -262,7 +266,7 @@ def _sort(members: Iterable, regime: Regime):
     counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
     # (data, nbits) is BitString's order: pad bits are zero
     distinct = sorted(counts)
-    _, model, cap, check = _schedule(regime)
+    _, _, model, cap, check = _schedule(regime)
     longest = max((nbits for _, nbits in distinct), default=0)
     if longest > cap:
         raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
@@ -323,7 +327,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     to out in lexicographic order, one BitString per copy.  A node's chain
     is followed without the stack until it branches, which at n = 1 is the
     whole rest of a member."""
-    complete, model, cap, _ = _schedule(params.regime)
+    end, complete, model, cap, _ = _schedule(params.regime)
     split, termination = _cum_tables(params, model)
     prefix: list[int] = []
     stack = [(n_members, 0, 0)]
@@ -335,7 +339,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
         while True:
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
-            if complete(prefix):
+            if d == end or complete is not None and complete(prefix):
                 out.extend(BitString.from_bits(prefix) for _ in range(n))
                 break
             if model is not None:
@@ -375,24 +379,11 @@ def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> li
     return out
 
 
-def validate_tree(tree: MultisetTree, params: CodecParams) -> None:
-    """Raise ModelMismatchError unless the regime can code every member."""
-    _sort(tree.members(), params.regime)
-
-
-def encode_tree(tree: MultisetTree, params: CodecParams, enc: RangeEncoder) -> None:
-    encode_members(tree.members(), params, enc)
-
-
-def decode_tree(params: CodecParams, n_members: int, dec: RangeDecoder) -> MultisetTree:
-    return MultisetTree.build(decode_members(params, n_members, dec))
-
-
-def ideal_codelength(tree: MultisetTree, params: CodecParams) -> float:
+def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    sorted_members, model = _sort(tree.members(), params.regime)
+    sorted_members, model = _sort(members, params.regime)
     fam = params.family
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0

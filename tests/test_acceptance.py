@@ -33,7 +33,7 @@ from msetzip.treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
-    encode_tree,
+    encode_members,
     ideal_codelength,
 )
 
@@ -91,7 +91,7 @@ def test_criterion_02_ideal_codelength_identity():
         worst_err = max(worst_err, abs(ideal - closed))
 
         enc = RangeEncoder()
-        encode_tree(tree, params, enc)
+        encode_members(tree, params, enc)
         payload = enc.finish()
         excess = payload.nbits - ideal - (2 + 0.01 * enc.symbols_coded)
         worst_slack = max(worst_slack, excess)

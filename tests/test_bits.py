@@ -1,6 +1,7 @@
 """BitString / BitWriter / BitReader."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,17 @@ from msetzip.errors import TruncationError
 from msetzip.msettree import MultisetTree
 
 bit_lists = st.lists(st.integers(0, 1), max_size=200)
+# lengths up to 1000 bits, every whole-byte length among them drawn often
+pack_lengths = st.one_of(st.integers(0, 125).map(lambda k: 8 * k), st.integers(0, 1000))
+
+
+def reference_pack(bits) -> bytes:
+    """MSB-first packing, one Python step per bit; a truthy item is a 1."""
+    buf = bytearray((len(bits) + 7) >> 3)
+    for i, b in enumerate(bits):
+        if b:
+            buf[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(buf)
 
 
 class TestBitString:
@@ -50,6 +62,14 @@ class TestBitString:
         bs = BitString.from_bits(bits)
         assert bs.nbits == len(bits)
         assert list(bs.bits()) == bits
+
+    @given(pack_lengths, st.integers(0, 2**32))
+    def test_packing_matches_the_reference(self, n, seed):
+        rng = random.Random(seed)
+        bits = [rng.choice((0, 1, False, True, 2, -1)) for _ in range(n)]
+        bs = BitString.from_bits(bits)
+        assert (bs.data, bs.nbits) == (reference_pack(bits), n)
+        assert BitString.from_str("".join("1" if b else "0" for b in bits)) == bs
 
     @given(bit_lists, bit_lists)
     def test_ordering_matches_strings(self, a, b):

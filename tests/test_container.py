@@ -12,10 +12,8 @@ from msetzip.container import (
     MAGIC,
     CompressResult,
     compress,
-    compress_tree,
     compress_tree_detail,
     decompress,
-    decompress_tree,
     parse_header,
     serialize_header,
 )
@@ -187,7 +185,7 @@ class TestFraming:
     def test_detail_accounting(self):
         params = CodecParams(FixedRegime(3))
         members = ["000", "000", "010", "011", "101", "110", "111"]
-        res = compress_tree_detail(MultisetTree.build(members), params)
+        res = compress_tree_detail(members, params)
         assert isinstance(res, CompressResult)
         assert res.header_bits == 8 * len(serialize_header(params))
         assert res.n_header_bits == fib_length(8)
@@ -198,7 +196,7 @@ class TestFraming:
     def test_compress_accepts_iterables(self):
         params = CodecParams(FixedRegime(2))
         a = compress(["01", "01", "10"], params)
-        b = compress_tree(MultisetTree.build(["01", "10", "01"]), params)
+        b = compress(MultisetTree.build(["01", "10", "01"]), params)
         assert a == b
 
     def test_decompress_is_lexicographic(self):
@@ -224,22 +222,22 @@ class TestFraming:
         w.write_bytes(serialize_header(params))
         write_fib(w, (1 << 30) + 1)
         with pytest.raises(CorruptStreamError):
-            decompress_tree(w.getvalue())
+            decompress(w.getvalue())
 
     def test_oversized_multiset_rejected_at_compress(self):
         tree = MultisetTree()
         tree.root.count = 1 << 18  # forged count just past the capacity
         with pytest.raises(ValueError):
-            compress_tree(tree, CodecParams(FixedRegime(3)))
+            compress(tree, CodecParams(FixedRegime(3)))
 
     def test_params_survive_the_trip(self):
         params = CodecParams(
             GeneralRegime(GeometricLength(Fraction(2, 5))),
             BetaBinomialFamily(Fraction(1, 3), Fraction(4)),
         )
-        tree, parsed = decompress_tree(compress(["01", "1", "0010"], params))
-        assert parsed == params
-        assert len(tree) == 3
+        blob = compress(["01", "1", "0010"], params)
+        assert parse_header(blob)[0] == params
+        assert len(decompress(blob)) == 3
 
 
 class TestEndToEnd:
@@ -304,7 +302,7 @@ class TestMemberOrder:
         params = CodecParams(regime, family)
         blob = compress(members, params)
         assert compress(shuffled, params) == blob
-        assert compress_tree(MultisetTree.build(members), params) == blob
+        assert compress_tree_detail(MultisetTree.build(members), params).data == blob
         assert [m.to_str() for m in decompress(blob)] == sorted(members)
 
 

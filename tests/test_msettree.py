@@ -43,7 +43,7 @@ class TestWorkedExamples:
 
     def test_fixed_length_enumerate_is_sorted(self):
         t = MultisetTree.build(FIXED7)
-        assert [m.to_str() for m in t.enumerate()] == sorted(FIXED7)
+        assert [m.to_str() for m in t] == sorted(FIXED7)
 
     def test_variable_length_counts(self):
         t = MultisetTree.build(VARLEN10)
@@ -60,7 +60,7 @@ class TestWorkedExamples:
 
     def test_variable_length_enumerate(self):
         t = MultisetTree.build(VARLEN10)
-        got = [m.to_str() for m in t.enumerate()]
+        got = [m.to_str() for m in t]
         assert got == sorted(VARLEN10, key=lambda s: (s + "0" * 8, len(s)))
         assert Counter(got) == Counter(VARLEN10)
 
@@ -81,7 +81,7 @@ class TestMutation:
         t = MultisetTree.build(["", "", "1"])
         assert t.multiplicity("") == 2
         assert t.root.slack == 2
-        assert [m.to_str() for m in t.enumerate()] == ["", "", "1"]
+        assert [m.to_str() for m in t] == ["", "", "1"]
 
     def test_remove_decrements(self):
         t = MultisetTree.build(["00", "00", "01"])
@@ -106,7 +106,7 @@ class TestMutation:
     def test_empty_tree(self):
         t = MultisetTree()
         assert len(t) == 0
-        assert t.enumerate() == []
+        assert list(t) == []
         assert t.node_count() == 1
         with pytest.raises(ValueError):
             t.sample(random.Random(0))
@@ -125,7 +125,7 @@ class TestCanonical:
     @settings(max_examples=200)
     def test_enumerate_round_trips(self, members):
         t = MultisetTree.build(members)
-        assert Counter(m.to_str() for m in t.enumerate()) == Counter(members)
+        assert Counter(m.to_str() for m in t) == Counter(members)
         assert len(t) == len(members)
 
     @given(members_strat())
@@ -218,8 +218,16 @@ class TestSample:
         assert b == [a[0]] * 20
 
 
-def test_members_yields_bitstrings():
+def test_iter_yields_bitstrings():
     t = MultisetTree.build(["01", BitString.from_str("10")])
-    got = list(t.members())
+    got = list(t)
     assert all(isinstance(m, BitString) for m in got)
     assert [m.to_str() for m in got] == ["01", "10"]
+
+
+def test_iter_shares_one_bitstring_per_distinct_member():
+    got = list(MultisetTree.build(["10", "0", "10", "0", "10"]))
+    assert [m.to_str() for m in got] == ["0", "0", "10", "10", "10"]
+    assert got[0] is got[1]
+    assert got[2] is got[3] is got[4]
+    assert got[1] is not got[2]

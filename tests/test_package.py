@@ -1,6 +1,8 @@
 """The package's public surface: everything __all__ names exists, once,
-and importing it leaves numpy unloaded."""
+importing it leaves numpy unloaded, and the codec does not import the
+trie."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +25,18 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_codec_does_not_import_the_trie():
+    # the codec reads the trie's counts off the sorted members; a
+    # MultisetTree reaches it only as an iterable of members
+    package = Path(msetzip.__file__).parent
+    for module in ("treecodec.py", "container.py", "bench.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / module).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any(name.split(".")[-1] == "msettree" for name in imported), module

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msetzip.treecodec as treecodec
-from msetzip.bits import BitString
+from msetzip.bits import BitString, as_bitstring
 from msetzip.errors import CorruptStreamError, ModelMismatchError
 from msetzip.fibcode import fib_encode
 from msetzip.models import (
@@ -46,10 +46,9 @@ from msetzip.treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
-    decode_tree,
-    encode_tree,
+    decode_members,
+    encode_members,
     ideal_codelength,
-    validate_tree,
 )
 
 HALF = Fraction(1, 2)
@@ -64,13 +63,12 @@ FAMILIES = [
 
 
 def round_trip(members, params):
-    tree = MultisetTree.build(members)
     enc = RangeEncoder()
-    encode_tree(tree, params, enc)
+    encode_members(members, params, enc)
     payload = enc.finish()
     dec = RangeDecoder.from_bytes(payload.data)
-    out = decode_tree(params, len(tree), dec)
-    assert out == tree
+    out = decode_members(params, len(members), dec)
+    assert out == sorted(map(as_bitstring, members))
     return payload, enc
 
 
@@ -240,7 +238,7 @@ class TestDeterminism:
 
         def payload(ms):
             enc = RangeEncoder()
-            encode_tree(MultisetTree.build(ms), params, enc)
+            encode_members(ms, params, enc)
             return enc.finish()
 
         assert payload(members) == payload(shuffled)
@@ -251,11 +249,10 @@ class TestDeterminism:
         # length model is structural, so the two regimes emit identical bits
         members = ["0110", "0110", "1010", "0001", "1111", "0000"]
         fam = BinomialFamily(theta)
-        tree = MultisetTree.build(members)
         out = []
         for regime in (FixedRegime(4), GeneralRegime(PointLength(4))):
             enc = RangeEncoder()
-            encode_tree(tree, CodecParams(regime, fam), enc)
+            encode_members(members, CodecParams(regime, fam), enc)
             out.append(enc.finish())
         assert out[0] == out[1]
         assert isinstance(out[0], BitString)
@@ -268,8 +265,7 @@ class TestIdealCodelength:
     @given(st.lists(st.text("01", min_size=3, max_size=3), max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_fixed_theta_half_closed_form(self, members):
-        tree = MultisetTree.build(members)
-        ideal = ideal_codelength(tree, CodecParams(FixedRegime(3), BinomialFamily()))
+        ideal = ideal_codelength(members, CodecParams(FixedRegime(3), BinomialFamily()))
         n = len(members)
         expect = 3 * n - neg_log2(1 / perm_count(members)) if n else 0.0
         assert ideal == pytest.approx(expect, abs=1e-6)
@@ -278,8 +274,7 @@ class TestIdealCodelength:
     @given(members=st.lists(st.text("01", min_size=4, max_size=4), min_size=1, max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_fixed_member_product(self, theta, members):
-        tree = MultisetTree.build(members)
-        ideal = ideal_codelength(tree, CodecParams(FixedRegime(4), BinomialFamily(theta)))
+        ideal = ideal_codelength(members, CodecParams(FixedRegime(4), BinomialFamily(theta)))
         p = perm_count(members)
         for w in members:
             p *= bit_prob(w, theta)
@@ -290,14 +285,13 @@ class TestIdealCodelength:
     def test_selfdelim_member_product(self, values):
         members = [fib_encode(v) for v in values]
         theta = Fraction(2, 5)
-        tree = MultisetTree.build(members)
         params = CodecParams(
             SelfDelimitingRegime(FibTerminatorDetector()), BinomialFamily(theta)
         )
         p = perm_count(members)
         for w in members:
             p *= bit_prob(w, theta)
-        assert ideal_codelength(tree, params) == pytest.approx(neg_log2(p), abs=1e-6)
+        assert ideal_codelength(members, params) == pytest.approx(neg_log2(p), abs=1e-6)
 
     @pytest.mark.parametrize(
         "model",
@@ -310,12 +304,11 @@ class TestIdealCodelength:
         # P(multiset) = perm * prod_w L(len_w) * prod bits; the hazard
         # factors the codec actually codes must telescope back to this
         theta = Fraction(1, 3)
-        tree = MultisetTree.build(members)
         params = CodecParams(GeneralRegime(model), BinomialFamily(theta))
         p = perm_count(members)
         for w in members:
             p *= model.pmf(len(w)) * bit_prob(w, theta)
-        assert ideal_codelength(tree, params) == pytest.approx(neg_log2(p), abs=1e-6)
+        assert ideal_codelength(members, params) == pytest.approx(neg_log2(p), abs=1e-6)
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=repr)
     @pytest.mark.parametrize(
@@ -331,14 +324,12 @@ class TestIdealCodelength:
         members = ["000", "000", "010", "011", "101", "110", "111"]
         if isinstance(regime, GeneralRegime):
             members = members + ["", "01", "1"]
-        tree = MultisetTree.build(members)
         params = CodecParams(regime, fam)
-        want = neg_log2(exact_tree_prob(tree, params))
-        assert ideal_codelength(tree, params) == pytest.approx(want, abs=1e-7)
+        want = neg_log2(exact_tree_prob(MultisetTree.build(members), params))
+        assert ideal_codelength(members, params) == pytest.approx(want, abs=1e-7)
 
     def test_empty_multiset_is_free(self):
-        tree = MultisetTree()
-        assert ideal_codelength(tree, CodecParams(FixedRegime(8))) == 0.0
+        assert ideal_codelength([], CodecParams(FixedRegime(8))) == 0.0
 
 
 # --- coder optimality -------------------------------------------------------
@@ -357,22 +348,20 @@ class TestOptimality:
                 "".join(rng.choice("01") for _ in range(rng.randrange(7)))
                 for _ in range(n)
             ]
-            tree = MultisetTree.build(members)
             enc = RangeEncoder()
-            encode_tree(tree, params, enc)
+            encode_members(members, params, enc)
             payload = enc.finish()
-            ideal = ideal_codelength(tree, params)
+            ideal = ideal_codelength(members, params)
             slack = 2 + 0.01 * enc.symbols_coded
             assert payload.nbits <= ideal + slack, (trial, payload.nbits, ideal)
 
     def test_single_member_fixed_costs_exactly_L(self):
         params = CodecParams(FixedRegime(5), BinomialFamily())
         for member in ("10110", "00000", "11111"):
-            tree = MultisetTree.build([member])
             enc = RangeEncoder()
-            encode_tree(tree, params, enc)
+            encode_members([member], params, enc)
             payload = enc.finish()
-            assert ideal_codelength(tree, params) == 5.0  # each level is one fair bit
+            assert ideal_codelength([member], params) == 5.0  # each level is one fair bit
             assert enc.symbols_coded == 5
             assert payload.nbits <= 6
 
@@ -384,10 +373,9 @@ class TestValidation:
     def test_fixed_rejects_wrong_lengths(self):
         params = CodecParams(FixedRegime(3))
         for members in (["01"], ["0101"], ["010", ""]):
-            tree = MultisetTree.build(members)
             enc = RangeEncoder()
             with pytest.raises(ModelMismatchError):
-                encode_tree(tree, params, enc)
+                encode_members(members, params, enc)
             assert enc.symbols_coded == 0  # rejected before anything was coded
 
     def test_selfdelim_rejects_non_codewords(self):
@@ -395,7 +383,7 @@ class TestValidation:
         for members in (["10"], ["1101"], ["11", "1"], [""]):
             enc = RangeEncoder()
             with pytest.raises(ModelMismatchError):
-                encode_tree(MultisetTree.build(members), params, enc)
+                encode_members(members, params, enc)
             assert enc.symbols_coded == 0
 
     def test_general_rejects_zero_probability_lengths(self):
@@ -403,7 +391,7 @@ class TestValidation:
         for members in (["1"], ["0000"], ["01", ""]):
             enc = RangeEncoder()
             with pytest.raises(ModelMismatchError):
-                encode_tree(MultisetTree.build(members), params, enc)
+                encode_members(members, params, enc)
             assert enc.symbols_coded == 0
 
     def test_degenerate_theta_rejects_forbidden_bit(self):
@@ -411,15 +399,15 @@ class TestValidation:
         params = CodecParams(FixedRegime(2), BinomialFamily(Fraction(0)))
         with pytest.raises(ModelMismatchError):
             enc = RangeEncoder()
-            encode_tree(MultisetTree.build(["01"]), params, enc)
+            encode_members(["01"], params, enc)
         # and the all-zero multiset costs nothing at all
         enc = RangeEncoder()
-        encode_tree(MultisetTree.build(["00", "00"]), params, enc)
+        encode_members(["00", "00"], params, enc)
         assert enc.finish().nbits == 0
 
-    def test_validate_tree_passes_clean_input(self):
-        tree = MultisetTree.build(["010", "100"])
-        validate_tree(tree, CodecParams(FixedRegime(3)))
+    def test_clean_input_passes_validation(self):
+        enc = RangeEncoder()
+        encode_members(["010", "100"], CodecParams(FixedRegime(3)), enc)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -444,7 +432,7 @@ class TestDepthCap:
         params = CodecParams(regime, fam)
         enc = RangeEncoder()
         with pytest.raises(ModelMismatchError):
-            encode_tree(MultisetTree.build(["011", member(41)]), params, enc)
+            encode_members(["011", member(41)], params, enc)
         assert enc.symbols_coded == 0  # rejected before anything was coded
         round_trip(["011", member(40), member(40)], params)
 
@@ -490,7 +478,7 @@ class TestTableMemory:
         params = CodecParams(GeneralRegime(model), Tracked())
         members = ["0" * k for k in range(1, self.K + 1)]
         round_trip(members, params)
-        ideal_codelength(MultisetTree.build(members), params)
+        ideal_codelength(members, params)
         # 8 split + 8 termination tables cached, plus the one in hand
         assert 0 < peak <= 2 * 8 + 2
 
@@ -516,6 +504,30 @@ class TestMemberMemory:
         dec = RangeDecoder.from_bytes(enc.finish().data)
         assert treecodec.decode_members(params, len(members), dec) == sorted(members)
 
+    def test_one_long_member_keeps_no_entry_per_depth(self):
+        # A constant hazard needs one termination table per count however
+        # deep the walk goes: the per-call depth memo must not hold an
+        # entry for each of a 60,000-bit member's depths.
+        rng = random.Random(1)
+        short = [BitString.from_bits([rng.randrange(2) for _ in range(rng.randint(1, 24))])
+                 for _ in range(500)]
+        members = short + [BitString(bytes(7500), 60000)]
+        params = CodecParams(GeneralRegime(GeometricLength(HALF)), BinomialFamily())
+        enc = RangeEncoder()
+        tracemalloc.start()
+        try:
+            treecodec.encode_members(members, params, enc)
+            encode_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            dec = RangeDecoder.from_bytes(enc.finish().data)
+            out = treecodec.decode_members(params, len(members), dec)
+            decode_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == sorted(members)
+        assert encode_peak < 1 << 20
+        assert decode_peak < 2 << 20
+
 
 class TestCorruptStreams:
     # n = 1 is a single member decoded to its end in one chain: the cap
@@ -530,7 +542,7 @@ class TestCorruptStreams:
         params = CodecParams(SelfDelimitingRegime(NeverEnds()), BinomialFamily())
         dec = RangeDecoder.from_bytes(b"\x00" * 64)
         with pytest.raises(CorruptStreamError):
-            decode_tree(params, n_members, dec)
+            decode_members(params, n_members, dec)
 
     @pytest.mark.parametrize("n_members", [1, 3])
     def test_general_depth_cap_unbounded_model(self, monkeypatch, n_members):
@@ -538,7 +550,7 @@ class TestCorruptStreams:
         params = CodecParams(GeneralRegime(GeometricLength(HALF)), BinomialFamily())
         dec = RangeDecoder.from_bytes(b"\x00" * 64)
         with pytest.raises(CorruptStreamError):
-            decode_tree(params, n_members, dec)
+            decode_members(params, n_members, dec)
 
     def test_general_bounded_model_never_overruns(self):
         # Beta-binomial termination tables have full support, so corrupt
@@ -553,10 +565,10 @@ class TestCorruptStreams:
             data = bytes(rng.randrange(256) for _ in range(24))
             dec = RangeDecoder.from_bytes(data)
             try:
-                tree = decode_tree(params, 6, dec)
+                members = decode_members(params, 6, dec)
             except CorruptStreamError:
                 bad += 1
                 continue
             ok += 1
-            assert all(1 <= len(m.to_str()) <= 3 for m in tree.members())
+            assert all(1 <= len(m.to_str()) <= 3 for m in members)
         assert ok + bad == 200
