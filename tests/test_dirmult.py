@@ -217,3 +217,34 @@ class TestGolden:
         assert hashlib.sha256(payload.data).hexdigest() == (
             "343a98943048d4faca8eff46c8000838eb1c5eb2bd6a6ae3aae5c74a5ee87760"
         )
+
+    # (nbits, sha256) at alphas other than the default, recorded before the
+    # walk cached its tables per call
+    OTHER_ALPHA = [
+        (Fraction(1, 3), "k17", 24, "50c49f08f700c04cf15e78a52e8f99876d7579020cbbecfcf79b93289d6c13f9"),
+        (Fraction(1, 3), "sparse", 1420, "38f692804053ea11505d06fcd85d6aee0333325e82efe6293b8b0e5942d64e96"),
+        (Fraction(2), "k17", 29, "8d38db4951e6dcfa835c1112d14a2f0410cc870ceb0f923caff54cf34c2a512a"),
+        (Fraction(2), "sparse", 1414, "959ce5f2a3ae70ee65fcc51db252db8479c7a51d1ab1892f1819d35b51182f05"),
+    ]
+
+    @pytest.mark.parametrize(
+        "alpha, case, nbits, digest", OTHER_ALPHA, ids=["third-k17", "third-sparse", "two-k17", "two-sparse"]
+    )
+    def test_other_alpha_payloads(self, alpha, case, nbits, digest):
+        if case == "k17":
+            ms = GOLDEN[-1][0]
+        else:
+            rng = random.Random(2025)
+            ms = IntMultiset.from_values([1 + rng.getrandbits(32) % 10_000 for _ in range(200)], 10_000)
+        payload, _ = round_trip(ms, alpha)
+        assert (payload.nbits, hashlib.sha256(payload.data).hexdigest()) == (nbits, digest)
+
+    def test_benchmark_shape_payload(self):
+        # N = 1000 draws over K = 10**4, the fib-dirmult workload's shape
+        rng = random.Random(7)
+        ms = IntMultiset.from_values([1 + rng.getrandbits(32) % 10_000 for _ in range(1000)], 10_000)
+        payload, _ = round_trip(ms)
+        assert payload.nbits == 4868
+        assert hashlib.sha256(payload.data).hexdigest() == (
+            "6328479c3f817bd81a6fd192afece66af566c773c9ff7978258469d16848f6cd"
+        )
