@@ -14,6 +14,12 @@ the Dirichlet (the Polya-tree construction of Ferguson 1974 and Lavine
 over count vectors, so this is a direct code for the multiset.  It codes
 at most N ceil(log2 K) counts however large K is; at K = 2 it is the
 single draw BetaBin(N, alpha, alpha).
+
+Within one call alpha is fixed and mid - lo = (hi - lo) // 2, so a
+node's table depends only on its count n and its width hi - lo.  The
+walk caches tables under those two ints for the call, at most
+TABLES_PER_CALL of them: a few hundred distinct tables serve thousands
+of decisions, and no Fraction is built or hashed per decision.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .distributions import LN2
-from .quantize import quantized_betabin
+from .quantize import TABLES_PER_CALL, quantized_betabin
 from .rangecoder import RangeDecoder, RangeEncoder
 
 DEFAULT_ALPHA = Fraction(1, 2)
@@ -42,7 +49,7 @@ class IntMultiset:
             raise ValueError("alphabet bound k must be >= 1")
         if len(self.counts) != self.k:
             raise ValueError("counts must have exactly k entries")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be >= 0")
 
     @classmethod
@@ -69,6 +76,12 @@ def _walk(k: int, n: int, alpha: Fraction, below=None):
     runs it.  Returns the count vector."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+
+    @lru_cache(maxsize=TABLES_PER_CALL)
+    def table(n: int, width: int):
+        half = width // 2
+        return quantized_betabin(n, half * alpha, (width - half) * alpha)
+
     counts = [0] * k
     stack = [(0, k, n)]
     while stack:
@@ -77,7 +90,7 @@ def _walk(k: int, n: int, alpha: Fraction, below=None):
             counts[lo] = n
         elif n:
             mid = (lo + hi) // 2
-            cum = quantized_betabin(n, (mid - lo) * alpha, (hi - mid) * alpha).cum
+            cum = table(n, hi - lo).cum
             if below is None:
                 left = yield cum
             else:

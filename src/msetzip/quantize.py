@@ -127,7 +127,15 @@ def quantize(log2pmf: Sequence[float], total_target: int = TOTAL_TARGET) -> Quan
 # nodes, and identical (n, params) pairs recur constantly along trie
 # chains, so cache the quantized tables.  Keys hash by value; Fraction
 # and float params that compare equal share an entry, which is fine
-# because they produce the same table.
+# because they produce the same table.  Both codecs reach these through
+# per-call caches keyed by ints (treecodec by count and depth, dirmult by
+# count and slot width), so hashing a Fraction key is paid once per
+# distinct table in a call, not once per decision.
+
+# Entries each per-call cache keeps: bounded, so neither a deep chain's
+# distinct counts (~N^2/2 table entries in all) nor a long member's depths
+# nor a crafted decode's O(N log K) halving nodes stay alive at once.
+TABLES_PER_CALL = 1024
 
 
 @lru_cache(maxsize=1024)

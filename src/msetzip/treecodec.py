@@ -66,7 +66,7 @@ from .bits import BitString, as_bitstring
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
-from .quantize import QuantizedPmf, quantized_betabin, quantized_binomial
+from .quantize import TABLES_PER_CALL, QuantizedPmf, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
 # Bound on member length in the two unbounded regimes: a corrupted
@@ -222,26 +222,24 @@ def _prefix_free(complete: Completion) -> MemberCheck:
     return check
 
 
-# Entries one call keeps per cache (split tables, termination tables, and
-# each depth's first depth with its hazard): bounded, so neither a deep
-# chain's distinct counts (~N^2/2 table entries in all) nor a long member's
-# depths stay alive at once.
-_TABLES_PER_CALL = 1024
-
-
 def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]):
     """Per-call caches over a family's table factories: split(n) and
     termination(d, n).  Keys are ints, which keeps the module-level caches'
     Fraction hashing off the per-node path; depths with equal hazards share
-    tables through the first depth that has that hazard."""
-    split = lru_cache(maxsize=_TABLES_PER_CALL)(split)
+    tables through the first depth that has that hazard.  Each cache keeps
+    at most TABLES_PER_CALL entries; the hazard map starts afresh when full,
+    which costs sharing but no bytes, as a table depends on the hazard's
+    value alone."""
+    split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     first_depth: dict[Fraction, int] = {}  # hazard -> first depth with it
 
-    @lru_cache(maxsize=_TABLES_PER_CALL)
+    @lru_cache(maxsize=TABLES_PER_CALL)
     def depth_of(d: int) -> int:
+        if len(first_depth) >= TABLES_PER_CALL:
+            first_depth.clear()
         return first_depth.setdefault(hazard(model, d), d)
 
-    @lru_cache(maxsize=_TABLES_PER_CALL)
+    @lru_cache(maxsize=TABLES_PER_CALL)
     def shared(d0: int, n: int):
         return termination(n, hazard(model, d0))
 

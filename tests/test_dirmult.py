@@ -1,13 +1,18 @@
 """Dirichlet-multinomial baseline: chain, halving tree and closed form agree;
 round-trips; golden payloads."""
 
+import dataclasses
+import gc
 import hashlib
 import math
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import msetzip.dirmult as dirmult
 from msetzip.dirmult import (
     DEFAULT_ALPHA,
     IntMultiset,
@@ -83,6 +88,11 @@ def round_trip(ms: IntMultiset, alpha=DEFAULT_ALPHA):
 
 def random_multiset(rng, k, n) -> IntMultiset:
     return IntMultiset.from_values([rng.randint(1, k) for _ in range(n)], k)
+
+
+def uniform_draws(seed: int, n: int, k: int = 10_000) -> IntMultiset:
+    rng = random.Random(seed)
+    return IntMultiset.from_values([1 + rng.getrandbits(32) % k for _ in range(n)], k)
 
 
 class TestExactIdentities:
@@ -192,6 +202,65 @@ class TestValidation:
             decode_dirmult(2, 2, RangeDecoder.from_bytes(b""), Fraction(-1))
 
 
+def halving_nodes(counts: tuple) -> set:
+    """The distinct (n, width) of the halving tree's nodes that code a count."""
+    nodes = set()
+    stack = [(0, len(counts))]
+    while stack:
+        lo, hi = stack.pop()
+        n = sum(counts[lo:hi])
+        if n and hi - lo > 1:
+            nodes.add((n, hi - lo))
+            mid = (lo + hi) // 2
+            stack += [(lo, mid), (mid, hi)]
+    return nodes
+
+
+class TestTableCache:
+    def test_one_build_per_distinct_node(self, monkeypatch):
+        # the walk asks for each (count, width) table once per call, not
+        # once per decision
+        calls = Counter()
+
+        def counted(n, a, b):
+            calls[n, a, b] += 1
+            return quantized_betabin(n, a, b)
+
+        monkeypatch.setattr(dirmult, "quantized_betabin", counted)
+        ms = random_multiset(random.Random(5), 3000, 400)
+        enc = RangeEncoder()
+        encode_dirmult(ms, enc)
+        assert max(calls.values()) == 1
+        assert sum(calls.values()) == len(halving_nodes(ms.counts)) < enc.symbols_coded
+
+    def test_tables_retained_per_call_stay_bounded(self, monkeypatch):
+        # a round trip over many distinct (count, width) nodes keeps at
+        # most the bound's tables alive, and none once the call returns
+        monkeypatch.setattr(dirmult, "TABLES_PER_CALL", 8)
+        live = peak = 0
+
+        def release():
+            nonlocal live
+            live -= 1
+
+        def tracked(n, a, b):
+            nonlocal live, peak
+            table = dataclasses.replace(quantized_betabin(n, a, b))
+            weakref.finalize(table, release)
+            live += 1
+            peak = max(peak, live)
+            return table
+
+        monkeypatch.setattr(dirmult, "quantized_betabin", tracked)
+        ms = random_multiset(random.Random(6), 4096, 300)
+        assert len(halving_nodes(ms.counts)) > 50
+        round_trip(ms)
+        gc.collect()
+        # 8 tables cached, plus the one in hand
+        assert 0 < peak <= 8 + 1
+        assert live == 0
+
+
 # Payloads recorded when the halving walk was introduced, as (nbits, hex).
 # A mismatch means the baseline's bytes changed.
 GOLDEN = [
@@ -218,33 +287,25 @@ class TestGolden:
             "343a98943048d4faca8eff46c8000838eb1c5eb2bd6a6ae3aae5c74a5ee87760"
         )
 
-    # (nbits, sha256) at alphas other than the default, recorded before the
-    # walk cached its tables per call
-    OTHER_ALPHA = [
-        (Fraction(1, 3), "k17", 24, "50c49f08f700c04cf15e78a52e8f99876d7579020cbbecfcf79b93289d6c13f9"),
-        (Fraction(1, 3), "sparse", 1420, "38f692804053ea11505d06fcd85d6aee0333325e82efe6293b8b0e5942d64e96"),
-        (Fraction(2), "k17", 29, "8d38db4951e6dcfa835c1112d14a2f0410cc870ceb0f923caff54cf34c2a512a"),
-        (Fraction(2), "sparse", 1414, "959ce5f2a3ae70ee65fcc51db252db8479c7a51d1ab1892f1819d35b51182f05"),
-    ]
-
+    # (nbits, sha256) at alphas other than the default and at the
+    # fib-dirmult workload's shape, recorded before the walk cached its
+    # tables per call
     @pytest.mark.parametrize(
-        "alpha, case, nbits, digest", OTHER_ALPHA, ids=["third-k17", "third-sparse", "two-k17", "two-sparse"]
+        "ms, alpha, nbits, digest",
+        [
+            (GOLDEN[-1][0], Fraction(1, 3), 24,
+             "50c49f08f700c04cf15e78a52e8f99876d7579020cbbecfcf79b93289d6c13f9"),
+            (uniform_draws(2025, 200), Fraction(1, 3), 1420,
+             "38f692804053ea11505d06fcd85d6aee0333325e82efe6293b8b0e5942d64e96"),
+            (GOLDEN[-1][0], Fraction(2), 29,
+             "8d38db4951e6dcfa835c1112d14a2f0410cc870ceb0f923caff54cf34c2a512a"),
+            (uniform_draws(2025, 200), Fraction(2), 1414,
+             "959ce5f2a3ae70ee65fcc51db252db8479c7a51d1ab1892f1819d35b51182f05"),
+            (uniform_draws(7, 1000), DEFAULT_ALPHA, 4868,
+             "6328479c3f817bd81a6fd192afece66af566c773c9ff7978258469d16848f6cd"),
+        ],
+        ids=["third-k17", "third-sparse", "two-k17", "two-sparse", "bench-shape"],
     )
-    def test_other_alpha_payloads(self, alpha, case, nbits, digest):
-        if case == "k17":
-            ms = GOLDEN[-1][0]
-        else:
-            rng = random.Random(2025)
-            ms = IntMultiset.from_values([1 + rng.getrandbits(32) % 10_000 for _ in range(200)], 10_000)
+    def test_pinned_payloads(self, ms, alpha, nbits, digest):
         payload, _ = round_trip(ms, alpha)
         assert (payload.nbits, hashlib.sha256(payload.data).hexdigest()) == (nbits, digest)
-
-    def test_benchmark_shape_payload(self):
-        # N = 1000 draws over K = 10**4, the fib-dirmult workload's shape
-        rng = random.Random(7)
-        ms = IntMultiset.from_values([1 + rng.getrandbits(32) % 10_000 for _ in range(1000)], 10_000)
-        payload, _ = round_trip(ms)
-        assert payload.nbits == 4868
-        assert hashlib.sha256(payload.data).hexdigest() == (
-            "6328479c3f817bd81a6fd192afece66af566c773c9ff7978258469d16848f6cd"
-        )
