@@ -18,8 +18,8 @@ single draw BetaBin(N, alpha, alpha).
 Within one call alpha is fixed and mid - lo = (hi - lo) // 2, so a
 node's table depends only on its count n and its width hi - lo.  The
 walk caches tables under those two ints for the call, at most
-TABLES_PER_CALL of them: a few hundred distinct tables serve thousands
-of decisions, and no Fraction is built or hashed per decision.
+TABLES_PER_CALL of them, so a Fraction is built and hashed once per
+distinct table, not once per decision.
 """
 
 from __future__ import annotations

@@ -533,7 +533,7 @@ class TestMemberMemory:
         # depths share a table, and the per-call hazard map must not keep a
         # Fraction for each depth of a long member.  A small bound keeps the
         # cached tables' share of the peak small; unbounded, the map alone
-        # took the peak from 0.53 to 1.44 MiB here (9.5 MiB at 60,000 bits).
+        # raises the peak from 0.53 to 1.44 MiB (9.5 MiB at 60,000 bits).
         monkeypatch.setattr(treecodec, "TABLES_PER_CALL", 16)
         rng = random.Random(2)
         short = [BitString.from_bits([rng.randrange(2) for _ in range(20)]) for _ in range(50)]
