@@ -151,6 +151,18 @@ def _cases() -> dict:
         _sha1_members(0, 1024),
         CodecParams(FixedRegime(160), FAMILIES["binom-1/2"]),
     )
+    # Long runs under n = 1 tables that are not dyadic, so the top outcome's
+    # share of the division remainder shows in the bytes.
+    for fname in ("binom-1/3", "betabin-2,5"):
+        cases[f"fixed160/sha1-256/{fname}"] = (
+            _sha1_members(0, 256),
+            CodecParams(FixedRegime(160), FAMILIES[fname]),
+        )
+    head, other = _sha1_members(1, 2)
+    cases["fixed160/duplicate-run-3"] = (
+        [head] * 3 + [other],
+        CodecParams(FixedRegime(160), FAMILIES["binom-1/3"]),
+    )
     return cases
 
 
@@ -170,7 +182,10 @@ GOLDEN = {
     "fib/random-1500": (2052, "b967a9cfcfd30a50d0a559d37aecda4043079c811965e940e8fbbaecc5096e00"),
     "fixed12/point-mass": "4d535a31010000000c0000000100000001b0",
     "fixed16/duplicate-chain": "4d535a31010000001000000001000000035acf2e17de5e92001fbfbf139898",
+    "fixed160/duplicate-run-3": (104, "cd3b604dd8aa5bd42203f4f152f86875434bc3a6ce818f8a355f1cb91357fe44"),
     "fixed160/sha1-1024": (19403, "296396050073a6e9559211202ede9bf4e8ba9ccc1845db449bdeaafe09a86cdd"),
+    "fixed160/sha1-256/betabin-2,5": (5666, "4043c0325ed859d700ef6638a343bc30d0f7bde086b773cfacde03d80c5d0a3b"),
+    "fixed160/sha1-256/binom-1/3": (5364, "f7f54a8e33cd2753b6da71e041e308b33d15daf065e29ee3a749382a6e63b841"),
     "fixed64/N=1/carry-through-ff": "4d535a310100000040000000090000000a6333334000025d7a8084e437f2cf88",
     "fixed64/random-1000": (6953, "2218eef55eef5830e7fdf03bf49c46bd6b6ba77034484c7ba3bfd44a85d75ce4"),
     "fixed8/N=0": "4d535a3101000000080000000100000003c0",
