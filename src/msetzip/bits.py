@@ -166,8 +166,9 @@ class BitReader:
     """MSB-first bit source over a bytes object.
 
     read_bit/read_bits raise TruncationError past the end; the padded
-    byte reader used by the range decoder returns zero bytes instead,
-    matching the encoder's right to drop trailing zeros.
+    byte reader and read_rest, which the range decoder pulls from, read
+    zeros there instead, matching the encoder's right to drop trailing
+    zeros.
     """
 
     def __init__(self, data: bytes, start_bit: int = 0):
@@ -212,3 +213,13 @@ class BitReader:
             return b0
         b1 = data[i + 1] if i + 1 < len(data) else 0
         return ((b0 << off) | (b1 >> (8 - off))) & 0xFF
+
+    def read_rest(self) -> bytes:
+        """The unread bits moved to start a byte, zero-padded to whole bytes."""
+        i, off = self._pos >> 3, self._pos & 7
+        self._pos = max(self._pos, self._nbits)
+        rest = self._data[i:]
+        if off:
+            n = len(rest)
+            rest = ((int.from_bytes(rest, "big") << off) & ~(-1 << 8 * n)).to_bytes(n, "big")
+        return rest

@@ -18,6 +18,17 @@ encode_interval(cum, k) and decode_target(cum) are the one-decision
 streams.  A table with T == 1 is a point mass: it carries no information, so
 nothing is coded for it.
 
+Either stream may also hold a run: many decisions under one table that
+never use its middle outcomes, coded in one tight loop that checks the
+table once.  The encoder's run is (cum, bits), bits a str that codes
+outcome 0 for each '0' and the top outcome for each '1'.  The decoder's
+run is the tuple (cum, count) of a two-outcome table, answered with the
+count outcomes as the bits of one int, first decision on top; its loop
+picks outcome 1 where value >= (range // T) * cum[1], the generic rule
+without its division, and outcome 0 throughout where outcome 1 is dead.
+A run leaves the coder's bytes and state exactly as its decisions coded
+one at a time would.
+
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
 added straight into the output, turning its trailing 0xFF bytes to 0x00
@@ -37,6 +48,7 @@ decoder treats bytes past the end of input as zeros).
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain, repeat
 from typing import Callable, Generator, Iterable, Sequence, TypeVar
 
 from .bits import BitReader, BitString
@@ -76,20 +88,56 @@ class RangeEncoder:
         """
         self.encode_intervals(((cum, k),))
 
-    def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int]]) -> None:
+    def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int | str]]) -> None:
         """Code outcome k of the table cum for each (cum, k) in turn, with
-        the registers in local variables and no call per decision.
+        the registers in local variables and no call per decision.  A run
+        (cum, bits), bits a non-empty str of '0' and '1', codes outcome 0
+        for each '0' and the top outcome len(cum) - 2 for each '1', exactly
+        as those decisions one by one would.
 
         An error leaves the decisions before the failing one coded.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
-        low, rng, out, coded = self.low, self.range, self._out, self.symbols_coded
+        low, rng, coded = self.low, self.range, self.symbols_coded
+        emit, shift = self._out.append, RANGE_BITS - 8
         try:
             for cum, k in decisions:
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
                     raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                if k.__class__ is str:
+                    top = len(cum) - 2
+                    if top < 0:
+                        raise ModelMismatchError("a run needs a table with outcomes")
+                    # outcome 0 owns [0, head) and the top outcome [tail, total)
+                    head, tail = cum[1], cum[top]
+                    # the run up to its first outcome of zero probability
+                    bad = k.lstrip(("0" if head else "") + ("1" if tail != total else ""))
+                    run = k[: len(k) - len(bad)]
+                    # a point mass codes nothing, and a dead top's outcome 0
+                    # leaves the registers as they are
+                    if total > 1 and head != total:
+                        for bit in run:
+                            if bit == "1":
+                                x = rng // total * tail
+                                low += x
+                                rng -= x
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
+                            else:
+                                rng = rng // total * head
+                            while rng < TOP:
+                                emit(low >> shift)
+                                low = (low << 8) & MASK
+                                rng <<= 8
+                    if total > 1:
+                        coded += len(run)
+                    if bad:
+                        k = 0 if bad[0] == "0" else top
+                        raise ModelMismatchError(f"outcome {k} of the run has zero probability")
+                    continue
                 if not 0 <= k < len(cum) - 1:
                     raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
                 lo = cum[k]
@@ -105,7 +153,7 @@ class RangeEncoder:
                     self._carry()
                     low &= MASK
                 while rng < TOP:
-                    out.append(low >> (RANGE_BITS - 8))
+                    emit(low >> shift)
                     low = (low << 8) & MASK
                     rng <<= 8
                 coded += 1
@@ -160,7 +208,7 @@ class RangeDecoder:
 
     @classmethod
     def from_reader(cls, reader: BitReader) -> "RangeDecoder":
-        return cls(reader.read_byte_padded)
+        return cls(chain(reader.read_rest(), repeat(0)).__next__)
 
     def decode_target(self, cum: Sequence[int]) -> int:
         """The outcome of the table cum that encode_interval coded.
@@ -169,16 +217,42 @@ class RangeDecoder:
         """
         return self.decode_walk(_single(cum))
 
-    def decode_walk(self, walk: Generator[Sequence[int], int, T]) -> T:
+    def decode_walk(self, walk: Generator[Sequence[int] | tuple[Sequence[int], int], int, T]) -> T:
         """Run walk, a generator that yields tables, sending it the decoded
         outcome of each one, and return what it returns.  The registers
         stay in local variables, with no call per decision, so a stream
         whose tables depend on earlier outcomes decodes in one call.
+
+        A table is a list or array.  A walk may also yield a run, the tuple
+        (cum, count) of a two-outcome table and a number of decisions under
+        it; it is sent their outcomes as one int, the first decision's
+        outcome in its top bit, exactly as the decisions one by one would
+        have decoded them.
         """
         value, rng, pull = self.value, self.range, self._pull
         try:
             cum = next(walk)
             while True:
+                if cum.__class__ is tuple:
+                    (_, head, total), count = cum
+                    if not 1 <= total <= TOTAL_MAX:
+                        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                    k = 0
+                    if head != total:  # else outcome 1 is dead and every outcome is 0
+                        for _ in repeat(None, count):
+                            x = rng // total * head
+                            if value >= x:  # that is, value // (rng // total) >= head
+                                k = k << 1 | 1
+                                value -= x
+                                rng -= x
+                            else:
+                                k <<= 1
+                                rng = x
+                            while rng < TOP:
+                                value = ((value << 8) | (pull() & 0xFF)) & MASK
+                                rng <<= 8
+                    cum = walk.send(k)
+                    continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
                     raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")

@@ -17,12 +17,16 @@ split(m) with outcome 0 or m per bit and, in the general regime, one
 termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
-order.  The range coder codes that stream in one call, and the ideal
-codelength sums it over the exact log2 pmf.  The decoder runs the walk's
-mirror, _decode_walk: it hands each table to the range decoder, takes back
-the count, and follows a chain without the stack until the chain branches,
-which at n = 1 is the whole rest of a member.  Every distinct member is
-checked against the regime before the first symbol is coded.
+order, except that where no termination counts are coded a run is one item
+(table, bits), the member's remaining bits as a '0'/'1' str.  The range
+coder codes that stream in one call, a run in one tight loop, and the ideal
+codelength sums it over the exact log2 pmf, a run one decision at a time.
+The decoder runs the walk's mirror, _decode_walk: it hands each table to the
+range decoder, takes back the count, and follows a chain without the stack
+until the chain branches, which at n = 1 is the whole rest of a member.  In
+the fixed regime that rest is one run item (table, L - d), its bits coming
+back as one int.  Every distinct member is checked against the regime
+before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -59,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bits import BitString, as_bitstring
@@ -75,6 +79,9 @@ from .rangecoder import RangeDecoder, RangeEncoder
 # members sit far past this library's domain of short sequences, and
 # hitting the cap costs well under a second.
 DECODE_DEPTH_CAP = 1 << 16
+
+# ASCII '0'/'1' digits to the bit values 0/1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -281,7 +288,10 @@ def _decisions(
     """Yield (table, outcome) for every decision the encoder codes, in
     coding order, from _sort's members.  A trie node is a range [lo, hi)
     of the sorted members at a depth d; a range of one distinct member is
-    a run, coded from the member's bits to its end without the stack."""
+    a run, coded from the member's bits to its end without the stack.
+    Where no termination counts are coded, a run is one item (table,
+    bits): the member's remaining bits as a '0'/'1' str, each coding
+    outcome 0 or n, as RangeEncoder.encode_intervals reads it."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -291,14 +301,14 @@ def _decisions(
             end = lengths[lo]
             data = datas[lo]
             rest = format(int.from_bytes(data, "big") >> (8 * len(data) - end), f"0{end}b")[d:end]
-            outcome = {"0": 0, "1": n}
-            table = split(n) if rest else None
             if model is None:
-                yield from zip(repeat(table), map(outcome.__getitem__, rest))
+                if rest:
+                    yield split(n), rest
             else:
+                table = split(n) if rest else None
                 for e, bit in enumerate(rest, d):
                     yield termination(e, n), 0
-                    yield table, outcome[bit]
+                    yield table, n if bit == "1" else 0
                 yield termination(end, n), n
             continue
         if model is not None:
@@ -324,7 +334,8 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     yield each decision's table, receive its outcome.  Appends the members
     to out in lexicographic order, one BitString per copy.  A node's chain
     is followed without the stack until it branches, which at n = 1 is the
-    whole rest of a member."""
+    whole rest of a member; in the fixed regime that rest is one run item
+    (table, L - d), its outcomes received as one int."""
     end, complete, model, cap, _ = _schedule(params.regime)
     split, termination = _cum_tables(params, model)
     prefix: list[int] = []
@@ -354,6 +365,13 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                     table = None
             if table is None:
                 table = split(n)
+            if n == 1 and end is not None:
+                # a fixed-length member alone below its node: the rest of it
+                # is one run, its bits sent back as one int
+                rest = yield table, end - d
+                prefix += format(rest, f"0{end - d}b").encode().translate(_DIGIT_BITS)
+                d = end
+                continue
             n1 = yield table
             if 0 < n1 < n:
                 stack.append((n1, d + 1, 1))
@@ -386,5 +404,9 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0
     for table, k in _decisions(sorted_members, model, split, termination):
-        total -= table[k]
+        if k.__class__ is str:  # a run, summed one decision at a time
+            for bit in k:
+                total -= table[-1] if bit == "1" else table[0]
+        else:
+            total -= table[k]
     return total

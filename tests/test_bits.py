@@ -177,3 +177,17 @@ class TestBitReader:
         r = BitReader(bytes([0b10101010, 0b11000000]), start_bit=4)
         assert r.read_byte_padded() == 0b10101100
         assert r.read_byte_padded() == 0
+
+    def test_read_rest_aligns_the_unread_bits(self):
+        r = BitReader(bytes([0b10101010, 0b11000001]), start_bit=4)
+        assert r.read_rest() == bytes([0b10101100, 0b00010000])
+        assert r.bits_remaining == 0
+        assert r.read_rest() == b""
+        assert BitReader(b"\x12\x34", start_bit=8).read_rest() == b"\x34"
+
+    @given(st.binary(max_size=12), st.integers(0, 96))
+    def test_read_rest_matches_the_padded_reader(self, data, start):
+        start = min(start, 8 * len(data))
+        rest = BitReader(data, start_bit=start).read_rest()
+        padded = BitReader(data, start_bit=start)
+        assert list(rest) + [0] * 2 == [padded.read_byte_padded() for _ in range(len(rest) + 2)]

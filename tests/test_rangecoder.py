@@ -5,8 +5,10 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msetzip.bits import BitReader
+from msetzip.bits import BitReader, BitWriter
 from msetzip.errors import ModelMismatchError
 from msetzip.quantize import quantize
 from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
@@ -216,3 +218,165 @@ def test_stream_error_keeps_what_came_before():
         enc.encode_intervals([(cum, 1), (cum, 0), ([0, 0, 2], 0), (cum, 1)])
     assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
     assert enc.finish() == ref.finish()
+
+
+# --- runs: many decisions under one table in one stream item ----------------
+
+RUN_TABLES = [
+    [0, 1, 2],
+    [0, 11184811, 16777216],  # Binomial(1, 1/3)
+    [0, 5991863, 8388608],  # BetaBin(1, 2, 5)
+    [0, 3, 5, 11, 20],  # n = 3, coding outcomes 0 and 3
+    list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)]).cum),
+    [0, 1, TOTAL_MAX],  # slivers at either end; runs of the top one carry through 0xFF bytes
+    [0, TOTAL_MAX - 1, TOTAL_MAX],
+    [0, 1],  # point masses
+    [0, 0, 1],
+    [0, 1, 1],
+    [0, 0, 1, 1],  # neither outcome 0 nor the top outcome possible
+    [0, 0, TOTAL_MAX],  # dead outcome 0
+    [0, 7, 7],  # dead top outcome
+    [0, TOTAL_MAX, TOTAL_MAX],
+]
+
+
+def _decisions_of(cum, bits: str) -> list:
+    """A run's decisions one by one: outcome 0 per '0', the top per '1'."""
+    return [(cum, len(cum) - 2 if bit == "1" else 0) for bit in bits]
+
+
+def _coded(stream) -> tuple:
+    """(error type, low, range, symbols_coded, payload) of coding stream."""
+    enc = RangeEncoder()
+    error = None
+    try:
+        enc.encode_intervals(stream)
+    except ModelMismatchError as e:
+        error = type(e)
+    return error, enc.low, enc.range, enc.symbols_coded, enc.finish()
+
+
+def _lead(seed: int) -> list:
+    """A few generic decisions that put the coder in a seed-chosen state."""
+    rng = random.Random(seed)
+    tables = [_random_table(rng) for _ in range(rng.randint(0, 6))]
+    return [(cum, rng.randrange(len(cum) - 1)) for cum in tables]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cum=st.sampled_from(RUN_TABLES),
+    bits=st.text("01", min_size=1, max_size=400),
+)
+def test_run_codes_as_its_decisions(seed, cum, bits):
+    lead = _lead(seed)
+    tail = [([0, 2, 5], 1)]  # coded only if the run raised nothing
+    run = _coded(lead + [(cum, bits)] + tail)
+    assert run == _coded(lead + _decisions_of(cum, bits) + tail)
+
+
+def test_run_carries_through_ff_bytes(monkeypatch):
+    carries = []
+    carry = RangeEncoder._carry
+    monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
+    sliver = [0, TOTAL_MAX - 1, TOTAL_MAX]
+    bits = "1" * 200 + "0" + "1" * 200
+    run = _coded([(sliver, bits)])
+    assert carries  # a carry rippled back inside the run
+    assert run == _coded(_decisions_of(sliver, bits))
+
+
+def test_run_error_keeps_what_came_before():
+    # the run codes up to its first impossible outcome, then raises, and
+    # nothing after it is coded
+    for cum, bits, possible in (
+        ([0, 0, 8], "11101", "111"),  # outcome 0 is dead
+        ([0, 8, 8], "00010", "000"),  # the top outcome is dead
+        ([0, 0, 1, 1], "0", ""),
+    ):
+        enc, ref = RangeEncoder(), RangeEncoder()
+        ref.encode_intervals([([0, 3, 8], 1)] + _decisions_of(cum, possible))
+        with pytest.raises(ModelMismatchError):
+            enc.encode_intervals([([0, 3, 8], 1), (cum, bits), ([0, 3, 8], 0)])
+        assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+        assert enc.finish() == ref.finish()
+
+
+def test_run_validates_its_table():
+    enc = RangeEncoder()
+    with pytest.raises(ValueError):
+        enc.encode_intervals([([0, 1, TOTAL_MAX + 1], "01")])
+    with pytest.raises(ValueError):
+        enc.encode_intervals([([0, 0], "0")])
+    assert enc.symbols_coded == 0
+
+
+def _run_walk(cum, count):
+    return (yield cum, count)
+
+
+def _bit_walk(cum, count):
+    k = 0
+    for _ in range(count):
+        k = k << 1 | (yield cum)
+    return k
+
+
+def _decoded(data: bytes, lead: list, walk) -> tuple:
+    """(outcome, value, range) of decoding lead's tables, then walk."""
+    dec = RangeDecoder.from_bytes(data)
+    for cum, _ in lead:
+        dec.decode_target(cum)
+    return dec.decode_walk(walk), dec.value, dec.range
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cum=st.sampled_from([cum for cum in RUN_TABLES if len(cum) == 3]),
+    count=st.integers(0, 400),
+    data=st.binary(max_size=80),
+)
+def test_decoded_run_matches_its_decisions(seed, cum, count, data):
+    # on arbitrary bytes, most of them no encoder's output
+    lead = _lead(seed)
+    want = _decoded(data, lead, _bit_walk(cum, count))
+    assert _decoded(data, lead, _run_walk(cum, count)) == want
+
+
+@pytest.mark.parametrize("cum", [cum for cum in RUN_TABLES if len(cum) == 3])
+def test_run_round_trips(cum):
+    rng = random.Random(5)
+    live = ("0" if cum[1] else "") + ("1" if cum[1] != cum[2] else "")
+    bits = "".join(rng.choice(live) for _ in range(300))
+    enc = RangeEncoder()
+    enc.encode_intervals([(cum, bits)])
+    got = RangeDecoder.from_bytes(enc.finish().data).decode_walk(_run_walk(cum, len(bits)))
+    assert format(got, f"0{len(bits)}b") == bits
+
+
+def test_decoded_run_validates_its_table():
+    dec = RangeDecoder.from_bytes(b"\x12\x34")
+    with pytest.raises(ValueError):
+        dec.decode_walk(_run_walk([0, 1, TOTAL_MAX + 1], 3))
+    with pytest.raises(ValueError):
+        dec.decode_walk(_run_walk([0, 1, 2, 3], 3))
+
+
+@pytest.mark.parametrize("offset", [1, 3, 8, 13])
+def test_decoder_from_unaligned_reader_reads_zeros_past_the_end(offset):
+    rng = random.Random(offset)
+    stream = [([0, 1, 2, 3], rng.randrange(3)) for _ in range(40)]
+    enc = RangeEncoder()
+    enc.encode_intervals(stream)
+    payload = enc.finish()
+    w = BitWriter()
+    for _ in range(offset):
+        w.write_bit(1)
+    w.write_bitstring(payload)
+    framed = RangeDecoder.from_reader(BitReader(w.getvalue(), start_bit=offset))
+    plain = RangeDecoder.from_bytes(payload.data)
+    for cum, k in stream + [([0, 1, 2, 3], 0)] * 40:  # then 40 decisions past the end
+        assert framed.decode_target(cum) == plain.decode_target(cum)
+        assert (framed.value, framed.range) == (plain.value, plain.range)

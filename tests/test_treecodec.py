@@ -366,6 +366,45 @@ class TestOptimality:
             assert payload.nbits <= 6
 
 
+class TestRuns:
+    """A single member's chain reaches the range coder as one item."""
+
+    def test_sha1_chains_are_one_coder_item_each(self, monkeypatch):
+        from test_golden import CASES
+
+        members, params = CASES["fixed160/sha1-1024"]
+        encoded, decoded, built = [], [], []
+
+        def counted(stream, seen):
+            item = next(stream)
+            try:
+                while True:
+                    seen.append(item)
+                    item = stream.send((yield item))
+            except StopIteration as end:
+                return end.value
+
+        encode, decode = RangeEncoder.encode_intervals, RangeDecoder.decode_walk
+        monkeypatch.setattr(
+            RangeEncoder, "encode_intervals", lambda enc, s: encode(enc, counted(iter(s), encoded))
+        )
+        monkeypatch.setattr(
+            RangeDecoder, "decode_walk", lambda dec, w: decode(dec, counted(w, decoded))
+        )
+        from_bits = BitString.from_bits
+        monkeypatch.setattr(BitString, "from_bits", lambda bits: built.append(1) or from_bits(bits))
+
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        assert enc.symbols_coded == 153686  # as when every decision was its own item
+        assert sum(isinstance(k, str) for _, k in encoded) == len(members)
+        assert sum(isinstance(item, tuple) for item in decoded) == len(members)
+        assert len(encoded) < enc.symbols_coded // 40 and len(decoded) < enc.symbols_coded // 40
+        assert len(built) == len(members)
+
+
 # --- rejection and robustness ----------------------------------------------
 
 
