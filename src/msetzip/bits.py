@@ -12,8 +12,8 @@ from typing import Iterable, Iterator
 
 from .errors import TruncationError
 
-# byte 0 or 1 -> ASCII digit
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# byte 0 -> ASCII '0', any other byte -> ASCII '1'
+_DIGITS = b"0" + b"1" * 255
 
 
 class BitString:
@@ -50,15 +50,23 @@ class BitString:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        """Any truthy item is a 1 bit."""
-        return cls._from_digits(bytes(map(bool, bits)).translate(_DIGITS))
+        """Any truthy item is a 1 bit.  A bytes or bytearray is packed in C,
+        each nonzero byte a 1 bit, without a Python step per item."""
+        if not isinstance(bits, (bytes, bytearray)):
+            bits = bytes(map(bool, bits))
+        return cls._from_digits(bits.translate(_DIGITS))
 
     @classmethod
     def _from_digits(cls, digits) -> "BitString":
-        """The bits of ASCII 0/1 digits, a str or bytes, packed by int() in C."""
+        """The bits of ASCII 0/1 digits, a str or bytes, packed by int() in C.
+        The packed bytes are canonical, exactly (nbits + 7) >> 3 of them
+        with zero pad bits, so __init__'s checks are not run again."""
         nbits = len(digits)
         value = int(digits, 2) << (-nbits & 7) if nbits else 0
-        return cls(value.to_bytes((nbits + 7) >> 3, "big"), nbits)
+        bs = object.__new__(cls)
+        object.__setattr__(bs, "data", value.to_bytes((nbits + 7) >> 3, "big"))
+        object.__setattr__(bs, "nbits", nbits)
+        return bs
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.nbits:
@@ -142,11 +150,13 @@ class BitWriter:
         self._nacc = nacc
 
     def write_bytes(self, data: bytes) -> None:
-        if self._nacc == 0:
-            self._buf.extend(data)
-        else:
-            for byte in data:
-                self.write_bits(byte, 8)
+        """Write data's bytes, each most significant bit first, after the
+        bits already written.  Unaligned, the pending bits and data are
+        shifted as one int: the mirror of BitReader.read_rest."""
+        nacc, n = self._nacc, len(data)
+        acc = (self._acc << 8 * n) | int.from_bytes(data, "big")
+        self._buf += (acc >> nacc).to_bytes(n, "big")
+        self._acc = acc & ((1 << nacc) - 1)
 
     def write_bitstring(self, bs: BitString) -> None:
         whole, tail = divmod(bs.nbits, 8)
@@ -165,10 +175,9 @@ class BitWriter:
 class BitReader:
     """MSB-first bit source over a bytes object.
 
-    read_bit/read_bits raise TruncationError past the end; the padded
-    byte reader and read_rest, which the range decoder pulls from, read
-    zeros there instead, matching the encoder's right to drop trailing
-    zeros.
+    read_bit/read_bits raise TruncationError past the end; read_rest,
+    which the range decoder pulls from, is zero-padded to whole bytes
+    instead, matching the encoder's right to drop trailing zeros.
     """
 
     def __init__(self, data: bytes, start_bit: int = 0):
@@ -200,19 +209,6 @@ class BitReader:
         for _ in range(n):
             v = (v << 1) | self.read_bit()
         return v
-
-    def read_byte_padded(self) -> int:
-        """Next 8 bits, treating everything past the end as zeros."""
-        pos = self._pos
-        self._pos = pos + 8
-        i = pos >> 3
-        off = pos & 7
-        data = self._data
-        b0 = data[i] if i < len(data) else 0
-        if off == 0:
-            return b0
-        b1 = data[i + 1] if i + 1 < len(data) else 0
-        return ((b0 << off) | (b1 >> (8 - off))) & 0xFF
 
     def read_rest(self) -> bytes:
         """The unread bits moved to start a byte, zero-padded to whole bytes."""

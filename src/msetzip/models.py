@@ -12,7 +12,9 @@ degenerate to zero-cost point masses there) rather than 1 - epsilon.
 
 An EndDetector is the self-delimiting regime's pure predicate on
 prefixes.  It must be prefix-free: once a prefix tests complete, no
-extension of it may ever be a member.
+extension of it may ever be a member.  The codec hands it each prefix as
+a bytearray of 0/1 values, alike when it checks members before encoding
+and when it decodes.
 """
 
 from __future__ import annotations
@@ -123,7 +125,10 @@ class GeometricLength:
 
 @runtime_checkable
 class EndDetector(Protocol):
-    def is_complete(self, prefix: Sequence[int]) -> bool: ...
+    def is_complete(self, prefix: Sequence[int]) -> bool:
+        """Whether prefix, a bytearray of 0/1 values, ends a member.  The
+        codec may change the bytearray after the call returns."""
+        ...
 
 
 @dataclass(frozen=True)

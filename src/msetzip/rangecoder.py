@@ -26,8 +26,11 @@ run is the tuple (cum, count) of a two-outcome table, answered with the
 count outcomes as the bits of one int, first decision on top; its loop
 picks outcome 1 where value >= (range // T) * cum[1], the generic rule
 without its division, and outcome 0 throughout where outcome 1 is dead.
-A run leaves the coder's bytes and state exactly as its decisions coded
-one at a time would.
+Under the equiprobable table [0, 1, 2], which binomial 1/2 and every
+symmetric Beta-binomial give at n = 1, both loops take (range // T) * cum[1]
+as range >> 1, the same integer without the division and the multiply:
+the shift CABAC uses for its bypass bins.  A run leaves the coder's bytes
+and state exactly as its decisions coded one at a time would.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -118,16 +121,17 @@ class RangeEncoder:
                     # a point mass codes nothing, and a dead top's outcome 0
                     # leaves the registers as they are
                     if total > 1 and head != total:
+                        half = total == 2 and head == 1  # tail is then 1, or 2 with no '1' in run
                         for bit in run:
                             if bit == "1":
-                                x = rng // total * tail
+                                x = rng >> 1 if half else rng // total * tail
                                 low += x
                                 rng -= x
                                 if low > MASK:
                                     self._carry()
                                     low &= MASK
                             else:
-                                rng = rng // total * head
+                                rng = rng >> 1 if half else rng // total * head
                             while rng < TOP:
                                 emit(low >> shift)
                                 low = (low << 8) & MASK
@@ -239,8 +243,9 @@ class RangeDecoder:
                         raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
                     k = 0
                     if head != total:  # else outcome 1 is dead and every outcome is 0
+                        half = total == 2 and head == 1
                         for _ in repeat(None, count):
-                            x = rng // total * head
+                            x = rng >> 1 if half else rng // total * head
                             if value >= x:  # that is, value // (rng // total) >= head
                                 k = k << 1 | 1
                                 value -= x

@@ -207,22 +207,27 @@ def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
 
 def _prefix_free(complete: Completion) -> MemberCheck:
     """The check that complete holds at every member's end and at no
-    shorter prefix.  The detector is a pure predicate, so each member
-    starts at the prefix it shares with the member before, whose shorter
-    prefixes passed with that member."""
+    shorter prefix.  The detector is a pure predicate, so it is asked once
+    per trie node, in the decoder's preorder: each member starts at the
+    prefix it shares with the member before, which is that member, complete,
+    or a shorter prefix of it that was not."""
 
     def check(distinct: list) -> None:
-        prefix: list[int] = []
+        prefix = bytearray()  # 0/1 values, as the decoder's detector sees them
+        done = bool(distinct) and complete(prefix)
         before = before_nbits = 0
         for data, nbits in distinct:
             value = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
             m = min(nbits, before_nbits)
             del prefix[m - ((value >> (nbits - m)) ^ (before >> (before_nbits - m))).bit_length() :]
-            for bit in map(int, format(value, f"0{nbits}b")[len(prefix) : nbits]):
-                if complete(prefix):
+            done = done and len(prefix) == before_nbits
+            rest = format(value, f"0{nbits}b")[len(prefix) : nbits]
+            for bit in rest.encode().translate(_DIGIT_BITS):
+                if done:
                     raise ModelMismatchError(f"member extends a complete {len(prefix)}-bit prefix")
                 prefix.append(bit)
-            if not complete(prefix):
+                done = complete(prefix)
+            if not done:
                 raise ModelMismatchError(f"member of {nbits} bits does not end complete")
             before, before_nbits = value, nbits
 
@@ -335,10 +340,12 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     to out in lexicographic order, one BitString per copy.  A node's chain
     is followed without the stack until it branches, which at n = 1 is the
     whole rest of a member; in the fixed regime that rest is one run item
-    (table, L - d), its outcomes received as one int."""
+    (table, L - d), its outcomes received as one int.  The prefix is a
+    bytearray of 0/1 values, which the run extends in one step and
+    BitString.from_bits packs in C."""
     end, complete, model, cap, _ = _schedule(params.regime)
     split, termination = _cum_tables(params, model)
-    prefix: list[int] = []
+    prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
         n, d, bit = stack.pop()

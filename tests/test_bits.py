@@ -71,6 +71,22 @@ class TestBitString:
         assert (bs.data, bs.nbits) == (reference_pack(bits), n)
         assert BitString.from_str("".join("1" if b else "0" for b in bits)) == bs
 
+    @given(st.one_of(st.binary(max_size=300), st.binary(max_size=300).map(bytearray)))
+    def test_bytes_pack_like_the_list_of_their_values(self, raw):
+        bs = BitString.from_bits(raw)
+        assert bs == BitString.from_bits(list(raw))
+        assert bs == BitString.from_str("".join("1" if b else "0" for b in raw))
+        assert hash(bs) == hash(BitString.from_bits(list(raw)))
+        assert (bs.data, bs.nbits) == (reference_pack(raw), len(raw))
+        # the bytes come out canonical, with zero pad bits
+        assert bs.data == BitString(bs.data, bs.nbits).data
+
+    @given(st.binary(max_size=20), st.binary(max_size=20))
+    def test_bytes_order_like_their_text(self, r, s):
+        a, b = BitString.from_bits(r), BitString.from_bits(bytearray(s))
+        x, y = ("".join("1" if c else "0" for c in raw) for raw in (r, s))
+        assert (a < b, a <= b) == (x < y, x <= y)
+
     @given(bit_lists, bit_lists)
     def test_ordering_matches_strings(self, a, b):
         x, y = BitString.from_bits(a), BitString.from_bits(b)
@@ -124,6 +140,19 @@ class TestBitWriter:
         w2.write_bytes(b"\xff")
         assert w2.getvalue() == bytes([0b01111111, 0b10000000])
 
+    @given(st.integers(0, 7), st.integers(0, 255), st.binary(max_size=40))
+    def test_write_bytes_matches_bytewise_writes(self, offset, head, data):
+        w, ref = BitWriter(), BitWriter()
+        for x in (w, ref):
+            x.write_bits(head >> (8 - offset), offset)
+        w.write_bytes(data)
+        for byte in data:
+            ref.write_bits(byte, 8)
+        assert (w.getvalue(), w.bit_length) == (ref.getvalue(), ref.bit_length)
+        w.write_bits(1, 1)  # the pending bits carry on as before
+        ref.write_bits(1, 1)
+        assert w.getvalue() == ref.getvalue()
+
     def test_value_must_fit(self):
         w = BitWriter()
         with pytest.raises(ValueError):
@@ -167,17 +196,6 @@ class TestBitReader:
         assert r.bit_position == 9
         assert r.bits_remaining == 7
 
-    def test_padded_reader_returns_zeros_past_end(self):
-        r = BitReader(b"\xff")
-        assert r.read_byte_padded() == 0xFF
-        assert r.read_byte_padded() == 0
-        assert r.read_byte_padded() == 0
-
-    def test_padded_reader_unaligned(self):
-        r = BitReader(bytes([0b10101010, 0b11000000]), start_bit=4)
-        assert r.read_byte_padded() == 0b10101100
-        assert r.read_byte_padded() == 0
-
     def test_read_rest_aligns_the_unread_bits(self):
         r = BitReader(bytes([0b10101010, 0b11000001]), start_bit=4)
         assert r.read_rest() == bytes([0b10101100, 0b00010000])
@@ -189,5 +207,5 @@ class TestBitReader:
     def test_read_rest_matches_the_padded_reader(self, data, start):
         start = min(start, 8 * len(data))
         rest = BitReader(data, start_bit=start).read_rest()
-        padded = BitReader(data, start_bit=start)
-        assert list(rest) + [0] * 2 == [padded.read_byte_padded() for _ in range(len(rest) + 2)]
+        padded = BitReader(data + bytes(3), start_bit=start)
+        assert list(rest) + [0] * 2 == [padded.read_bits(8) for _ in range(len(rest) + 2)]

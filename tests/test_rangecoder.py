@@ -345,6 +345,35 @@ def test_decoded_run_matches_its_decisions(seed, cum, count, data):
     assert _decoded(data, lead, _run_walk(cum, count)) == want
 
 
+def test_equiprobable_runs_code_as_their_decisions_one_by_one(monkeypatch):
+    # [0, 1, 2] takes the shift path in both run loops; the references are
+    # encode_interval and decode_target, one generic decision per call
+    carries = []
+    carry = RangeEncoder._carry
+    monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
+    half = [0, 1, 2]
+    for seed in range(16):
+        lead = _lead(seed)
+        for bits in ("1" * 700, "01" * 350, "10" * 350 + "1" * 50):
+            enc, ref = RangeEncoder(), RangeEncoder()
+            enc.encode_intervals(lead + [(half, bits)])
+            for cum, k in lead + _decisions_of(half, bits):
+                ref.encode_interval(cum, k)
+            state = enc.low, enc.range, enc.symbols_coded
+            assert state == (ref.low, ref.range, ref.symbols_coded)
+            payload = enc.finish()
+            assert payload == ref.finish()
+            dec, one = RangeDecoder.from_bytes(payload.data), RangeDecoder.from_bytes(payload.data)
+            for cum, _ in lead:
+                dec.decode_target(cum)
+                one.decode_target(cum)
+            got = dec.decode_walk(_run_walk(half, len(bits)))
+            assert format(got, f"0{len(bits)}b") == bits
+            assert "".join(str(one.decode_target(half)) for _ in bits) == bits
+            assert (dec.value, dec.range) == (one.value, one.range)
+    assert carries  # some leads leave the interval across a byte boundary
+
+
 @pytest.mark.parametrize("cum", [cum for cum in RUN_TABLES if len(cum) == 3])
 def test_run_round_trips(cum):
     rng = random.Random(5)

@@ -419,11 +419,35 @@ class TestValidation:
 
     def test_selfdelim_rejects_non_codewords(self):
         params = CodecParams(SelfDelimitingRegime(FibTerminatorDetector()))
-        for members in (["10"], ["1101"], ["11", "1"], [""]):
+        for members in (["10"], ["1101"], ["11", "1"], [""], ["11", "11011"], ["011", "011011"]):
             enc = RangeEncoder()
             with pytest.raises(ModelMismatchError):
                 encode_members(members, params, enc)
             assert enc.symbols_coded == 0
+
+    def test_detector_sees_the_same_prefixes_on_both_sides(self):
+        # the member check before encoding and the decoder ask about the
+        # same prefixes, in the same order and of the same type
+        class Recording:
+            def __init__(self):
+                self.inner, self.calls = FibTerminatorDetector(), []
+
+            def is_complete(self, prefix):
+                self.calls.append((type(prefix), bytes(prefix)))
+                return self.inner.is_complete(prefix)
+
+        rng = random.Random(11)
+        members = [fib_encode(rng.randint(1, 300)) for _ in range(200)]
+        detector = Recording()
+        params = CodecParams(SelfDelimitingRegime(detector), BetaBinomialFamily())
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        encoded, detector.calls = detector.calls, []
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        assert encoded == detector.calls
+        assert {kind for kind, _ in encoded} == {bytearray}
+        assert len(encoded) == len(set(encoded))  # once per trie node
 
     def test_general_rejects_zero_probability_lengths(self):
         params = CodecParams(GeneralRegime(UniformLength(2, 3)))
