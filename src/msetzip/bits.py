@@ -51,8 +51,11 @@ class BitString:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitString":
         """Any truthy item is a 1 bit.  A bytes or bytearray is packed in C,
-        each nonzero byte a 1 bit, without a Python step per item."""
+        each nonzero byte a 1 bit, without a Python step per item.  Text is
+        refused: its digits would all be truthy; from_str reads it."""
         if not isinstance(bits, (bytes, bytearray)):
+            if isinstance(bits, str):
+                raise TypeError("from_bits takes bit values, not text; use BitString.from_str")
             bits = bytes(map(bool, bits))
         return cls._from_digits(bits.translate(_DIGITS))
 

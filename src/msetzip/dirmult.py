@@ -90,7 +90,7 @@ def _walk(k: int, n: int, alpha: Fraction, below=None):
             counts[lo] = n
         elif n:
             mid = (lo + hi) // 2
-            cum = table(n, hi - lo).cum
+            cum = table(n, hi - lo)
             if below is None:
                 left = yield cum
             else:

@@ -1,7 +1,9 @@
 """Deterministic quantization of pmfs into integer frequency tables.
 
-This module maps a log2-domain pmf onto a table of integer frequencies,
-kept as the cumulative counts the range coder reads directly, so that
+This module maps a log2-domain pmf onto a table of integer frequencies.
+A table is the array("q") cum of their cumulative counts, which the range
+coder reads directly: outcome k owns the slice [cum[k], cum[k + 1]) of
+[0, total), total = cum[-1].  It is built so that
 
   * every outcome with nonzero probability gets freq >= 1 (losslessness:
     anything the model allows must stay encodable),
@@ -28,69 +30,38 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .distributions import Rational, betabin_log2pmf_table, binomial_log2pmf_table
 from .rangecoder import TOTAL_MAX
 
-TOTAL_TARGET = TOTAL_MAX  # 1 << 24
 
-
-@dataclass(frozen=True)
-class QuantizedPmf:
-    """Integer frequency table over outcomes 0..len(cum)-2.
-
-    cum[k] holds the cumulative frequency below k, so outcome k owns the
-    slice [cum[k], cum[k + 1]) of [0, total); the range coder reads cum,
-    an array("q"), directly.
-    """
-
-    cum: array
-
-    @property
-    def total(self) -> int:
-        return self.cum[-1]
-
-    @property
-    def freqs(self) -> list[int]:
-        return [hi - lo for lo, hi in zip(self.cum, self.cum[1:])]
-
-    def log2prob(self, k: int) -> float:
-        f = self.cum[k + 1] - self.cum[k]
-        if f == 0:
-            return -math.inf
-        return math.log2(f) - math.log2(self.total)
-
-
-def quantize(log2pmf: Sequence[float], total_target: int = TOTAL_TARGET) -> QuantizedPmf:
-    """Quantize a log2 pmf to integer frequencies summing to ~total_target.
+def quantize(log2pmf: Sequence[float]) -> array:
+    """Quantize a log2 pmf to integer frequencies summing to at most
+    TOTAL_MAX, returned as their cumulative counts.
 
     Deterministic: floor plus largest-remainder top-up with ties broken
     by outcome index.  Raises ValueError if the support alone exceeds
-    total_target (every live outcome needs a count of 1).
+    TOTAL_MAX (every live outcome needs a count of 1).
     """
     n = len(log2pmf)
     if n == 0:
         raise ValueError("empty pmf")
-    if not 1 <= total_target <= TOTAL_MAX:
-        raise ValueError("total_target out of range")
     n_live = n - log2pmf.count(-math.inf)
     if n_live == 0:
         raise ValueError("pmf has empty support")
-    if n_live > total_target:
-        raise ValueError(f"support {n_live} exceeds total budget {total_target}")
+    if n_live > TOTAL_MAX:
+        raise ValueError(f"support {n_live} exceeds total budget {TOTAL_MAX}")
 
     # A live outcome whose raw frequency is below 1 ("tiny") gets exactly
     # 1; the others ("big") share what is left of the budget.
-    raw = [math.exp2(lp) * total_target for lp in log2pmf]
+    raw = [math.exp2(lp) * TOTAL_MAX for lp in log2pmf]
     freqs = [int(lp > -math.inf) for lp in log2pmf]
     big = [k for k, r in enumerate(raw) if r >= 1.0]
 
     if big:
-        budget = max(total_target - (n_live - len(big)), len(big))
+        budget = max(TOTAL_MAX - (n_live - len(big)), len(big))
         # fsum rounds correctly, so the factor is the same on every Python
         # (from 3.12 on, sum() compensates its float additions)
         factor = budget / math.fsum(raw[k] for k in big)
@@ -120,7 +91,7 @@ def quantize(log2pmf: Sequence[float], total_target: int = TOTAL_TARGET) -> Quan
 
     assert 1 <= sum(freqs) <= TOTAL_MAX
     g = math.gcd(*freqs)
-    return QuantizedPmf(array("q", accumulate((f // g for f in freqs), initial=0)))
+    return array("q", accumulate((f // g for f in freqs), initial=0))
 
 
 # Table construction dominates codec time on trees full of small-count
@@ -139,10 +110,10 @@ TABLES_PER_CALL = 1024
 
 
 @lru_cache(maxsize=1024)
-def quantized_binomial(n: int, theta: Rational) -> QuantizedPmf:
+def quantized_binomial(n: int, theta: Rational) -> array:
     return quantize(binomial_log2pmf_table(n, theta))
 
 
 @lru_cache(maxsize=1024)
-def quantized_betabin(n: int, alpha: Rational, beta: Rational) -> QuantizedPmf:
+def quantized_betabin(n: int, alpha: Rational, beta: Rational) -> array:
     return quantize(betabin_log2pmf_table(n, alpha, beta))

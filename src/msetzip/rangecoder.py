@@ -20,17 +20,19 @@ nothing is coded for it.
 
 Either stream may also hold a run: many decisions under one table that
 never use its middle outcomes, coded in one tight loop that checks the
-table once.  The encoder's run is (cum, bits), bits a str that codes
-outcome 0 for each '0' and the top outcome for each '1'.  The decoder's
-run is the tuple (cum, count) of a two-outcome table, answered with the
-count outcomes as the bits of one int, first decision on top; its loop
-picks outcome 1 where value >= (range // T) * cum[1], the generic rule
-without its division, and outcome 0 throughout where outcome 1 is dead.
-Under the equiprobable table [0, 1, 2], which binomial 1/2 and every
-symmetric Beta-binomial give at n = 1, both loops take (range // T) * cum[1]
-as range >> 1, the same integer without the division and the multiply:
-the shift CABAC uses for its bypass bins.  A run leaves the coder's bytes
-and state exactly as its decisions coded one at a time would.
+table once.  A run puts the tuple (cum, count), count its number of
+decisions, in the table's slot, and its outcomes are the bits of one int,
+first decision on top, a 1 bit meaning the top outcome and a 0 bit
+outcome 0: the encoder codes the item ((cum, count), bits), and the
+decoder, handed (cum, count) of a two-outcome table, answers with that
+int.  The decoder's loop picks outcome 1 where
+value >= (range // T) * cum[1], the generic rule without its division,
+and outcome 0 throughout where outcome 1 is dead.  Under the equiprobable
+table [0, 1, 2], which binomial 1/2 and every symmetric Beta-binomial give
+at n = 1, both loops take (range // T) * cum[1] as range >> 1, the same
+integer without the division and the multiply: the shift CABAC uses for
+its bypass bins.  A run leaves the coder's bytes and state exactly as its
+decisions coded one at a time would.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -91,14 +93,16 @@ class RangeEncoder:
         """
         self.encode_intervals(((cum, k),))
 
-    def encode_intervals(self, decisions: Iterable[tuple[Sequence[int], int | str]]) -> None:
+    def encode_intervals(self, decisions: Iterable[tuple]) -> None:
         """Code outcome k of the table cum for each (cum, k) in turn, with
         the registers in local variables and no call per decision.  A run
-        (cum, bits), bits a non-empty str of '0' and '1', codes outcome 0
-        for each '0' and the top outcome len(cum) - 2 for each '1', exactly
-        as those decisions one by one would.
+        ((cum, count), bits), bits an int in [0, 2**count) and count >= 1,
+        codes outcome 0 for each 0 bit and the top outcome len(cum) - 2 for
+        each 1 bit, first bit on top, exactly as those decisions one by one
+        would.
 
-        An error leaves the decisions before the failing one coded.
+        An error leaves the decisions before the failing one coded.  A
+        malformed run raises ValueError before any of its decisions.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -106,18 +110,24 @@ class RangeEncoder:
         emit, shift = self._out.append, RANGE_BITS - 8
         try:
             for cum, k in decisions:
-                total = cum[-1]
-                if not 1 <= total <= TOTAL_MAX:
-                    raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                if k.__class__ is str:
+                if cum.__class__ is tuple:
+                    cum, count = cum
+                    total = cum[-1]
+                    if not 1 <= total <= TOTAL_MAX:
+                        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                    if count < 1 or not 0 <= k < 1 << count:
+                        raise ValueError(
+                            f"a run needs count >= 1 and bits in [0, 2**count), got count {count}"
+                        )
                     top = len(cum) - 2
                     if top < 0:
                         raise ModelMismatchError("a run needs a table with outcomes")
+                    bits = format(k, f"0{count}b")
                     # outcome 0 owns [0, head) and the top outcome [tail, total)
                     head, tail = cum[1], cum[top]
                     # the run up to its first outcome of zero probability
-                    bad = k.lstrip(("0" if head else "") + ("1" if tail != total else ""))
-                    run = k[: len(k) - len(bad)]
+                    bad = bits.lstrip(("0" if head else "") + ("1" if tail != total else ""))
+                    run = bits[: count - len(bad)]
                     # a point mass codes nothing, and a dead top's outcome 0
                     # leaves the registers as they are
                     if total > 1 and head != total:
@@ -142,6 +152,9 @@ class RangeEncoder:
                         k = 0 if bad[0] == "0" else top
                         raise ModelMismatchError(f"outcome {k} of the run has zero probability")
                     continue
+                total = cum[-1]
+                if not 1 <= total <= TOTAL_MAX:
+                    raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
                 if not 0 <= k < len(cum) - 1:
                     raise ModelMismatchError(f"outcome {k} outside support 0..{len(cum) - 2}")
                 lo = cum[k]

@@ -18,15 +18,15 @@ termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
 order, except that where no termination counts are coded a run is one item
-(table, bits), the member's remaining bits as a '0'/'1' str.  The range
-coder codes that stream in one call, a run in one tight loop, and the ideal
-codelength sums it over the exact log2 pmf, a run one decision at a time.
-The decoder runs the walk's mirror, _decode_walk: it hands each table to the
-range decoder, takes back the count, and follows a chain without the stack
-until the chain branches, which at n = 1 is the whole rest of a member.  In
-the fixed regime that rest is one run item (table, L - d), its bits coming
-back as one int.  Every distinct member is checked against the regime
-before the first symbol is coded.
+((table, count), bits), the member's remaining count bits as one int.  The
+range coder codes that stream in one call, a run in one tight loop, and the
+ideal codelength sums it over the exact log2 pmf, a run one decision at a
+time.  The decoder runs the walk's mirror, _decode_walk: it hands each table
+to the range decoder, takes back the count, and follows a chain without the
+stack until the chain branches, which at n = 1 is the whole rest of a
+member.  In the fixed regime that rest is one run, (table, L - d) in the
+table's slot, its bits coming back as one int.  Every distinct member is
+checked against the regime before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -70,7 +70,7 @@ from .bits import BitString, as_bitstring
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
-from .quantize import TABLES_PER_CALL, QuantizedPmf, quantized_betabin, quantized_binomial
+from .quantize import TABLES_PER_CALL, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
 # Bound on member length in the two unbounded regimes: a corrupted
@@ -92,10 +92,10 @@ class BinomialFamily:
         if not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1]")
 
-    def split_table(self, n: int) -> QuantizedPmf:
+    def split_table(self, n: int) -> array:
         return quantized_binomial(n, self.theta)
 
-    def termination_table(self, n: int, theta_t: Fraction) -> QuantizedPmf:
+    def termination_table(self, n: int, theta_t: Fraction) -> array:
         return quantized_binomial(n, theta_t)
 
     def split_log2pmf(self, n: int) -> array:
@@ -114,10 +114,10 @@ class BetaBinomialFamily:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
 
-    def split_table(self, n: int) -> QuantizedPmf:
+    def split_table(self, n: int) -> array:
         return quantized_betabin(n, self.alpha, self.beta)
 
-    def termination_table(self, n: int, theta_t: Fraction) -> QuantizedPmf:
+    def termination_table(self, n: int, theta_t: Fraction) -> array:
         # theta_t intentionally unused: the termination rate is coded as
         # unknown, same prior as the splits.
         return quantized_betabin(n, self.alpha, self.beta)
@@ -258,13 +258,6 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
     return split, lambda d, n: shared(depth_of(d), n)
 
 
-def _cum_tables(params: CodecParams, model: Optional[LengthModel]):
-    """The family's per-call table caches, giving each table's cum."""
-    fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, model)
-    return (lambda n: split(n).cum), (lambda d, n: termination(d, n).cum)
-
-
 def _sort(members: Iterable, regime: Regime):
     """((datas, lengths, cum), model): the distinct members in
     lexicographic order, datas[i] holding member i's bytes and lengths[i]
@@ -294,9 +287,9 @@ def _decisions(
     coding order, from _sort's members.  A trie node is a range [lo, hi)
     of the sorted members at a depth d; a range of one distinct member is
     a run, coded from the member's bits to its end without the stack.
-    Where no termination counts are coded, a run is one item (table,
-    bits): the member's remaining bits as a '0'/'1' str, each coding
-    outcome 0 or n, as RangeEncoder.encode_intervals reads it."""
+    Where no termination counts are coded, a run is one item ((table,
+    count), bits): the member's remaining count bits as one int, each
+    coding outcome 0 or n, as RangeEncoder.encode_intervals reads it."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -305,13 +298,13 @@ def _decisions(
         if hi - lo == 1:
             end = lengths[lo]
             data = datas[lo]
-            rest = format(int.from_bytes(data, "big") >> (8 * len(data) - end), f"0{end}b")[d:end]
+            value = int.from_bytes(data, "big") >> (8 * len(data) - end)
             if model is None:
-                if rest:
-                    yield split(n), rest
+                if end > d:
+                    yield (split(n), end - d), value & ((1 << (end - d)) - 1)
             else:
-                table = split(n) if rest else None
-                for e, bit in enumerate(rest, d):
+                table = split(n) if end > d else None
+                for e, bit in enumerate(format(value, f"0{end}b")[d:end], d):
                     yield termination(e, n), 0
                     yield table, n if bit == "1" else 0
                 yield termination(end, n), n
@@ -344,7 +337,8 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     bytearray of 0/1 values, which the run extends in one step and
     BitString.from_bits packs in C."""
     end, complete, model, cap, _ = _schedule(params.regime)
-    split, termination = _cum_tables(params, model)
+    fam = params.family
+    split, termination = _tables(fam.split_table, fam.termination_table, model)
     prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
@@ -391,7 +385,9 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
 def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
     """Code the multiset's counts.  N itself is the container's job."""
     sorted_members, model = _sort(members, params.regime)  # validates before emitting anything
-    enc.encode_intervals(_decisions(sorted_members, model, *_cum_tables(params, model)))
+    fam = params.family
+    split, termination = _tables(fam.split_table, fam.termination_table, model)
+    enc.encode_intervals(_decisions(sorted_members, model, split, termination))
 
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
@@ -411,8 +407,9 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
     total = 0.0
     for table, k in _decisions(sorted_members, model, split, termination):
-        if k.__class__ is str:  # a run, summed one decision at a time
-            for bit in k:
+        if table.__class__ is tuple:  # a run, summed one decision at a time
+            table, count = table
+            for bit in format(k, f"0{count}b"):
                 total -= table[-1] if bit == "1" else table[0]
         else:
             total -= table[k]

@@ -81,6 +81,13 @@ class TestBitString:
         # the bytes come out canonical, with zero pad bits
         assert bs.data == BitString(bs.data, bs.nbits).data
 
+    def test_text_is_refused(self):
+        # every digit of "0110" is a truthy item, so it would read as 1111
+        for text in ("0110", "", "1"):
+            with pytest.raises(TypeError, match="from_str"):
+                BitString.from_bits(text)
+        assert BitString.from_str("0110") == BitString.from_bits([0, 1, 1, 0])
+
     @given(st.binary(max_size=20), st.binary(max_size=20))
     def test_bytes_order_like_their_text(self, r, s):
         a, b = BitString.from_bits(r), BitString.from_bits(bytearray(s))

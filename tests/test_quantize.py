@@ -8,57 +8,62 @@ import pytest
 
 from msetzip.distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from msetzip.errors import ModelMismatchError
-from msetzip.quantize import (
-    TOTAL_TARGET,
-    QuantizedPmf,
-    quantize,
-    quantized_betabin,
-    quantized_binomial,
-)
+from msetzip.quantize import quantize, quantized_betabin, quantized_binomial
 from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
+
+
+def freqs(cum) -> list[int]:
+    """The table's frequency per outcome."""
+    return [hi - lo for lo, hi in zip(cum, cum[1:])]
+
+
+def log2prob(cum, k: int) -> float:
+    """log2 of outcome k's quantized probability, -inf where it is dead."""
+    f = cum[k + 1] - cum[k]
+    return math.log2(f) - math.log2(cum[-1]) if f else -math.inf
 
 
 def test_dyadic_binomial_is_exact():
     # After gcd reduction Binomial(7, 1/2) is literally C(7, k) / 128
     q = quantized_binomial(7, Fraction(1, 2))
-    assert q.total == 128
-    assert list(q.freqs) == [math.comb(7, k) for k in range(8)]
+    assert q[-1] == 128
+    assert freqs(q) == [math.comb(7, k) for k in range(8)]
     # the worked example: k=3 costs -log2(35/128) = 1.8707 bits
-    assert -q.log2prob(3) == pytest.approx(7 - math.log2(35), abs=1e-12)
+    assert -log2prob(q, 3) == pytest.approx(7 - math.log2(35), abs=1e-12)
 
 
 def test_small_dyadic_binomials_all_exact():
     for n in range(0, 24):
         q = quantized_binomial(n, Fraction(1, 2))
-        assert q.total == 2**n
-        assert list(q.freqs) == [math.comb(n, k) for k in range(n + 1)]
+        assert q[-1] == 2**n
+        assert freqs(q) == [math.comb(n, k) for k in range(n + 1)]
 
 
 def test_every_live_outcome_gets_mass():
     for n in (1, 10, 100, 2000):
         q = quantized_binomial(n, Fraction(1, 2))
-        assert min(q.freqs) >= 1  # theta=1/2 has full support
-        assert q.total <= TOTAL_MAX
+        assert min(freqs(q)) >= 1  # theta=1/2 has full support
+        assert q[-1] <= TOTAL_MAX
 
 
 def test_zero_probability_outcomes_get_none():
     q = quantize(binomial_log2pmf_table(6, 0))
-    assert list(q.freqs) == [1, 0, 0, 0, 0, 0, 0]
-    assert q.total == 1
+    assert freqs(q) == [1, 0, 0, 0, 0, 0, 0]
+    assert q[-1] == 1
     with pytest.raises(ModelMismatchError):
-        RangeEncoder().encode_interval(q.cum, 3)
+        RangeEncoder().encode_interval(q, 3)
 
 
 def test_point_mass_is_free():
     q = quantize(binomial_log2pmf_table(9, 1))
-    assert q.total == 1
-    assert q.log2prob(9) == 0.0
+    assert q[-1] == 1
+    assert log2prob(q, 9) == 0.0
 
 
 def test_sum_abs_error_binomial_100():
     q = quantized_binomial(100, Fraction(1, 2))
     pmf = map(math.exp2, binomial_log2pmf_table(100, Fraction(1, 2)))
-    err = sum(abs(f / q.total - p) for f, p in zip(q.freqs, pmf))
+    err = sum(abs(f / q[-1] - p) for f, p in zip(freqs(q), pmf))
     assert err <= 1e-4, err
 
 
@@ -79,55 +84,55 @@ def test_redundancy_bound(log2pmf):
     q = quantize(log2pmf)
     for k, lp in enumerate(log2pmf):
         if lp >= -16.0:
-            penalty = -q.log2prob(k) + float(lp)
+            penalty = -log2prob(q, k) + float(lp)
             assert penalty <= 0.01, (k, penalty)
 
 
 def test_deterministic():
     t = betabin_log2pmf_table(333, 0.5, 0.5)
     a, b = quantize(t), quantize(t)
-    assert a.total == b.total
-    assert a.freqs == b.freqs
+    assert a[-1] == b[-1]
+    assert freqs(a) == freqs(b)
 
 
 def test_every_outcome_round_trips():
     q = quantized_betabin(40, Fraction(1, 2), Fraction(1, 2))
     for k in range(41):
         enc = RangeEncoder()
-        enc.encode_interval(q.cum, k)
+        enc.encode_interval(q, k)
         dec = RangeDecoder.from_bytes(enc.finish().data)
-        assert dec.decode_target(q.cum) == k
+        assert dec.decode_target(q) == k
 
 
 def test_dead_outcomes_are_skipped():
     q = quantize([math.log2(0.5), -math.inf, math.log2(0.5)])
-    assert q.freqs == [1, 0, 1]
+    assert freqs(q) == [1, 0, 1]
     for k in (0, 2):
         enc = RangeEncoder()
-        enc.encode_interval(q.cum, k)
+        enc.encode_interval(q, k)
         dec = RangeDecoder.from_bytes(enc.finish().data)
-        assert dec.decode_target(q.cum) == k
+        assert dec.decode_target(q) == k
     with pytest.raises(ModelMismatchError):
-        RangeEncoder().encode_interval(q.cum, 1)
+        RangeEncoder().encode_interval(q, 1)
 
 
 def test_support_larger_than_budget_rejected():
     with pytest.raises(ValueError):
-        quantize([-30.0] * (TOTAL_TARGET + 1))
+        quantize([-30.0] * (TOTAL_MAX + 1))
 
 
 def test_interval_out_of_support_rejected():
     q = quantized_binomial(4, Fraction(1, 2))
     with pytest.raises(ModelMismatchError):
-        RangeEncoder().encode_interval(q.cum, 5)
+        RangeEncoder().encode_interval(q, 5)
 
 
 def test_total_never_exceeds_cap():
     # heavy tails force many tiny entries; the budget must still hold
     t = betabin_log2pmf_table(20000, 0.5, 0.5)
     q = quantize(t)
-    assert q.total <= TOTAL_MAX
-    assert all(f >= 1 for f, lp in zip(q.freqs, t) if math.isfinite(lp))
+    assert q[-1] <= TOTAL_MAX
+    assert all(f >= 1 for f, lp in zip(freqs(q), t) if math.isfinite(lp))
 
 
 @pytest.mark.parametrize(
@@ -143,5 +148,5 @@ def test_tables_pinned_where_simd_paths_disagreed(n, digest):
     # numpy's AVX512 exp2/log2 kernels built other tables at these n than
     # its libm path did; the decoder must rebuild the encoder's tables
     # exactly, so pin the libm ones.
-    cum = quantized_betabin(n, Fraction(1, 2), Fraction(1, 2)).cum
+    cum = quantized_betabin(n, Fraction(1, 2), Fraction(1, 2))
     assert hashlib.sha256(",".join(map(str, cum)).encode()).hexdigest() == digest

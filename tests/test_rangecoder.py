@@ -123,7 +123,7 @@ def test_interval_validation():
 
 
 def test_decoder_never_returns_a_dead_outcome():
-    cum = quantize([math.log2(0.5), -math.inf, math.log2(0.5)]).cum
+    cum = quantize([math.log2(0.5), -math.inf, math.log2(0.5)])
     rng = random.Random(11)
     for _ in range(200):
         dec = RangeDecoder.from_bytes(rng.randbytes(rng.randint(0, 12)))
@@ -227,7 +227,7 @@ RUN_TABLES = [
     [0, 11184811, 16777216],  # Binomial(1, 1/3)
     [0, 5991863, 8388608],  # BetaBin(1, 2, 5)
     [0, 3, 5, 11, 20],  # n = 3, coding outcomes 0 and 3
-    list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)]).cum),
+    list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)])),
     [0, 1, TOTAL_MAX],  # slivers at either end; runs of the top one carry through 0xFF bytes
     [0, TOTAL_MAX - 1, TOTAL_MAX],
     [0, 1],  # point masses
@@ -238,6 +238,11 @@ RUN_TABLES = [
     [0, 7, 7],  # dead top outcome
     [0, TOTAL_MAX, TOTAL_MAX],
 ]
+
+
+def _run(cum, bits: str) -> tuple:
+    """The run item of bits, written as '0'/'1' text: ((cum, count), int)."""
+    return (cum, len(bits)), int(bits, 2)
 
 
 def _decisions_of(cum, bits: str) -> list:
@@ -272,7 +277,7 @@ def _lead(seed: int) -> list:
 def test_run_codes_as_its_decisions(seed, cum, bits):
     lead = _lead(seed)
     tail = [([0, 2, 5], 1)]  # coded only if the run raised nothing
-    run = _coded(lead + [(cum, bits)] + tail)
+    run = _coded(lead + [_run(cum, bits)] + tail)
     assert run == _coded(lead + _decisions_of(cum, bits) + tail)
 
 
@@ -282,7 +287,7 @@ def test_run_carries_through_ff_bytes(monkeypatch):
     monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
     sliver = [0, TOTAL_MAX - 1, TOTAL_MAX]
     bits = "1" * 200 + "0" + "1" * 200
-    run = _coded([(sliver, bits)])
+    run = _coded([_run(sliver, bits)])
     assert carries  # a carry rippled back inside the run
     assert run == _coded(_decisions_of(sliver, bits))
 
@@ -298,7 +303,7 @@ def test_run_error_keeps_what_came_before():
         enc, ref = RangeEncoder(), RangeEncoder()
         ref.encode_intervals([([0, 3, 8], 1)] + _decisions_of(cum, possible))
         with pytest.raises(ModelMismatchError):
-            enc.encode_intervals([([0, 3, 8], 1), (cum, bits), ([0, 3, 8], 0)])
+            enc.encode_intervals([([0, 3, 8], 1), _run(cum, bits), ([0, 3, 8], 0)])
         assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
         assert enc.finish() == ref.finish()
 
@@ -306,10 +311,32 @@ def test_run_error_keeps_what_came_before():
 def test_run_validates_its_table():
     enc = RangeEncoder()
     with pytest.raises(ValueError):
-        enc.encode_intervals([([0, 1, TOTAL_MAX + 1], "01")])
+        enc.encode_intervals([_run([0, 1, TOTAL_MAX + 1], "01")])
     with pytest.raises(ValueError):
-        enc.encode_intervals([([0, 0], "0")])
+        enc.encode_intervals([_run([0, 0], "0")])
     assert enc.symbols_coded == 0
+
+
+@pytest.mark.parametrize(
+    "count,bits,error",
+    [
+        (0, 0, ValueError),
+        (-1, 0, ValueError),
+        (3, 8, ValueError),
+        (3, -1, ValueError),
+        (160, 1 << 160, ValueError),
+        (2, "01", TypeError),  # the bits are an int, never text
+    ],
+)
+def test_malformed_run_codes_nothing(count, bits, error):
+    # a run whose count is below 1 or whose bits do not fit in count bits
+    # raises before any of its decisions, after the decisions before it
+    enc, ref = RangeEncoder(), RangeEncoder()
+    ref.encode_interval([0, 3, 8], 1)
+    with pytest.raises(error):
+        enc.encode_intervals([([0, 3, 8], 1), (([0, 1, 2], count), bits), ([0, 3, 8], 0)])
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    assert enc.finish() == ref.finish()
 
 
 def _run_walk(cum, count):
@@ -356,7 +383,7 @@ def test_equiprobable_runs_code_as_their_decisions_one_by_one(monkeypatch):
         lead = _lead(seed)
         for bits in ("1" * 700, "01" * 350, "10" * 350 + "1" * 50):
             enc, ref = RangeEncoder(), RangeEncoder()
-            enc.encode_intervals(lead + [(half, bits)])
+            enc.encode_intervals(lead + [_run(half, bits)])
             for cum, k in lead + _decisions_of(half, bits):
                 ref.encode_interval(cum, k)
             state = enc.low, enc.range, enc.symbols_coded
@@ -380,7 +407,7 @@ def test_run_round_trips(cum):
     live = ("0" if cum[1] else "") + ("1" if cum[1] != cum[2] else "")
     bits = "".join(rng.choice(live) for _ in range(300))
     enc = RangeEncoder()
-    enc.encode_intervals([(cum, bits)])
+    enc.encode_intervals([_run(cum, bits)])
     got = RangeDecoder.from_bytes(enc.finish().data).decode_walk(_run_walk(cum, len(bits)))
     assert format(got, f"0{len(bits)}b") == bits
 

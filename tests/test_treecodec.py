@@ -14,7 +14,6 @@ match -log2 P; the coder's output must land within its guaranteed slack
 of the ideal.
 """
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -376,11 +375,13 @@ class TestRuns:
         encoded, decoded, built = [], [], []
 
         def counted(stream, seen):
+            # records each item with what the coder sent back for it
             item = next(stream)
             try:
                 while True:
-                    seen.append(item)
-                    item = stream.send((yield item))
+                    reply = yield item
+                    seen.append((item, reply))
+                    item = stream.send(reply)
             except StopIteration as end:
                 return end.value
 
@@ -399,8 +400,14 @@ class TestRuns:
         dec = RangeDecoder.from_bytes(enc.finish().data)
         assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
         assert enc.symbols_coded == 153686  # as when every decision was its own item
-        assert sum(isinstance(k, str) for _, k in encoded) == len(members)
-        assert sum(isinstance(item, tuple) for item in decoded) == len(members)
+        # a run is ((cum, count), bits) to the encoder and (cum, count) to
+        # the decoder, which sends the bits back as the same int
+        sent = [item for item, _ in encoded if item[0].__class__ is tuple]
+        received = [(item, bits) for item, bits in decoded if item.__class__ is tuple]
+        assert len(sent) == len(received) == len(members)
+        for ((cum, count), bits), ((got_cum, got_count), got_bits) in zip(sent, received):
+            assert isinstance(bits, int) and isinstance(got_bits, int)
+            assert (cum, count, bits) == (got_cum, got_count, got_bits)
         assert len(encoded) < enc.symbols_coded // 40 and len(decoded) < enc.symbols_coded // 40
         assert len(built) == len(members)
 
@@ -519,7 +526,7 @@ class TestTableMemory:
 
         def tracked(table):
             nonlocal live, peak
-            table = dataclasses.replace(table) if dataclasses.is_dataclass(table) else table
+            table = table[:]
             weakref.finalize(table, release)
             live += 1
             peak = max(peak, live)
