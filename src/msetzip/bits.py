@@ -82,7 +82,9 @@ class BitString:
             yield (data[i >> 3] >> (7 - (i & 7))) & 1
 
     def to_str(self) -> str:
-        return "".join("01"[b] for b in self.bits())
+        nbits = self.nbits
+        value = int.from_bytes(self.data, "big") >> (-nbits & 7)  # pad bits are zero
+        return format(value, f"0{nbits}b") if nbits else ""
 
     def __len__(self) -> int:
         return self.nbits

@@ -142,14 +142,11 @@ def _parse_members(data: bytes, fmt: str, length: int | None) -> list[BitString]
         n_rec, leftover = divmod(total, length)
         if leftover >= 8:
             raise MsetzipError(f"raw input is not a whole number of {length}-bit records")
-        full = BitString(data, total)
-        members = [
-            BitString.from_bits(full.bit(i * length + j) for j in range(length))
-            for i in range(n_rec)
-        ]
-        if any(full.bit(n_rec * length + j) for j in range(leftover)):
+        bits = BitString(data, total).to_str()
+        if "1" in bits[total - leftover :]:
             raise MsetzipError("raw input has nonzero padding bits")
-        return members
+        starts = range(0, total - leftover, length)
+        return [BitString.from_str(bits[i : i + length]) for i in starts]
     try:
         lines = [ln.strip() for ln in data.decode("ascii").splitlines()]
     except UnicodeDecodeError as e:

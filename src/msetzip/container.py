@@ -198,7 +198,7 @@ def compress_tree_detail(members: Iterable, params: CodecParams) -> CompressResu
         raise ValueError(f"multiset size {len(members)} exceeds the capacity {MAX_MEMBERS}")
     header = serialize_header(params)
     enc = RangeEncoder()
-    encode_members(members, params, enc)  # validates before emitting anything
+    encode_members(members, params, enc)  # a ModelMismatchError leaves no container
     payload = enc.finish()
     w = BitWriter()
     w.write_bytes(header)

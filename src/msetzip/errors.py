@@ -20,8 +20,11 @@ class CorruptStreamError(MsetzipError):
 class ModelMismatchError(MsetzipError):
     """Input data is inconsistent with the codec parameters.
 
-    Raised at encode time, before any output is produced: a member whose
-    length has zero probability under the length model, a member that
-    extends a prefix the end detector already considers complete, or a
-    symbol whose probability is structurally zero.
+    Raised at encode time, and compress then returns no container.  The
+    regime's member checks run before anything is coded: a member whose
+    length has zero probability under the length model, one longer than
+    the depth cap, or one that extends a prefix the end detector already
+    considers complete or does not end complete.  A decision whose outcome
+    the family gives zero probability is found only when it is coded, so
+    mid-stream, with the decisions before it coded.
     """

@@ -18,21 +18,21 @@ encode_interval(cum, k) and decode_target(cum) are the one-decision
 streams.  A table with T == 1 is a point mass: it carries no information, so
 nothing is coded for it.
 
-Either stream may also hold a run: many decisions under one table that
-never use its middle outcomes, coded in one tight loop that checks the
-table once.  A run puts the tuple (cum, count), count its number of
+Either stream may also hold a run: many decisions under one two-outcome
+table [0, head, total], coded in one tight loop that checks the table
+once.  A run puts the tuple (cum, count), count >= 1 its number of
 decisions, in the table's slot, and its outcomes are the bits of one int,
-first decision on top, a 1 bit meaning the top outcome and a 0 bit
-outcome 0: the encoder codes the item ((cum, count), bits), and the
-decoder, handed (cum, count) of a two-outcome table, answers with that
-int.  The decoder's loop picks outcome 1 where
-value >= (range // T) * cum[1], the generic rule without its division,
-and outcome 0 throughout where outcome 1 is dead.  Under the equiprobable
-table [0, 1, 2], which binomial 1/2 and every symmetric Beta-binomial give
-at n = 1, both loops take (range // T) * cum[1] as range >> 1, the same
-integer without the division and the multiply: the shift CABAC uses for
-its bypass bins.  A run leaves the coder's bytes and state exactly as its
-decisions coded one at a time would.
+first decision on top: the encoder codes the item ((cum, count), bits),
+and the decoder, handed (cum, count), answers with that int.  Both loops
+take x = (range // T) * head, the generic update of either outcome;
+outcome 1 is the one where value >= x.  Under the equiprobable table
+[0, 1, 2], which binomial 1/2 and every symmetric Beta-binomial give at
+n = 1, x is range >> 1, the same integer without the division and the
+multiply: the shift CABAC uses for its bypass bins.  A run leaves the
+coder's bytes and state exactly as its decisions coded one at a time
+would, and both sides refuse a run whose table has other than two
+outcomes, whose total is out of range or whose count is below 1 with
+ValueError, before any of its decisions.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -96,10 +96,9 @@ class RangeEncoder:
     def encode_intervals(self, decisions: Iterable[tuple]) -> None:
         """Code outcome k of the table cum for each (cum, k) in turn, with
         the registers in local variables and no call per decision.  A run
-        ((cum, count), bits), bits an int in [0, 2**count) and count >= 1,
-        codes outcome 0 for each 0 bit and the top outcome len(cum) - 2 for
-        each 1 bit, first bit on top, exactly as those decisions one by one
-        would.
+        ((cum, count), bits), cum a two-outcome table and bits an int in
+        [0, 2**count), codes outcome 1 for each 1 bit and outcome 0 for each
+        0 bit, first bit on top, exactly as those decisions one by one would.
 
         An error leaves the decisions before the failing one coded.  A
         malformed run raises ValueError before any of its decisions.
@@ -111,37 +110,27 @@ class RangeEncoder:
         try:
             for cum, k in decisions:
                 if cum.__class__ is tuple:
-                    cum, count = cum
-                    total = cum[-1]
-                    if not 1 <= total <= TOTAL_MAX:
-                        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                    if count < 1 or not 0 <= k < 1 << count:
-                        raise ValueError(
-                            f"a run needs count >= 1 and bits in [0, 2**count), got count {count}"
-                        )
-                    top = len(cum) - 2
-                    if top < 0:
-                        raise ModelMismatchError("a run needs a table with outcomes")
+                    head, total, count = _run(cum)
+                    if not 0 <= k < 1 << count:
+                        raise ValueError(f"bits {k} do not fit a run of {count} decisions")
                     bits = format(k, f"0{count}b")
-                    # outcome 0 owns [0, head) and the top outcome [tail, total)
-                    head, tail = cum[1], cum[top]
                     # the run up to its first outcome of zero probability
-                    bad = bits.lstrip(("0" if head else "") + ("1" if tail != total else ""))
+                    bad = bits.lstrip(("0" if head else "") + ("1" if head != total else ""))
                     run = bits[: count - len(bad)]
-                    # a point mass codes nothing, and a dead top's outcome 0
-                    # leaves the registers as they are
+                    # a point mass codes nothing, and outcome 0 beside a dead
+                    # outcome 1 keeps the registers as they are
                     if total > 1 and head != total:
-                        half = total == 2 and head == 1  # tail is then 1, or 2 with no '1' in run
+                        half = total == 2 and head == 1
                         for bit in run:
+                            x = rng >> 1 if half else rng // total * head
                             if bit == "1":
-                                x = rng >> 1 if half else rng // total * tail
                                 low += x
                                 rng -= x
                                 if low > MASK:
                                     self._carry()
                                     low &= MASK
                             else:
-                                rng = rng >> 1 if half else rng // total * head
+                                rng = x
                             while rng < TOP:
                                 emit(low >> shift)
                                 low = (low << 8) & MASK
@@ -149,8 +138,7 @@ class RangeEncoder:
                     if total > 1:
                         coded += len(run)
                     if bad:
-                        k = 0 if bad[0] == "0" else top
-                        raise ModelMismatchError(f"outcome {k} of the run has zero probability")
+                        raise ModelMismatchError(f"the run's outcome {bad[0]} has zero probability")
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
@@ -244,16 +232,15 @@ class RangeDecoder:
         (cum, count) of a two-outcome table and a number of decisions under
         it; it is sent their outcomes as one int, the first decision's
         outcome in its top bit, exactly as the decisions one by one would
-        have decoded them.
+        have decoded them.  A malformed run raises ValueError before any of
+        its decisions.
         """
         value, rng, pull = self.value, self.range, self._pull
         try:
             cum = next(walk)
             while True:
                 if cum.__class__ is tuple:
-                    (_, head, total), count = cum
-                    if not 1 <= total <= TOTAL_MAX:
-                        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                    head, total, count = _run(cum)
                     k = 0
                     if head != total:  # else outcome 1 is dead and every outcome is 0
                         half = total == 2 and head == 1
@@ -297,3 +284,17 @@ class RangeDecoder:
 def _single(cum: Sequence[int]) -> Generator[Sequence[int], int, int]:
     """The walk of one decision: decode_target as a decode_walk."""
     return (yield cum)
+
+
+def _run(item: tuple) -> tuple[int, int, int]:
+    """(head, total, count) of the run item (cum, count), whose table
+    cum = [0, head, total] gives outcome 0 the slice [0, head) and outcome 1
+    [head, total).  Raises ValueError, for the encoder and the decoder
+    alike, unless cum has two outcomes, total is in [1, TOTAL_MAX] and
+    count >= 1."""
+    (_, head, total), count = item  # a ValueError unless cum has two outcomes
+    if not 1 <= total <= TOTAL_MAX:
+        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+    if count < 1:
+        raise ValueError(f"a run needs count >= 1, got {count}")
+    return head, total, count

@@ -11,22 +11,23 @@ extensions), the members below a node are a contiguous range [lo, hi) of
 the sorted distinct members.  A node's count is a difference of prefix sums
 of their multiplicities, and the members whose next bit is 1 start where a
 bisection of the range puts the node's prefix followed by 1.  A range of one
-distinct member, of multiplicity m, is a run: its chain never branches
-again, so its remaining decisions come straight from the member's bits,
-split(m) with outcome 0 or m per bit and, in the general regime, one
-termination count per depth.
+distinct member, of multiplicity m, never branches again, so its remaining
+decisions come straight from the member's bits: split(m) with outcome 0 or
+m per bit and, in the general regime, one termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
-order, except that where no termination counts are coded a run is one item
-((table, count), bits), the member's remaining count bits as one int.  The
-range coder codes that stream in one call, a run in one tight loop, and the
-ideal codelength sums it over the exact log2 pmf, a run one decision at a
-time.  The decoder runs the walk's mirror, _decode_walk: it hands each table
-to the range decoder, takes back the count, and follows a chain without the
-stack until the chain branches, which at n = 1 is the whole rest of a
-member.  In the fixed regime that rest is one run, (table, L - d) in the
-table's slot, its bits coming back as one int.  Every distinct member is
-checked against the regime before the first symbol is coded.
+order, except a run: one copy of one member (m = 1) where no termination
+counts are coded, whose remaining decisions under the two-outcome table
+split(1) are one item ((table, count), bits), the member's remaining count
+bits as one int.  The range coder codes that stream in one call, a run in
+one tight loop, and the ideal codelength sums it over the exact log2 pmf, a
+run one decision at a time.  The decoder runs the walk's mirror,
+_decode_walk: it hands each table to the range decoder, takes back the
+count, and follows a chain without the stack until the chain branches,
+which at n = 1 is the whole rest of a member.  In the fixed regime that
+rest is one run, (table, L - d) in the table's slot, its bits coming back
+as one int.  Every distinct member is checked against the regime before the
+first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -286,10 +287,10 @@ def _decisions(
     """Yield (table, outcome) for every decision the encoder codes, in
     coding order, from _sort's members.  A trie node is a range [lo, hi)
     of the sorted members at a depth d; a range of one distinct member is
-    a run, coded from the member's bits to its end without the stack.
-    Where no termination counts are coded, a run is one item ((table,
-    count), bits): the member's remaining count bits as one int, each
-    coding outcome 0 or n, as RangeEncoder.encode_intervals reads it."""
+    coded from the member's bits to its end without the stack.  Where no
+    termination counts are coded and the member has one copy, that is a
+    run, one item ((split(1), count), bits): the member's remaining count
+    bits as one int, as RangeEncoder.encode_intervals reads it."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -299,15 +300,17 @@ def _decisions(
             end = lengths[lo]
             data = datas[lo]
             value = int.from_bytes(data, "big") >> (8 * len(data) - end)
-            if model is None:
-                if end > d:
-                    yield (split(n), end - d), value & ((1 << (end - d)) - 1)
-            else:
-                table = split(n) if end > d else None
+            table = split(n) if end > d else None
+            if model is not None:
                 for e, bit in enumerate(format(value, f"0{end}b")[d:end], d):
                     yield termination(e, n), 0
                     yield table, n if bit == "1" else 0
                 yield termination(end, n), n
+            elif n > 1:  # a run is one copy, so m copies take a decision per bit
+                for bit in format(value, f"0{end}b")[d:end]:
+                    yield table, n if bit == "1" else 0
+            elif end > d:
+                yield (table, end - d), value & ((1 << (end - d)) - 1)
             continue
         if model is not None:
             n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
@@ -383,8 +386,12 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
 
 
 def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
-    """Code the multiset's counts.  N itself is the container's job."""
-    sorted_members, model = _sort(members, params.regime)  # validates before emitting anything
+    """Code the multiset's counts.  N itself is the container's job.
+
+    Raises ModelMismatchError before coding anything for a member the
+    regime cannot code, and mid-stream for a decision whose outcome the
+    family gives zero probability."""
+    sorted_members, model = _sort(members, params.regime)
     fam = params.family
     split, termination = _tables(fam.split_table, fam.termination_table, model)
     enc.encode_intervals(_decisions(sorted_members, model, split, termination))
@@ -410,7 +417,7 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
         if table.__class__ is tuple:  # a run, summed one decision at a time
             table, count = table
             for bit in format(k, f"0{count}b"):
-                total -= table[-1] if bit == "1" else table[0]
+                total -= table[1] if bit == "1" else table[0]
         else:
             total -= table[k]
     return total

@@ -29,6 +29,22 @@ class TestBitString:
         for s in ["", "0", "1", "01011", "1" * 17, "0" * 9 + "1"]:
             assert BitString.from_str(s).to_str() == s
 
+    @pytest.mark.parametrize("nbits", range(131))
+    def test_to_str_matches_its_bits(self, nbits):
+        # the bytes carry set pad bits, which the text must not show
+        rng = random.Random(nbits)
+        for data in (bytes(17), b"\xff" * 17, rng.randbytes(17)):
+            bs = BitString(data, nbits)
+            assert bs.to_str() == "".join(map(str, bs.bits()))
+
+    def test_immutable(self):
+        bs = BitString.from_str("0110")
+        with pytest.raises(AttributeError):
+            bs.nbits = 3
+        with pytest.raises(AttributeError):
+            bs.data = b"\xff"
+        assert bs == BitString.from_str("0110")
+
     def test_pad_bits_canonicalized(self):
         # same bits, one constructed with garbage in the pad region
         a = BitString(b"\xa0", 3)
@@ -202,6 +218,11 @@ class TestBitReader:
         assert r.read_bits(2) == 0b11
         assert r.bit_position == 9
         assert r.bits_remaining == 7
+
+    @pytest.mark.parametrize("start", [-1, 17])
+    def test_start_bit_outside_the_data_rejected(self, start):
+        with pytest.raises(ValueError):
+            BitReader(b"\x12\x34", start_bit=start)
 
     def test_read_rest_aligns_the_unread_bits(self):
         r = BitReader(bytes([0b10101010, 0b11000001]), start_bit=4)

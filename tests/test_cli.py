@@ -1,11 +1,13 @@
 """CLI: end-to-end subcommand runs against temp files."""
 
 import csv
+import random
 
 import pytest
 
 from msetzip import CodecParams, GeneralRegime, UniformLength, compress, container
-from msetzip.cli import main
+from msetzip.bits import BitString
+from msetzip.cli import _parse_members, main
 from msetzip.container import MAGIC
 
 
@@ -86,6 +88,40 @@ class TestCompressDecompress:
                    "--out", str(box)) == 0
         assert run("decompress", str(box), "--output-format", "bits", "--out", str(back)) == 0
         assert back.read_text().split() == ["000", "000", "000", "001", "011"]
+
+    @pytest.mark.parametrize(
+        "flags,data,message",
+        [
+            ([], b"\x00", "needs --length"),
+            (["--length", "0"], b"\x00", "needs --length"),
+            (["--length", "16"], b"\x00\x00\x00", "whole number"),  # 8 bits left over
+        ],
+    )
+    def test_raw_input_errors(self, tmp_path, capsys, flags, data, message):
+        src = tmp_path / "in.raw"
+        src.write_bytes(data)
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), "--input-format", "raw", *flags, "--out", str(box)) == 1
+        assert message in capsys.readouterr().err
+        assert not box.exists()
+
+    @pytest.mark.parametrize("length", range(1, 131))
+    def test_raw_records_match_their_bits(self, length):
+        # the records are the file's bits cut every length bits, as one
+        # BitString.bit() call per bit reads them
+        rng = random.Random(length)
+        for n_rec in (0, 1, 3, 8):
+            pad = -n_rec * length % 8  # zero bits up to a whole byte
+            if pad >= length:  # they would hold another record
+                continue
+            total = n_rec * length + pad
+            data = (rng.getrandbits(n_rec * length) << pad).to_bytes(total // 8, "big")
+            full = BitString(data, total)
+            want = [
+                BitString.from_bits(full.bit(i * length + j) for j in range(length))
+                for i in range(n_rec)
+            ]
+            assert _parse_members(data, "raw", length) == want
 
     def test_empty_input_needs_length(self, tmp_path, capsys):
         src = tmp_path / "empty"
@@ -195,6 +231,7 @@ class TestUnreadableOutput:
             ("raw", ["", "01", "011"]),
             ("raw", ["01", "011"]),
             ("raw", ["000", "001", "011"]),  # 7 padding bits hold two more records
+            ("hex", ["0000111"]),  # not a whole number of bytes
         ],
     )
     def test_refused_without_output(self, tmp_path, capsys, fmt, members):

@@ -116,6 +116,32 @@ def test_dead_outcomes_are_skipped():
         RangeEncoder().encode_interval(q, 1)
 
 
+def test_a_big_outcome_that_floors_to_zero_is_lifted():
+    # 20,000 tiny outcomes take 20,000 units of the budget, so the others
+    # shrink and the raw 1.0003 floors to 0 after rescaling; it is lifted
+    # to 1, the unit taken from the largest outcome, and its remainder then
+    # tops it up to 2
+    edge, tiny = 1.0003, 20_000
+    raw = [edge] + [0.5] * tiny + [TOTAL_MAX - edge - 0.5 * tiny]
+    log2pmf = [math.log2(r / TOTAL_MAX) for r in raw]
+    q = quantize(log2pmf)
+    f = freqs(q)
+    assert f[0] == 2
+    assert min(f) >= 1 and q[-1] <= TOTAL_MAX
+    assert -log2prob(q, tiny + 1) + log2pmf[-1] <= 0.01
+    digest = "71d7619b25ee5face613f1d89f7b4d1241426a9b1c020339a273c485486a7da4"
+    assert hashlib.sha256(",".join(map(str, q)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "log2pmf,message",
+    [([], "empty pmf"), ([-math.inf], "empty support"), ([-math.inf] * 3, "empty support")],
+)
+def test_empty_pmf_or_support_rejected(log2pmf, message):
+    with pytest.raises(ValueError, match=message):
+        quantize(log2pmf)
+
+
 def test_support_larger_than_budget_rejected():
     with pytest.raises(ValueError):
         quantize([-30.0] * (TOTAL_MAX + 1))

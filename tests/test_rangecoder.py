@@ -122,6 +122,15 @@ def test_interval_validation():
     assert enc.symbols_coded == 0
 
 
+@pytest.mark.parametrize("cum", [[0, 1, TOTAL_MAX + 1], [0, 0]])
+def test_decoded_table_validates_its_total(cum):
+    dec = RangeDecoder.from_bytes(b"\x12\x34")
+    state = dec.value, dec.range
+    with pytest.raises(ValueError):
+        dec.decode_target(cum)
+    assert (dec.value, dec.range) == state
+
+
 def test_decoder_never_returns_a_dead_outcome():
     cum = quantize([math.log2(0.5), -math.inf, math.log2(0.5)])
     rng = random.Random(11)
@@ -226,17 +235,21 @@ RUN_TABLES = [
     [0, 1, 2],
     [0, 11184811, 16777216],  # Binomial(1, 1/3)
     [0, 5991863, 8388608],  # BetaBin(1, 2, 5)
-    [0, 3, 5, 11, 20],  # n = 3, coding outcomes 0 and 3
-    list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)])),
-    [0, 1, TOTAL_MAX],  # slivers at either end; runs of the top one carry through 0xFF bytes
+    [0, 1, TOTAL_MAX],  # slivers at either end; runs of outcome 1 carry through 0xFF bytes
     [0, TOTAL_MAX - 1, TOTAL_MAX],
-    [0, 1],  # point masses
-    [0, 0, 1],
+    [0, 0, 1],  # point masses
     [0, 1, 1],
-    [0, 0, 1, 1],  # neither outcome 0 nor the top outcome possible
     [0, 0, TOTAL_MAX],  # dead outcome 0
-    [0, 7, 7],  # dead top outcome
+    [0, 7, 7],  # dead outcome 1
     [0, TOTAL_MAX, TOTAL_MAX],
+]
+
+# tables with other than two outcomes, which no run may have
+NOT_RUN_TABLES = [
+    [0, 3, 5, 11, 20],  # n = 3
+    list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)])),
+    [0, 1],  # a point mass with one outcome
+    [0, 0, 1, 1],  # a point mass on a middle outcome
 ]
 
 
@@ -297,8 +310,7 @@ def test_run_error_keeps_what_came_before():
     # nothing after it is coded
     for cum, bits, possible in (
         ([0, 0, 8], "11101", "111"),  # outcome 0 is dead
-        ([0, 8, 8], "00010", "000"),  # the top outcome is dead
-        ([0, 0, 1, 1], "0", ""),
+        ([0, 8, 8], "00010", "000"),  # outcome 1 is dead
     ):
         enc, ref = RangeEncoder(), RangeEncoder()
         ref.encode_intervals([([0, 3, 8], 1)] + _decisions_of(cum, possible))
@@ -361,8 +373,8 @@ def _decoded(data: bytes, lead: list, walk) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    cum=st.sampled_from([cum for cum in RUN_TABLES if len(cum) == 3]),
-    count=st.integers(0, 400),
+    cum=st.sampled_from(RUN_TABLES),
+    count=st.integers(1, 400),
     data=st.binary(max_size=80),
 )
 def test_decoded_run_matches_its_decisions(seed, cum, count, data):
@@ -401,7 +413,7 @@ def test_equiprobable_runs_code_as_their_decisions_one_by_one(monkeypatch):
     assert carries  # some leads leave the interval across a byte boundary
 
 
-@pytest.mark.parametrize("cum", [cum for cum in RUN_TABLES if len(cum) == 3])
+@pytest.mark.parametrize("cum", RUN_TABLES)
 def test_run_round_trips(cum):
     rng = random.Random(5)
     live = ("0" if cum[1] else "") + ("1" if cum[1] != cum[2] else "")
@@ -418,6 +430,26 @@ def test_decoded_run_validates_its_table():
         dec.decode_walk(_run_walk([0, 1, TOTAL_MAX + 1], 3))
     with pytest.raises(ValueError):
         dec.decode_walk(_run_walk([0, 1, 2, 3], 3))
+
+
+@pytest.mark.parametrize(
+    "cum,count", [(cum, 3) for cum in NOT_RUN_TABLES] + [([0, 1, 2], 0), ([0, 1, 2], -1)]
+)
+def test_both_kernels_refuse_a_malformed_run(cum, count):
+    # before any of its decisions: the encoder keeps its registers, output
+    # and symbols_coded, and the decoder its value and range
+    enc, ref = RangeEncoder(), RangeEncoder()
+    ref.encode_interval([0, 3, 8], 1)
+    with pytest.raises(ValueError):
+        enc.encode_intervals([([0, 3, 8], 1), ((cum, count), 0), ([0, 3, 8], 0)])
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    assert enc.finish() == ref.finish()
+    dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
+    dec.decode_target([0, 3, 8])
+    state = dec.value, dec.range
+    with pytest.raises(ValueError):
+        dec.decode_walk(_run_walk(cum, count))
+    assert (dec.value, dec.range) == state
 
 
 @pytest.mark.parametrize("offset", [1, 3, 8, 13])

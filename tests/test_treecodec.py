@@ -15,6 +15,7 @@ of the ideal.
 """
 
 import math
+import os
 import random
 import tracemalloc
 import weakref
@@ -411,11 +412,60 @@ class TestRuns:
         assert len(encoded) < enc.symbols_coded // 40 and len(decoded) < enc.symbols_coded // 40
         assert len(built) == len(members)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "fixed160/duplicate-run-3",
+            "fixed16/duplicate-chain",
+            "fixed8/duplicates",
+            "fixed8/binom-1/3",
+            "fib/duplicates",
+            "fib/betabin-2,5",
+            "fib/random-1500",
+        ],
+    )
+    def test_a_run_is_one_copy_of_one_member(self, name, monkeypatch):
+        # each member with one copy sends the bits below its own node as one
+        # run under split(1); a member with several copies sends them one
+        # decision at a time
+        from test_golden import CASES
+
+        members, params = CASES[name]
+        items = []
+        encode = RangeEncoder.encode_intervals
+        monkeypatch.setattr(
+            RangeEncoder, "encode_intervals", lambda enc, s: encode(enc, items.extend(s) or items)
+        )
+        encode_members(members, params, RangeEncoder())
+        runs = [(*run, bits) for run, bits in items if run.__class__ is tuple]
+
+        counts = Counter(as_bitstring(m).to_str() for m in members)
+        distinct = sorted(counts)  # prefix-free, so its neighbours fix each member's node
+        want, copied = [], 0
+        for i, w in enumerate(distinct):
+            shared = [len(os.path.commonprefix([w, v])) for v in distinct[max(i - 1, 0) : i + 2]]
+            d = max(s + 1 for s in shared if s < len(w)) if len(distinct) > 1 else 0
+            if counts[w] == 1 and len(w) > d:
+                want.append((params.family.split_table(1), len(w) - d, int(w[d:], 2)))
+            elif counts[w] > 1:
+                copied += len(w) - d
+        assert runs == want
+        assert copied  # several copies of a member reach a chain of decisions
+
 
 # --- rejection and robustness ----------------------------------------------
 
 
 class TestValidation:
+    def test_unknown_regime_rejected(self):
+        params = CodecParams("fixed")
+        enc = RangeEncoder()
+        with pytest.raises(TypeError):
+            encode_members(["01"], params, enc)
+        assert enc.symbols_coded == 0
+        with pytest.raises(TypeError):
+            decode_members(params, 1, RangeDecoder.from_bytes(b"\x12"))
+
     def test_fixed_rejects_wrong_lengths(self):
         params = CodecParams(FixedRegime(3))
         for members in (["01"], ["0101"], ["010", ""]):
