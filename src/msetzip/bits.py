@@ -8,6 +8,7 @@ output byte from its most significant bit down.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import TruncationError
@@ -16,6 +17,7 @@ from .errors import TruncationError
 _DIGITS = b"0" + b"1" * 255
 
 
+@dataclass(frozen=True, order=True, slots=True, init=False, repr=False)
 class BitString:
     """An immutable sequence of bits backed by (bytes, bit length).
 
@@ -25,7 +27,12 @@ class BitString:
     ("0" < "00" < "01" < "1").
     """
 
-    __slots__ = ("data", "nbits")
+    # Order compares the fields in turn.  Pad bits are zero, so comparing
+    # (data, nbits) is the text order: a byte string sorts before its
+    # extensions, and equal bytes differ only in how many of their
+    # trailing zeros are bits.
+    data: bytes
+    nbits: int
 
     def __init__(self, data: bytes, nbits: int):
         nbytes = (nbits + 7) >> 3
@@ -38,9 +45,6 @@ class BitString:
             data = data[:-1] + bytes([data[-1] & (0xFF << (8 - tail)) & 0xFF])
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nbits", nbits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitString is immutable")
 
     @classmethod
     def from_str(cls, s: str) -> "BitString":
@@ -88,29 +92,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self.nbits
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitString)
-            and self.nbits == other.nbits
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nbits, self.data))
-
-    # Pad bits are zero, so comparing (data, nbits) is the text order: a
-    # byte string sorts before its extensions, and equal bytes differ only
-    # in how many of their trailing zeros are bits.
-    def __lt__(self, other: "BitString") -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return (self.data, self.nbits) < (other.data, other.nbits)
-
-    def __le__(self, other: "BitString") -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return (self.data, self.nbits) <= (other.data, other.nbits)
 
     def __repr__(self) -> str:
         if self.nbits <= 64:

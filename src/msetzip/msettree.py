@@ -13,24 +13,18 @@ Zero-count nodes are never kept.  A present child always has count >= 1.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .bits import BitString, as_bitstring
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class TreeNode:
-    __slots__ = ("count", "child0", "child1")
-
-    def __init__(
-        self,
-        count: int = 0,
-        child0: Optional["TreeNode"] = None,
-        child1: Optional["TreeNode"] = None,
-    ) -> None:
-        self.count = count
-        self.child0 = child0
-        self.child1 = child1
+    count: int = 0
+    child0: Optional[TreeNode] = None
+    child1: Optional[TreeNode] = None
 
     def child(self, bit: int) -> Optional["TreeNode"]:
         return self.child1 if bit else self.child0
@@ -177,9 +171,6 @@ class MultisetTree:
                     stack.append((ca, cb))
         return True
 
-    def __hash__(self):  # mutable container
-        raise TypeError("MultisetTree is unhashable")
-
     def node_count(self) -> int:
         total = 0
         stack = [self.root]
@@ -197,11 +188,7 @@ class MultisetTree:
         return f"MultisetTree(N={n}, nodes={self.node_count()})"
 
 
-def _merge_nodes(a: Optional[TreeNode], b: Optional[TreeNode]) -> Optional[TreeNode]:
-    if a is None:
-        return b
-    if b is None:
-        return a
+def _merge_nodes(a: TreeNode, b: TreeNode) -> TreeNode:
     out = TreeNode(a.count + b.count)
     stack = [(out, a, b)]
     while stack:

@@ -1,11 +1,14 @@
 """BitString / BitWriter / BitReader."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from msetzip import CodecParams, FixedRegime, compress, decompress
 from msetzip.bits import BitReader, BitString, BitWriter, as_bitstring
 from msetzip.errors import TruncationError
 from msetzip.msettree import MultisetTree
@@ -44,6 +47,23 @@ class TestBitString:
         with pytest.raises(AttributeError):
             bs.data = b"\xff"
         assert bs == BitString.from_str("0110")
+
+    def test_copies_and_pickles_are_equal(self):
+        rng = random.Random(0)
+        members = [BitString(rng.randbytes(21), n) for n in (0, 1, 7, 8, 9, 161)]
+        members += decompress(compress(["0110", "1101", "0110"], CodecParams(FixedRegime(4))))
+        for bs in members:
+            copies = [copy.copy(bs), copy.deepcopy(bs)]
+            copies += [pickle.loads(pickle.dumps(bs, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for c in copies:
+                assert type(c) is BitString and c == bs and hash(c) == hash(bs)
+                assert (c.data, c.nbits) == (bs.data, bs.nbits)
+
+    def test_repr(self):
+        assert repr(BitString.from_str("")) == "BitString('')"
+        assert repr(BitString.from_str("0110")) == "BitString('0110')"
+        assert repr(BitString.from_str("1" * 64)) == f"BitString('{'1' * 64}')"
+        assert repr(BitString.from_str("1" * 65)) == "BitString(<65 bits>)"
 
     def test_pad_bits_canonicalized(self):
         # same bits, one constructed with garbage in the pad region
@@ -123,6 +143,18 @@ class TestBitString:
         assert [b.to_str() for b in ordered] == sorted(texts)
         for a, b in zip(ordered, ordered[1:]):
             assert a < b and a <= b and not b < a and not b <= a
+
+    @given(st.binary(max_size=20), st.binary(max_size=20))
+    def test_greater_is_the_text_order_too(self, r, s):
+        a, b = BitString.from_bits(r), BitString.from_bits(bytearray(s))
+        x, y = ("".join("1" if c else "0" for c in raw) for raw in (r, s))
+        assert (a > b, a >= b) == (x > y, x >= y)
+
+    def test_greater_is_the_text_order_up_to_11_bits(self):
+        texts = ["".join(t) for n in range(12) for t in itertools.product("01", repeat=n)]
+        ordered = [BitString.from_str(t) for t in sorted(texts)]
+        for a, b in zip(ordered, ordered[1:]):
+            assert b > a and b >= a and not a > b and not a >= b
 
     def test_as_bitstring(self):
         assert as_bitstring("101").to_str() == "101"

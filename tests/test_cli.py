@@ -54,6 +54,23 @@ class TestCompressDecompress:
         assert run("decompress", str(box), "--out", str(back)) == 0
         assert back.read_text().split() == ["01", "011"]
 
+    @pytest.mark.parametrize(
+        "spec,words",
+        [
+            ("point:4", ["0110", "1101", "0110"]),
+            ("geometric:1/3", ["1", "01", "0", "110100", "01"]),
+        ],
+    )
+    def test_general_regime_length_models_round_trip(self, tmp_path, spec, words):
+        src = tmp_path / "in.bits"
+        src.write_text("\n".join(words) + "\n")
+        box = tmp_path / "out.msz"
+        back = tmp_path / "back.bits"
+        assert run("compress", str(src), "--regime", "general", "--length-model", spec,
+                   "--out", str(box)) == 0
+        assert run("decompress", str(box), "--out", str(back)) == 0
+        assert back.read_text().split() == sorted(words)
+
     def test_raw_format_round_trip(self, tmp_path):
         src = tmp_path / "in.raw"
         box = tmp_path / "out.msz"
@@ -256,7 +273,7 @@ class TestBench:
         out = tmp_path / "fib.csv"
         assert run("bench-fib", "--n-values", "16,32", "--k", "500",
                    "--seed", "5", "--csv", str(out)) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "N"
         assert len(rows) == 1 + 2 * 4  # two Ns, four methods each
         assert {r[1] for r in rows[1:]} == {
@@ -271,9 +288,11 @@ class TestBench:
 
 
 class TestArgumentErrors:
-    def test_unknown_length_model_spec(self):
-        with pytest.raises(SystemExit):
-            run("compress", "-", "--regime", "general", "--length-model", "zipf:3")
+    @pytest.mark.parametrize("spec", ["zipf:3", "uniform:3", "point:x", "geometric:1/0"])
+    def test_unknown_length_model_spec(self, spec):
+        with pytest.raises(SystemExit) as exit_:
+            run("compress", "-", "--regime", "general", "--length-model", spec)
+        assert exit_.value.code == 2
 
     def test_bad_theta(self):
         with pytest.raises(SystemExit):

@@ -97,6 +97,8 @@ class TestBetaBinomial:
             betabin_log2pmf_table(5, 0, 1)
         with pytest.raises(ValueError):
             betabin_log2pmf_table(5, 1, -2)
+        with pytest.raises(ValueError):
+            betabin_log2pmf_table(-1, 1, 1)
 
 
 class TestTrinomial:
@@ -129,6 +131,11 @@ class TestTrinomial:
                 n0 = n - nt - n1
                 total += 2.0 ** trinomial_log2pmf(nt, n0, n1, tt, t1)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_count_rejected(self):
+        for counts in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
+            with pytest.raises(ValueError):
+                trinomial_log2pmf(*counts, Fraction(1, 3), Fraction(1, 2))
 
     def test_degenerate_corners(self):
         assert trinomial_log2pmf(3, 0, 0, 1, Fraction(1, 2)) == 0.0

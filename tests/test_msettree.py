@@ -57,6 +57,9 @@ class TestWorkedExamples:
         assert n.child(1).count == 1
         assert n.slack == 1
         assert node_at(t, "10").slack == 2  # the two bare "10" members
+        # root, 0, 00, 000, 01, 1, 10, 101, 11, 110, 111
+        assert t.node_count() == 11
+        assert repr(t) == "MultisetTree(N=10, nodes=11)"
 
     def test_variable_length_enumerate(self):
         t = MultisetTree.build(VARLEN10)
