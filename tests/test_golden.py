@@ -163,6 +163,17 @@ def _cases() -> dict:
         [head] * 3 + [other],
         CodecParams(FixedRegime(160), FAMILIES["binom-1/3"]),
     )
+    # Runs of up to 2048 bits under the equiprobable table [0, 1, 2], which
+    # binomial 1/2 and BetaBin(1/2, 1/2) both give at n = 1.  Coding the
+    # seven members carries into bytes already written, some through a 0xFF
+    # byte; a lone member's run starts on the coder's initial range.
+    long_runs = _random_fixed(4, 5, 2048) + ["1" * 2048, "0" * 2048]
+    for fname in ("binom-1/2", "betabin-1/2,1/2"):
+        params = CodecParams(FixedRegime(2048), FAMILIES[fname])
+        cases[f"fixed2048/random-7/{fname}"] = (long_runs, params)
+    for bit, name in (("1", "ones"), ("0", "zeros")):
+        params = CodecParams(FixedRegime(2048), FAMILIES["binom-1/2"])
+        cases[f"fixed2048/N=1/{name}"] = ([bit * 2048], params)
     return cases
 
 
@@ -186,6 +197,10 @@ GOLDEN = {
     "fixed160/sha1-1024": (19403, "296396050073a6e9559211202ede9bf4e8ba9ccc1845db449bdeaafe09a86cdd"),
     "fixed160/sha1-256/betabin-2,5": (5666, "4043c0325ed859d700ef6638a343bc30d0f7bde086b773cfacde03d80c5d0a3b"),
     "fixed160/sha1-256/binom-1/3": (5364, "f7f54a8e33cd2753b6da71e041e308b33d15daf065e29ee3a749382a6e63b841"),
+    "fixed2048/N=1/ones": (274, "d68b9af441a36f9e862d09ff52500330ceac93df593ed2dd9c735efb81df72ea"),
+    "fixed2048/N=1/zeros": (274, "08a6f519ddd84a6a07a79e16daae19ef8658506f015a6567be0ae7b156eaa8ac"),
+    "fixed2048/random-7/betabin-1/2,1/2": (1817, "92de9d73b56424843f4a7d81c15a218f2dc893ae970e541c1993f6b2efc3cbd7"),
+    "fixed2048/random-7/binom-1/2": (1809, "3028491a2c1ea7344d6f59e117c5fd24fbfbd1fde9a71a1f5cd75c5c76753afa"),
     "fixed64/N=1/carry-through-ff": "4d535a310100000040000000090000000a6333334000025d7a8084e437f2cf88",
     "fixed64/random-1000": (6953, "2218eef55eef5830e7fdf03bf49c46bd6b6ba77034484c7ba3bfd44a85d75ce4"),
     "fixed8/N=0": "4d535a3101000000080000000100000003c0",
