@@ -12,8 +12,10 @@ Two experiments, each emitting one record per (N, method):
     code over the raw integers.  Flat concatenation of the codewords is
     the zero-compression reference.
 
+Every tree-codec and Dirichlet-multinomial record also decodes its
+container, checks it against the input, and records the time taken.
 Records are deterministic given (n_values, seed) in every field except
-wall_time.  SHA-1 is used purely as a pseudo-random 160-bit generator;
+wall_time and decode_time.  SHA-1 is used purely as a pseudo-random 160-bit generator;
 nothing cryptographic is implied.
 """
 
@@ -29,12 +31,18 @@ from fractions import Fraction
 from typing import Iterable, TextIO
 
 from .bits import BitString
-from .container import compress_tree_detail
-from .dirmult import DEFAULT_ALPHA, IntMultiset, encode_dirmult, ideal_codelength_dirmult
+from .container import compress_tree_detail, decompress
+from .dirmult import (
+    DEFAULT_ALPHA,
+    IntMultiset,
+    decode_dirmult,
+    encode_dirmult,
+    ideal_codelength_dirmult,
+)
 from .distributions import LN2
 from .fibcode import fib_encode, fib_length
 from .models import FibTerminatorDetector
-from .rangecoder import RangeEncoder
+from .rangecoder import RangeDecoder, RangeEncoder
 from .treecodec import (
     BetaBinomialFamily,
     BinomialFamily,
@@ -56,7 +64,8 @@ class BenchRecord:
     bits_for_N_header: int
     bits_per_element: float
     ideal_bits_per_element: float
-    wall_time: float
+    wall_time: float  # to compress
+    decode_time: float  # to decompress; 0 for the concatenation rows
 
 
 def log2_factorial(n: int) -> float:
@@ -90,6 +99,11 @@ def _tree_record(
     t0 = time.perf_counter()
     result = compress_tree_detail(members, params)
     wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    decoded = decompress(result.data)
+    decode_wall = time.perf_counter() - t0
+    if decoded != sorted(members):
+        raise RuntimeError(f"the {family_label} container does not decode to its input")
     return BenchRecord(
         n=n,
         family=family_label,
@@ -98,6 +112,7 @@ def _tree_record(
         bits_per_element=result.total_bits / n,
         ideal_bits_per_element=ideal_per_elem,
         wall_time=wall,
+        decode_time=decode_wall,
     )
 
 
@@ -125,6 +140,7 @@ def bench_rsha1(
                 bits_per_element=float(SHA1_BITS),
                 ideal_bits_per_element=float(SHA1_BITS),
                 wall_time=0.0,
+                decode_time=0.0,
             )
         )
     return records
@@ -157,6 +173,11 @@ def bench_fib(
         encode_dirmult(ms, enc, DEFAULT_ALPHA)
         payload = enc.finish()
         wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        decoded = decode_dirmult(k, n, RangeDecoder.from_bytes(payload.data), DEFAULT_ALPHA)
+        decode_wall = time.perf_counter() - t0
+        if decoded != ms:
+            raise RuntimeError("the dirichlet_multinomial payload does not decode to its input")
         total = fib_length(n + 1) + payload.nbits
         records.append(
             BenchRecord(
@@ -167,6 +188,7 @@ def bench_fib(
                 bits_per_element=total / n,
                 ideal_bits_per_element=ideal_codelength_dirmult(ms, DEFAULT_ALPHA) / n,
                 wall_time=wall,
+                decode_time=decode_wall,
             )
         )
 
@@ -180,12 +202,22 @@ def bench_fib(
                 bits_per_element=flat / n,
                 ideal_bits_per_element=flat / n,
                 wall_time=0.0,
+                decode_time=0.0,
             )
         )
     return records
 
 
-CSV_COLUMNS = ["N", "family", "bits_total", "bits_header", "bits_per_element", "ideal_limit", "wall_ms"]
+CSV_COLUMNS = [
+    "N",
+    "family",
+    "bits_total",
+    "bits_header",
+    "bits_per_element",
+    "ideal_limit",
+    "wall_ms",
+    "decode_ms",
+]
 
 
 def write_csv(records: Iterable[BenchRecord], out: TextIO) -> None:
@@ -201,5 +233,6 @@ def write_csv(records: Iterable[BenchRecord], out: TextIO) -> None:
                 f"{r.bits_per_element:.6f}",
                 f"{r.ideal_bits_per_element:.6f}",
                 f"{r.wall_time * 1000.0:.3f}",
+                f"{r.decode_time * 1000.0:.3f}",
             ]
         )

@@ -19,20 +19,19 @@ streams.  A table with T == 1 is a point mass: it carries no information, so
 nothing is coded for it.
 
 Either stream may also hold a run: many decisions under one two-outcome
-table [0, head, total], coded in one tight loop that checks the table
-once.  A run puts the tuple (cum, count), count >= 1 its number of
-decisions, in the table's slot, and its outcomes are the bits of one int,
-first decision on top: the encoder codes the item ((cum, count), bits),
-and the decoder, handed (cum, count), answers with that int.  Both loops
-take x = (range // T) * head, the generic update of either outcome;
-outcome 1 is the one where value >= x.  Under the equiprobable table
-[0, 1, 2], which binomial 1/2 and every symmetric Beta-binomial give at
-n = 1, x is range >> 1, the same integer without the division and the
-multiply: the shift CABAC uses for its bypass bins.  A run leaves the
-coder's bytes and state exactly as its decisions coded one at a time
-would, and both sides refuse a run whose table has other than two
-outcomes, whose total is out of range or whose count is below 1 with
-ValueError, before any of its decisions.
+table [0, head, total], with the table checked once.  A run puts the tuple
+(cum, count), count >= 1 its number of decisions, in the table's slot, and
+its outcomes are the bits of one int, first decision on top: the encoder
+codes the item ((cum, count), bits), and the decoder, handed (cum, count),
+answers with that int.  Both loops take x = (range // T) * head, the
+generic update of either outcome; outcome 1 is the one where value >= x.
+Under the equiprobable table [0, 1, 2], which binomial 1/2 and every
+symmetric Beta-binomial give at n = 1, x is range >> 1, the same integer
+without the division and the multiply: the shift CABAC uses for its bypass
+bins.  A run leaves the coder's bytes and state exactly as its decisions
+coded one at a time would, and both sides refuse a run whose table has
+other than two outcomes, whose total is out of range or whose count is
+below 1 with ValueError, before any of its decisions.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -40,6 +39,22 @@ added straight into the output, turning its trailing 0xFF bytes to 0x00
 and incrementing the byte before them.  The code value stays below 1, so
 no carry passes the first byte, and the output is pure bytes with no bit
 stuffing.
+
+An equiprobable run codes a whole stretch of bytes at a time.  Its
+decisions go one by one up to its first renormalisation, at most nine of
+them, which leaves range = R = 256 q in [2**63, 2**64).  From there eight
+halvings leave range == q exactly and the next renormalisation restores R,
+so each further 8 decisions j only add q j to low and shift out one byte.
+The encoder codes m such bytes of decisions J as one big-int step,
+(low << 8 m) + R J, of m + 8 bytes: its top m bytes are output, the other
+8 are low, and a bit above them all is a carry into the output before.  The
+decoder pulls the next m bytes B and divides (value << 8 (m - 1)) | B >> 8
+by q: the quotient is J, and the remainder followed by B's last byte is
+value.  A tail of t < 8 decisions j adds (R >> t) j to low, or takes
+j = value // (R >> t), and leaves range = R >> t.  The decoder steps bytes
+only while value < range, which holds unless the payload opens with eight
+0xFF bytes; there value == range, and the run decodes one decision at a
+time as the per-decision decoder would.
 
 With a 64-bit range register and table totals capped at TOTAL_MAX =
 2**24, the quotient range // T is at least 2**32, which bounds the
@@ -53,7 +68,7 @@ decoder treats bytes past the end of input as zeros).
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Generator, Iterable, Sequence, TypeVar
 
 from .bits import BitReader, BitString
@@ -106,7 +121,8 @@ class RangeEncoder:
         if self._finished:
             raise RuntimeError("encoder already finished")
         low, rng, coded = self.low, self.range, self.symbols_coded
-        emit, shift = self._out.append, RANGE_BITS - 8
+        out = self._out
+        emit, shift = out.append, RANGE_BITS - 8
         try:
             for cum, k in decisions:
                 if cum.__class__ is tuple:
@@ -114,14 +130,16 @@ class RangeEncoder:
                     if not 0 <= k < 1 << count:
                         raise ValueError(f"bits {k} do not fit a run of {count} decisions")
                     bits = format(k, f"0{count}b")
-                    # the run up to its first outcome of zero probability
-                    bad = bits.lstrip(("0" if head else "") + ("1" if head != total else ""))
+                    half = total == 2 and head == 1
+                    # the run up to its first outcome of zero probability,
+                    # which [0, 1, 2] does not have
+                    live = ("0" if head else "") + ("1" if head != total else "")
+                    bad = "" if half else bits.lstrip(live)
                     run = bits[: count - len(bad)]
                     # a point mass codes nothing, and outcome 0 beside a dead
                     # outcome 1 keeps the registers as they are
                     if total > 1 and head != total:
-                        half = total == 2 and head == 1
-                        for bit in run:
+                        for n, bit in enumerate(run, 1):
                             x = rng >> 1 if half else rng // total * head
                             if bit == "1":
                                 low += x
@@ -131,10 +149,29 @@ class RangeEncoder:
                                     low &= MASK
                             else:
                                 rng = x
-                            while rng < TOP:
-                                emit(low >> shift)
-                                low = (low << 8) & MASK
-                                rng <<= 8
+                            if rng < TOP:
+                                while rng < TOP:
+                                    emit(low >> shift)
+                                    low = (low << 8) & MASK
+                                    rng <<= 8
+                                if half:
+                                    break
+                        if half and n < count:
+                            # range is 256 q: each 8 bits j add q j to low and
+                            # shift out a byte, so m bytes of bits J are one step
+                            m, t = divmod(count - n, 8)
+                            if m:
+                                v = (low << 8 * m) + rng * (k >> t & (1 << 8 * m) - 1)
+                                if v >> RANGE_BITS + 8 * m:
+                                    self._carry()
+                                out += (v >> RANGE_BITS & (1 << 8 * m) - 1).to_bytes(m, "big")
+                                low = v & MASK
+                            if t:
+                                rng >>= t
+                                low += rng * (k & (1 << t) - 1)
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
                     if total > 1:
                         coded += len(run)
                     if bad:
@@ -195,9 +232,10 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder.
 
-    Construct with a pull() callable returning one byte per call (return
-    0 past the end of data), or use from_bytes / from_reader, then run
-    the decisions through decode_walk, or decode_target one at a time.
+    Construct with a pull() callable returning one byte, an int in
+    [0, 256), per call (return 0 past the end of data), or use from_bytes /
+    from_reader, then run the decisions through decode_walk, or
+    decode_target one at a time.
     """
 
     def __init__(self, pull: Callable[[], int]):
@@ -244,7 +282,7 @@ class RangeDecoder:
                     k = 0
                     if head != total:  # else outcome 1 is dead and every outcome is 0
                         half = total == 2 and head == 1
-                        for _ in repeat(None, count):
+                        for n in range(count - 1, -1, -1):
                             x = rng >> 1 if half else rng // total * head
                             if value >= x:  # that is, value // (rng // total) >= head
                                 k = k << 1 | 1
@@ -253,9 +291,27 @@ class RangeDecoder:
                             else:
                                 k <<= 1
                                 rng = x
-                            while rng < TOP:
-                                value = ((value << 8) | (pull() & 0xFF)) & MASK
-                                rng <<= 8
+                            if rng < TOP:
+                                while rng < TOP:
+                                    value = ((value << 8) | (pull() & 0xFF)) & MASK
+                                    rng <<= 8
+                                # value >= range only on a payload that opens
+                                # with eight 0xFF bytes; it stays bit by bit
+                                if half and value < rng:
+                                    break
+                        if n:
+                            # the mirror of the encoder's byte steps: m bytes
+                            # B of input give m bytes of bits at one division
+                            m, t = divmod(n, 8)
+                            if m:
+                                b = int.from_bytes(bytes(islice(iter(pull, None), m)), "big")
+                                j, r = divmod((value << 8 * m - 8) | b >> 8, rng >> 8)
+                                value = r << 8 | b & 0xFF
+                                k = k << 8 * m | j
+                            if t:
+                                rng >>= t
+                                j, value = divmod(value, rng)
+                                k = k << t | j
                     cum = walk.send(k)
                     continue
                 total = cum[-1]

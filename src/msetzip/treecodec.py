@@ -19,9 +19,10 @@ One walk, _decisions, yields every decision as (table, outcome) in coding
 order, except a run: one copy of one member (m = 1) where no termination
 counts are coded, whose remaining decisions under the two-outcome table
 split(1) are one item ((table, count), bits), the member's remaining count
-bits as one int.  The range coder codes that stream in one call, a run in
-one tight loop, and the ideal codelength sums it over the exact log2 pmf, a
-run one decision at a time.  The decoder runs the walk's mirror,
+bits as one int.  The range coder codes that stream in one call, a run
+under the equiprobable split(1) a whole stretch of bytes at a time, and the
+ideal codelength sums it over the exact log2 pmf, a run one decision at a
+time.  The decoder runs the walk's mirror,
 _decode_walk: it hands each table to the range decoder, takes back the
 count, and follows a chain without the stack until the chain branches,
 which at n = 1 is the whole rest of a member.  In the fixed regime that
@@ -239,24 +240,32 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
     """Per-call caches over a family's table factories: split(n) and
     termination(d, n).  Keys are ints, which keeps the module-level caches'
     Fraction hashing off the per-node path; depths with equal hazards share
-    tables through the first depth that has that hazard.  Each cache keeps
-    at most TABLES_PER_CALL entries; the hazard map starts afresh when full,
-    which costs sharing but no bytes, as a table depends on the hazard's
-    value alone."""
+    tables through the first depth that has that hazard, and each depth's
+    hazard is computed once.  Each cache keeps at most TABLES_PER_CALL
+    entries; the depth maps start afresh when full, which costs sharing but
+    no bytes, as a table depends on the hazard's value alone."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
-    first_depth: dict[Fraction, int] = {}  # hazard -> first depth with it
-
-    @lru_cache(maxsize=TABLES_PER_CALL)
-    def depth_of(d: int) -> int:
-        if len(first_depth) >= TABLES_PER_CALL:
-            first_depth.clear()
-        return first_depth.setdefault(hazard(model, d), d)
+    first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
+    by_hazard: dict[Fraction, int] = {}  # hazard -> first depth with it
+    hazard_at: dict[int, Fraction] = {}  # first depth -> its hazard
 
     @lru_cache(maxsize=TABLES_PER_CALL)
     def shared(d0: int, n: int):
-        return termination(n, hazard(model, d0))
+        return termination(n, hazard_at[d0])
 
-    return split, lambda d, n: shared(depth_of(d), n)
+    def termination_at(d: int, n: int):
+        d0 = first_depth.get(d)
+        if d0 is None:
+            if len(first_depth) >= TABLES_PER_CALL:
+                first_depth.clear()
+                by_hazard.clear()
+                hazard_at.clear()
+            h = hazard(model, d)
+            d0 = first_depth[d] = by_hazard.setdefault(h, d)
+            hazard_at.setdefault(d0, h)
+        return shared(d0, n)
+
+    return split, termination_at
 
 
 def _sort(members: Iterable, regime: Regime):

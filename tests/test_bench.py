@@ -4,6 +4,9 @@ import csv
 import io
 import math
 
+import pytest
+
+import msetzip.bench as bench
 from msetzip.bench import (
     CSV_COLUMNS,
     SHA1_BITS,
@@ -92,8 +95,6 @@ class TestAccounting:
         assert concat.bits_total == SHA1_BITS
 
     def test_rejects_empty_points(self):
-        import pytest
-
         with pytest.raises(ValueError):
             bench_rsha1([0])
         with pytest.raises(ValueError):
@@ -116,3 +117,26 @@ class TestCsv:
             assert float(row[4]) == round(rec.bits_per_element, 6)
             assert float(row[5]) == round(rec.ideal_bits_per_element, 6)
             float(row[6])  # wall_ms parses; value is timing noise
+            assert row[7] == f"{rec.decode_time * 1000.0:.3f}"
+            # every coded row decodes its container; concatenation has none
+            assert (float(row[7]) > 0) == (rec.family != "concat")
+
+    def test_rsha1_rows_time_their_decode(self):
+        records = bench_rsha1([16], seed=1)
+        assert {r.family for r in records if r.decode_time > 0} == {"binomial", "beta_binomial"}
+        assert [r.decode_time for r in records if r.family == "concat"] == [0.0]
+
+
+class TestDecodeCheck:
+    def test_a_tree_row_that_decodes_wrong_raises(self, monkeypatch):
+        monkeypatch.setattr(bench, "decompress", lambda data: [])
+        with pytest.raises(RuntimeError, match="does not decode"):
+            bench_rsha1([16], seed=1)
+
+    def test_a_dirichlet_multinomial_row_that_decodes_wrong_raises(self, monkeypatch):
+        def wrong(k, n, dec, alpha):
+            return bench.IntMultiset(k=k, counts=(n,) + (0,) * (k - 1))
+
+        monkeypatch.setattr(bench, "decode_dirmult", wrong)
+        with pytest.raises(RuntimeError, match="does not decode"):
+            bench_fib([16], seed=1, k=500)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from msetzip.bits import BitReader, BitWriter
 from msetzip.errors import ModelMismatchError
 from msetzip.quantize import quantize
-from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
+from msetzip.rangecoder import MASK, TOP, TOTAL_MAX, RangeDecoder, RangeEncoder
 
 
 def _random_table(rng: random.Random) -> list[int]:
@@ -411,6 +411,87 @@ def test_equiprobable_runs_code_as_their_decisions_one_by_one(monkeypatch):
             assert "".join(str(one.decode_target(half)) for _ in bits) == bits
             assert (dec.value, dec.range) == (one.value, one.range)
     assert carries  # some leads leave the interval across a byte boundary
+
+
+# --- equiprobable runs from edge states, against one decision per call --------
+
+HALF = [0, 1, 2]
+# the renormalisation threshold, and every range that halves nine times
+# before its first renormalisation
+EDGE_RANGES = [TOP, TOP + 1, *range(2**64 - 256, 2**64)]
+EDGE_COUNTS = [*range(1, 41), 63, 64, 65, 200]
+# (low, output so far): the bottom of the window, and the top of it after
+# output that ends in 0xFF bytes, where a carry ripples back
+EDGE_LOWS = [(0, b""), (MASK - 5, b"\x5a\xff\xff\xff")]
+
+
+def _bit_patterns(count: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [0, (1 << count) - 1, rng.getrandbits(count), int("10" * count, 2) >> count]
+
+
+def _encoder_at(low: int, rng: int, out: bytes) -> RangeEncoder:
+    enc = RangeEncoder()
+    enc.low, enc.range, enc._out = low, rng, bytearray(out)
+    return enc
+
+
+def _check_encoded_run(low: int, rng: int, out: bytes, count: int, bits: int) -> None:
+    enc, one = _encoder_at(low, rng, out), _encoder_at(low, rng, out)
+    enc.encode_intervals([((HALF, count), bits)])
+    for bit in format(bits, f"0{count}b"):
+        one.encode_interval(HALF, int(bit))
+    assert (enc.low, enc.range, enc.symbols_coded) == (one.low, one.range, one.symbols_coded)
+    assert enc.finish() == one.finish()
+
+
+def _check_decoded_run(data: bytes, state, count: int) -> None:
+    """The run decodes as count decode_target calls, from the registers
+    (value, range), or from the state data leaves when state is None; and
+    the decoders read on alike after it."""
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    if state is not None:
+        dec.value, dec.range = one.value, one.range = state
+    got = dec.decode_walk(_run_walk(HALF, count))
+    want = 0
+    for _ in range(count):
+        want = want << 1 | one.decode_target(HALF)
+    assert (got, dec.value, dec.range) == (want, one.value, one.range)
+    after = [dec.decode_target([0, 3, 8]) for _ in range(24)], dec.value, dec.range
+    assert after == ([one.decode_target([0, 3, 8]) for _ in range(24)], one.value, one.range)
+
+
+@pytest.mark.parametrize("count", EDGE_COUNTS)
+def test_equiprobable_run_from_edge_states(count):
+    data = bytes(random.Random(count).getrandbits(8) for _ in range(40))
+    for rng in (TOP, TOP + 1, 2**64 - 256, MASK):
+        for bits in _bit_patterns(count, rng):
+            for low, out in EDGE_LOWS:
+                _check_encoded_run(low, rng, out, count, bits)
+        for value in (0, rng // 3, rng - 1):
+            _check_decoded_run(data, (value, rng), count)
+
+
+def test_equiprobable_run_from_every_range_with_a_nine_bit_head():
+    data = bytes(random.Random(9).getrandbits(8) for _ in range(40))
+    for rng in EDGE_RANGES:
+        for count in (8, 9, 10, 17, 200):
+            for bits in _bit_patterns(count, rng):
+                _check_encoded_run(MASK - 5, rng, b"\x5a\xff\xff", count, bits)
+            for value in (0, rng - 1):
+                _check_decoded_run(data, (value, rng), count)
+
+
+@pytest.mark.parametrize("ffs", [8, 9, 12, 20])
+def test_equiprobable_run_on_a_payload_that_opens_with_ff_bytes(ffs):
+    # the decoder starts with value == range, an interval no encoder
+    # leaves, and must still decode what the per-decision decoder does
+    for tail in (b"", b"\x12" * 70, bytes(range(256))):
+        data = b"\xff" * ffs + tail
+        for count in (*EDGE_COUNTS, 30, 100):
+            _check_decoded_run(data, None, count)
+        dec = RangeDecoder.from_bytes(data)
+        assert dec.value == dec.range == MASK
 
 
 @pytest.mark.parametrize("cum", RUN_TABLES)

@@ -603,6 +603,29 @@ class TestTableMemory:
         assert 0 < peak <= 2 * 8 + 2
 
 
+    def test_each_depth_computes_its_hazard_once(self, monkeypatch):
+        # A uniform length model's hazard differs at every depth, so every
+        # depth has its own termination tables; each depth's hazard is
+        # computed once per call, whatever counts its tables are for.
+        calls = Counter()
+        exact = treecodec.hazard
+        monkeypatch.setattr(treecodec, "hazard", lambda m, d: calls.update((d,)) or exact(m, d))
+        members = ["0110", "0110", "0111", "01", "1" * 300]
+        for family in (BinomialFamily(), BetaBinomialFamily()):
+            params = CodecParams(GeneralRegime(UniformLength(1, 400)), family)
+            enc = RangeEncoder()
+            encode_members(members, params, enc)
+            assert calls == Counter(range(301))
+            calls.clear()
+            dec = RangeDecoder.from_bytes(enc.finish().data)
+            assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+            assert calls == Counter(range(301))
+            calls.clear()
+            ideal_codelength(members, params)
+            assert calls == Counter(range(301))
+            calls.clear()
+
+
 class TestMemberMemory:
     def test_one_long_member_costs_only_its_own_bits(self):
         # Each distinct member is held at its own length: one 16,000-bit
