@@ -15,8 +15,8 @@ Two experiments, each emitting one record per (N, method):
 Every tree-codec and Dirichlet-multinomial record also decodes its
 container, checks it against the input, and records the time taken.
 Records are deterministic given (n_values, seed) in every field except
-wall_time and decode_time.  SHA-1 is used purely as a pseudo-random 160-bit generator;
-nothing cryptographic is implied.
+wall_time and decode_time.  SHA-1 is used purely as a pseudo-random
+160-bit generator; nothing cryptographic is implied.
 """
 
 from __future__ import annotations

@@ -299,7 +299,7 @@ class RangeDecoder:
                                 # with eight 0xFF bytes; it stays bit by bit
                                 if half and value < rng:
                                     break
-                        if n:
+                        if n:  # left only where the loop broke off
                             # the mirror of the encoder's byte steps: m bytes
                             # B of input give m bytes of bits at one division
                             m, t = divmod(n, 8)

@@ -22,13 +22,12 @@ split(1) are one item ((table, count), bits), the member's remaining count
 bits as one int.  The range coder codes that stream in one call, a run
 under the equiprobable split(1) a whole stretch of bytes at a time, and the
 ideal codelength sums it over the exact log2 pmf, a run one decision at a
-time.  The decoder runs the walk's mirror,
-_decode_walk: it hands each table to the range decoder, takes back the
-count, and follows a chain without the stack until the chain branches,
-which at n = 1 is the whole rest of a member.  In the fixed regime that
-rest is one run, (table, L - d) in the table's slot, its bits coming back
-as one int.  Every distinct member is checked against the regime before the
-first symbol is coded.
+time.  The decoder runs the walk's mirror, _decode_walk: it hands each
+table to the range decoder, takes back the count, and follows a chain
+without the stack until the chain branches, which at n = 1 is the whole
+rest of a member.  In the fixed regime that rest is one run, (table, L - d)
+in the table's slot, its bits coming back as one int.  Every distinct member
+is checked against the regime before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
