@@ -602,7 +602,6 @@ class TestTableMemory:
         # 8 split + 8 termination tables cached, plus the one in hand
         assert 0 < peak <= 2 * 8 + 2
 
-
     def test_each_depth_computes_its_hazard_once(self, monkeypatch):
         # A uniform length model's hazard differs at every depth, so every
         # depth has its own termination tables; each depth's hazard is
