@@ -12,9 +12,12 @@ degenerate to zero-cost point masses there) rather than 1 - epsilon.
 
 An EndDetector is the self-delimiting regime's pure predicate on
 prefixes.  It must be prefix-free: once a prefix tests complete, no
-extension of it may ever be a member.  The codec hands it each prefix as
-a bytearray of 0/1 values, alike when it checks members before encoding
-and when it decodes.
+extension of it may ever be a member.  The decoder hands it each prefix as
+a bytearray of 0/1 values.  A detector may also answer for a whole member
+at once, through first_complete; both shipped detectors do, in closed
+form, and the check of the members before encoding then asks it once per
+distinct member.  A detector without it is asked is_complete at each trie
+node on that side too, about the same prefixes as the decoder.
 """
 
 from __future__ import annotations
@@ -125,6 +128,15 @@ class GeometricLength:
 
 @runtime_checkable
 class EndDetector(Protocol):
+    """is_complete is required.  A detector may also define
+
+        first_complete(value, nbits) -> Optional[int]
+
+    the length of the shortest prefix of the nbits-bit member value (its
+    first bit on top) for which is_complete holds, or None if none does.
+    It must agree with is_complete; the codec then checks the members
+    before encoding with one call each."""
+
     def is_complete(self, prefix: Sequence[int]) -> bool:
         """Whether prefix, a bytearray of 0/1 values, ends a member.  The
         codec may change the bytearray after the call returns."""
@@ -143,6 +155,12 @@ class FibTerminatorDetector:
     def is_complete(self, prefix: Sequence[int]) -> bool:
         return len(prefix) >= 2 and prefix[-1] == 1 and prefix[-2] == 1
 
+    def first_complete(self, value: int, nbits: int) -> Optional[int]:
+        # bit i of pairs is set where bits i and i + 1 of value both are;
+        # the highest such pair ends the shortest complete prefix
+        pairs = value & (value >> 1)
+        return nbits + 1 - pairs.bit_length() if pairs else None
+
 
 @dataclass(frozen=True)
 class FixedLengthDetector:
@@ -156,3 +174,6 @@ class FixedLengthDetector:
 
     def is_complete(self, prefix: Sequence[int]) -> bool:
         return len(prefix) == self.length
+
+    def first_complete(self, value: int, nbits: int) -> Optional[int]:
+        return self.length if self.length <= nbits else None

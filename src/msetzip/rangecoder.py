@@ -129,19 +129,28 @@ class RangeEncoder:
                     head, total, count = _run(cum)
                     if not 0 <= k < 1 << count:
                         raise ValueError(f"bits {k} do not fit a run of {count} decisions")
-                    bits = format(k, f"0{count}b")
                     half = total == 2 and head == 1
-                    # the run up to its first outcome of zero probability,
-                    # which [0, 1, 2] does not have
-                    live = ("0" if head else "") + ("1" if head != total else "")
-                    bad = "" if half else bits.lstrip(live)
-                    run = bits[: count - len(bad)]
+                    # stop bits go uncoded, from the run's first outcome of
+                    # zero probability to its end: none where both outcomes
+                    # are live, as under [0, 1, 2]
+                    if head == total:
+                        stop = k.bit_length()
+                    elif head:
+                        stop = 0
+                    else:
+                        stop = (k ^ (1 << count) - 1).bit_length()
                     # a point mass codes nothing, and outcome 0 beside a dead
                     # outcome 1 keeps the registers as they are
                     if total > 1 and head != total:
-                        for n, bit in enumerate(run, 1):
+                        base = count
+                        for n in range(count - 1, stop - 1, -1):
+                            if n < base:
+                                # the next 30 bits of k, one digit of Python's
+                                # int: k is shifted once per 30 bits, not per bit
+                                base = n - 29 if n > 29 else 0
+                                bits = k >> base & 0x3FFFFFFF
                             x = rng >> 1 if half else rng // total * head
-                            if bit == "1":
+                            if bits >> n - base & 1:
                                 low += x
                                 rng -= x
                                 if low > MASK:
@@ -156,10 +165,10 @@ class RangeEncoder:
                                     rng <<= 8
                                 if half:
                                     break
-                        if half and n < count:
+                        if half and n:
                             # range is 256 q: each 8 bits j add q j to low and
                             # shift out a byte, so m bytes of bits J are one step
-                            m, t = divmod(count - n, 8)
+                            m, t = divmod(n, 8)
                             if m:
                                 v = (low << 8 * m) + rng * (k >> t & (1 << 8 * m) - 1)
                                 if v >> RANGE_BITS + 8 * m:
@@ -173,9 +182,11 @@ class RangeEncoder:
                                     self._carry()
                                     low &= MASK
                     if total > 1:
-                        coded += len(run)
-                    if bad:
-                        raise ModelMismatchError(f"the run's outcome {bad[0]} has zero probability")
+                        coded += count - stop
+                    if stop:
+                        raise ModelMismatchError(
+                            f"the run's outcome {1 if head else 0} has zero probability"
+                        )
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
@@ -282,6 +293,10 @@ class RangeDecoder:
                     k = 0
                     if head != total:  # else outcome 1 is dead and every outcome is 0
                         half = total == 2 and head == 1
+                        # k holds at most 30 outcomes, one digit of Python's
+                        # int, and the older ones wait in top, which grows
+                        # once per 30 outcomes, not once per outcome
+                        top, fold = 0, count - 30
                         for n in range(count - 1, -1, -1):
                             x = rng >> 1 if half else rng // total * head
                             if value >= x:  # that is, value // (rng // total) >= head
@@ -299,6 +314,12 @@ class RangeDecoder:
                                 # with eight 0xFF bytes; it stays bit by bit
                                 if half and value < rng:
                                     break
+                            if n == fold:
+                                top = top << 30 | k
+                                k = 0
+                                fold -= 30
+                        if top:
+                            k |= top << fold + 30 - n
                         if n:  # left only where the loop broke off
                             # the mirror of the encoder's byte steps: m bytes
                             # B of input give m bytes of bits at one division

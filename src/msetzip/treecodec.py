@@ -174,14 +174,18 @@ def _schedule(
     termination counts are coded, depth cap, member check).  The fixed
     regime ends members by depth alone and the general regime never ends
     one early, so only the self-delimiting regime has a completion, its
-    detector.  DECODE_DEPTH_CAP is read per call, so lowering it takes
-    effect at once."""
+    detector's is_complete.  Its member check asks the detector's
+    first_complete once per distinct member where the detector has one,
+    and is_complete once per trie node where not.  DECODE_DEPTH_CAP is read
+    per call, so lowering it takes effect at once."""
     if isinstance(regime, FixedRegime):
         length = regime.length
         return length, None, None, length, _lengths(lambda n: n == length)
     if isinstance(regime, SelfDelimitingRegime):
         complete = regime.detector.is_complete
-        return None, complete, None, DECODE_DEPTH_CAP, _prefix_free(complete)
+        first = getattr(regime.detector, "first_complete", None)
+        check = _prefix_free(complete) if first is None else _ends_complete(first)
+        return None, complete, None, DECODE_DEPTH_CAP, check
     if isinstance(regime, GeneralRegime):
         model = regime.length_model
         cap = model.max_length()
@@ -206,12 +210,31 @@ def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
     return check
 
 
+def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> MemberCheck:
+    """The check that each member's shortest complete prefix, as the
+    detector's first_complete finds it, is the whole member.  That also
+    rules out a member that extends another, whose end would be a shorter
+    complete prefix of it."""
+
+    def check(distinct: list) -> None:
+        for data, nbits in distinct:
+            first = first_complete(int.from_bytes(data, "big") >> (8 * len(data) - nbits), nbits)
+            if first != nbits:
+                if first is None:
+                    raise ModelMismatchError(f"member of {nbits} bits does not end complete")
+                raise ModelMismatchError(f"member extends a complete {first}-bit prefix")
+
+    return check
+
+
 def _prefix_free(complete: Completion) -> MemberCheck:
     """The check that complete holds at every member's end and at no
-    shorter prefix.  The detector is a pure predicate, so it is asked once
-    per trie node, in the decoder's preorder: each member starts at the
-    prefix it shares with the member before, which is that member, complete,
-    or a shorter prefix of it that was not."""
+    shorter prefix, for a detector without first_complete, and the
+    reference that _ends_complete is tested against.  The detector is a
+    pure predicate, so it is asked once per trie node, in the decoder's
+    preorder: each member starts at the prefix it shares with the member
+    before, which is that member, complete, or a shorter prefix of it that
+    was not."""
 
     def check(distinct: list) -> None:
         prefix = bytearray()  # 0/1 values, as the decoder's detector sees them

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msetzip.models import (
     EndDetector,
@@ -123,3 +125,19 @@ class TestDetectors:
     def test_protocol_conformance(self):
         assert isinstance(FibTerminatorDetector(), EndDetector)
         assert isinstance(FixedLengthDetector(2), EndDetector)
+
+    @given(
+        st.just(FibTerminatorDetector()) | st.builds(FixedLengthDetector, st.integers(1, 40)),
+        st.integers(0, 48).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))),
+    )
+    @example(FibTerminatorDetector(), (0b1101, 4))  # the first 11, not the last
+    @example(FibTerminatorDetector(), (0b1010, 4))
+    @example(FibTerminatorDetector(), (0, 0))
+    @example(FixedLengthDetector(3), (0b01, 2))
+    @example(FixedLengthDetector(3), (0b0110, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_first_complete_is_the_first_complete_prefix(self, detector, member):
+        value, nbits = member
+        bits = bytearray(value >> (nbits - 1 - i) & 1 for i in range(nbits))
+        first = next((p for p in range(nbits + 1) if detector.is_complete(bits[:p])), None)
+        assert detector.first_complete(value, nbits) == first

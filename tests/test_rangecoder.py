@@ -307,10 +307,13 @@ def test_run_carries_through_ff_bytes(monkeypatch):
 
 def test_run_error_keeps_what_came_before():
     # the run codes up to its first impossible outcome, then raises, and
-    # nothing after it is coded
+    # nothing after it is coded; that outcome may sit in any 30-bit
+    # stretch of the run's int
     for cum, bits, possible in (
         ([0, 0, 8], "11101", "111"),  # outcome 0 is dead
         ([0, 8, 8], "00010", "000"),  # outcome 1 is dead
+        *(([0, 0, 8], "1" * n + "0" + "10" * 20, "1" * n) for n in (29, 30, 31, 60, 99)),
+        *(([0, 8, 8], "0" * n + "1" + "01" * 20, "0" * n) for n in (29, 30, 31, 60, 99)),
     ):
         enc, ref = RangeEncoder(), RangeEncoder()
         ref.encode_intervals([([0, 3, 8], 1)] + _decisions_of(cum, possible))
@@ -492,6 +495,28 @@ def test_equiprobable_run_on_a_payload_that_opens_with_ff_bytes(ffs):
             _check_decoded_run(data, None, count)
         dec = RangeDecoder.from_bytes(data)
         assert dec.value == dec.range == MASK
+
+
+@pytest.mark.parametrize("count", [29, 30, 31, 59, 60, 61, 89, 90, 91, 1000])
+@pytest.mark.parametrize("cum", RUN_TABLES[1:5])
+def test_long_runs_code_as_their_decisions_one_by_one(cum, count):
+    # both kernels take a run's bits 30 at a time under tables other than
+    # [0, 1, 2]; across those boundaries they must still match
+    # encode_interval and decode_target one decision per call
+    for bits in _bit_patterns(count, count):
+        enc, one = RangeEncoder(), RangeEncoder()
+        enc.encode_intervals([((cum, count), bits)])
+        for bit in format(bits, f"0{count}b"):
+            one.encode_interval(cum, int(bit))
+        assert (enc.low, enc.range, enc.symbols_coded) == (one.low, one.range, one.symbols_coded)
+        payload = enc.finish()
+        assert payload == one.finish()
+        dec, one = RangeDecoder.from_bytes(payload.data), RangeDecoder.from_bytes(payload.data)
+        assert dec.decode_walk(_run_walk(cum, count)) == bits
+        assert [one.decode_target(cum) for _ in range(count)] == [
+            int(bit) for bit in format(bits, f"0{count}b")
+        ]
+        assert (dec.value, dec.range) == (one.value, one.range)
 
 
 @pytest.mark.parametrize("cum", RUN_TABLES)

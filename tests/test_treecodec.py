@@ -17,13 +17,14 @@ of the ideal.
 import math
 import os
 import random
+import time
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msetzip.treecodec as treecodec
@@ -452,8 +453,53 @@ class TestRuns:
         assert runs == want
         assert copied  # several copies of a member reach a chain of decisions
 
+    def test_a_long_run_decodes_in_linear_time(self):
+        # under a table other than [0, 1, 2] the decoder takes a run one
+        # decision at a time; shifting the whole run's int once per decision
+        # made this member decode about 5x slower than it encoded
+        rng = random.Random(3)
+        member = BitString.from_bits(bytes(rng.randrange(2) for _ in range(65535)))
+        params = CodecParams(FixedRegime(65535), BinomialFamily(Fraction(1, 3)))
+        payload, _ = round_trip([member], params)
+
+        def best_of_3(code):  # in CPU time, which other processes disturb less
+            times = []
+            for _ in range(3):
+                start = time.process_time()
+                code()
+                times.append(time.process_time() - start)
+            return min(times)
+
+        encode_s = best_of_3(lambda: encode_members([member], params, RangeEncoder()))
+        decode_s = best_of_3(
+            lambda: decode_members(params, 1, RangeDecoder.from_bytes(payload.data))
+        )
+        assert decode_s <= 2.5 * encode_s
+
 
 # --- rejection and robustness ----------------------------------------------
+
+
+def _members_near(valid):
+    """Lists of valid members alone, or mixed with their prefixes (the
+    empty member among them), their extensions and arbitrary bit strings."""
+    near = st.one_of(
+        valid,
+        valid.flatmap(lambda w: st.integers(0, len(w)).map(lambda i: w[:i])),
+        valid.flatmap(lambda w: st.text("01", min_size=1, max_size=6).map(lambda t: w + t)),
+        st.text("01", max_size=12),
+    )
+    return st.lists(valid, max_size=12) | st.lists(near, max_size=12)
+
+
+# (detector, members) for both shipped detectors
+DETECTED_MEMBERS = st.tuples(
+    st.just(FibTerminatorDetector()), _members_near(st.integers(1, 300).map(fib_encode))
+) | st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(FixedLengthDetector(n)), _members_near(st.text("01", min_size=n, max_size=n))
+    )
+)
 
 
 class TestValidation:
@@ -505,6 +551,52 @@ class TestValidation:
         assert encoded == detector.calls
         assert {kind for kind, _ in encoded} == {bytearray}
         assert len(encoded) == len(set(encoded))  # once per trie node
+
+    def test_shipped_detectors_check_members_without_is_complete(self, monkeypatch):
+        # the check before encoding asks first_complete once per member;
+        # the decoder still asks is_complete at each trie node
+        calls = []
+        is_complete = FibTerminatorDetector.is_complete
+        monkeypatch.setattr(
+            FibTerminatorDetector,
+            "is_complete",
+            lambda self, prefix: calls.append(1) or is_complete(self, prefix),
+        )
+        rng = random.Random(12)
+        members = [fib_encode(rng.randint(1, 300)) for _ in range(200)]
+        params = CodecParams(SelfDelimitingRegime(FibTerminatorDetector()), BetaBinomialFamily())
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        assert not calls
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        assert calls
+
+    @given(DETECTED_MEMBERS)
+    @example((FibTerminatorDetector(), [""]))
+    @example((FibTerminatorDetector(), ["11", "110"]))
+    @example((FibTerminatorDetector(), ["011", "011", "11"]))
+    @example((FixedLengthDetector(2), ["01", "011"]))
+    @example((FixedLengthDetector(2), ["01", "01", ""]))
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_check_agrees_with_the_prefix_walk(self, detected):
+        # on sorted members, distinct as _sort gives them and with their
+        # duplicates, the check through first_complete accepts exactly what
+        # the walk that asks is_complete per trie node accepts
+        detector, members = detected
+        pairs = sorted((b.data, b.nbits) for b in map(as_bitstring, members))
+
+        def accepts(check, listed):
+            try:
+                check(listed)
+            except ModelMismatchError:
+                return False
+            return True
+
+        closed = treecodec._ends_complete(detector.first_complete)
+        walk = treecodec._prefix_free(detector.is_complete)
+        for listed in (sorted(set(pairs)), pairs):
+            assert accepts(closed, listed) == accepts(walk, listed)
 
     def test_general_rejects_zero_probability_lengths(self):
         params = CodecParams(GeneralRegime(UniformLength(2, 3)))
