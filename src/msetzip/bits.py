@@ -43,8 +43,8 @@ class BitString:
         if tail and data and data[-1] & (0xFF >> tail):
             # canonicalize: zero the pad bits so eq/hash see one representation
             data = data[:-1] + bytes([data[-1] & (0xFF << (8 - tail)) & 0xFF])
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "nbits", nbits)
+        _set_data(self, data)
+        _set_nbits(self, nbits)
 
     @classmethod
     def from_str(cls, s: str) -> "BitString":
@@ -71,8 +71,8 @@ class BitString:
         nbits = len(digits)
         value = int(digits, 2) << (-nbits & 7) if nbits else 0
         bs = object.__new__(cls)
-        object.__setattr__(bs, "data", value.to_bytes((nbits + 7) >> 3, "big"))
-        object.__setattr__(bs, "nbits", nbits)
+        _set_data(bs, value.to_bytes((nbits + 7) >> 3, "big"))
+        _set_nbits(bs, nbits)
         return bs
 
     def bit(self, i: int) -> int:
@@ -97,6 +97,12 @@ class BitString:
         if self.nbits <= 64:
             return f"BitString('{self.to_str()}')"
         return f"BitString(<{self.nbits} bits>)"
+
+
+# The slots' own descriptors set the fields of a frozen BitString, past its
+# __setattr__ and without object.__setattr__'s lookup of the name.
+_set_data = BitString.data.__set__
+_set_nbits = BitString.nbits.__set__
 
 
 def as_bitstring(x) -> BitString:
@@ -162,8 +168,9 @@ class BitReader:
     """MSB-first bit source over a bytes object.
 
     read_bit/read_bits raise TruncationError past the end; read_rest,
-    which the range decoder pulls from, is zero-padded to whole bytes
-    instead, matching the encoder's right to drop trailing zeros.
+    the buffer the range decoder reads, is zero-padded to whole bytes, and
+    the decoder reads zeros past its end, matching the encoder's right to
+    drop trailing zeros.
     """
 
     def __init__(self, data: bytes, start_bit: int = 0):

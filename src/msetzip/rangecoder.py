@@ -48,13 +48,14 @@ so each further 8 decisions j only add q j to low and shift out one byte.
 The encoder codes m such bytes of decisions J as one big-int step,
 (low << 8 m) + R J, of m + 8 bytes: its top m bytes are output, the other
 8 are low, and a bit above them all is a carry into the output before.  The
-decoder pulls the next m bytes B and divides (value << 8 (m - 1)) | B >> 8
-by q: the quotient is J, and the remainder followed by B's last byte is
-value.  A tail of t < 8 decisions j adds (R >> t) j to low, or takes
-j = value // (R >> t), and leaves range = R >> t.  The decoder steps bytes
-only while value < range, which holds unless the payload opens with eight
-0xFF bytes; there value == range, and the run decodes one decision at a
-time as the per-decision decoder would.
+decoder slices the next m bytes B from its buffer and divides
+(value << 8 (m - 1)) | B >> 8 by q: the quotient is J, and the remainder
+followed by B's last byte is value.  A tail of t < 8 decisions j adds
+(R >> t) j to low, or takes j = value // (R >> t), and leaves
+range = R >> t.  The decoder steps bytes only while value < range, which
+holds unless the payload opens with eight 0xFF bytes; there
+value == range, and the run decodes one decision at a time as the
+per-decision decoder would.
 
 With a 64-bit range register and table totals capped at TOTAL_MAX =
 2**24, the quotient range // T is at least 2**32, which bounds the
@@ -62,14 +63,19 @@ truncation loss per symbol below log2(1 + 2**-32) bits.  Termination
 picks the value in the final interval with the most trailing zero bits
 and emits only its significant prefix, so the whole stream costs less
 than 2 bits beyond the information content of the symbol sequence (the
-decoder treats bytes past the end of input as zeros).
+decoder treats bytes past the end of input as zeros).  The decoder holds
+the payload as one bytes buffer and reads it by index, as a range decoder
+over input in memory does (G. N. N. Martin, "Range encoding", 1979).
+
+No input narrows the interval to nothing, so a range of 0 is a bug in
+the coder: both sides raise RuntimeError when they would renormalise one,
+a test made once per output byte, not once per decision.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, islice, repeat
-from typing import Callable, Generator, Iterable, Sequence, TypeVar
+from typing import Generator, Iterable, Sequence, TypeVar
 
 from .bits import BitReader, BitString
 from .errors import ModelMismatchError
@@ -78,6 +84,8 @@ RANGE_BITS = 64
 TOP = 1 << (RANGE_BITS - 8)
 MASK = (1 << RANGE_BITS) - 1
 TOTAL_MAX = 1 << 24
+# renormalising a zero range would shift bytes forever
+_ZERO_RANGE = "range coder interval is empty"
 
 T = TypeVar("T")
 
@@ -160,6 +168,8 @@ class RangeEncoder:
                                 rng = x
                             if rng < TOP:
                                 while rng < TOP:
+                                    if not rng:
+                                        raise RuntimeError(_ZERO_RANGE)
                                     emit(low >> shift)
                                     low = (low << 8) & MASK
                                     rng <<= 8
@@ -206,6 +216,8 @@ class RangeEncoder:
                     self._carry()
                     low &= MASK
                 while rng < TOP:
+                    if not rng:
+                        raise RuntimeError(_ZERO_RANGE)
                     emit(low >> shift)
                     low = (low << 8) & MASK
                     rng <<= 8
@@ -243,26 +255,25 @@ class RangeEncoder:
 class RangeDecoder:
     """Mirror of RangeEncoder.
 
-    Construct with a pull() callable returning one byte, an int in
-    [0, 256), per call (return 0 past the end of data), or use from_bytes /
-    from_reader, then run the decisions through decode_walk, or
-    decode_target one at a time.
+    Construct with the payload bytes, or from a BitReader with
+    from_reader; bytes past the end of the payload read as zeros.  Then run
+    the decisions through decode_walk, or decode_target one at a time.
     """
 
-    def __init__(self, pull: Callable[[], int]):
-        self._pull = pull
+    def __init__(self, data: bytes):
+        self._data = data = bytes(data)
+        self._pos = RANGE_BITS // 8
         self.range = MASK
-        self.value = 0
-        for _ in range(RANGE_BITS // 8):
-            self.value = (self.value << 8) | (pull() & 0xFF)
+        self.value = int.from_bytes(data[: self._pos].ljust(self._pos, b"\0"), "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RangeDecoder":
-        return cls.from_reader(BitReader(data))
+        """The same as RangeDecoder(data)."""
+        return cls(data)
 
     @classmethod
     def from_reader(cls, reader: BitReader) -> "RangeDecoder":
-        return cls(chain(reader.read_rest(), repeat(0)).__next__)
+        return cls(reader.read_rest())
 
     def decode_target(self, cum: Sequence[int]) -> int:
         """The outcome of the table cum that encode_interval coded.
@@ -284,7 +295,8 @@ class RangeDecoder:
         have decoded them.  A malformed run raises ValueError before any of
         its decisions.
         """
-        value, rng, pull = self.value, self.range, self._pull
+        value, rng, data, pos = self.value, self.range, self._data, self._pos
+        size = len(data)
         try:
             cum = next(walk)
             while True:
@@ -308,7 +320,10 @@ class RangeDecoder:
                                 rng = x
                             if rng < TOP:
                                 while rng < TOP:
-                                    value = ((value << 8) | (pull() & 0xFF)) & MASK
+                                    if not rng:
+                                        raise RuntimeError(_ZERO_RANGE)
+                                    value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
+                                    pos += 1
                                     rng <<= 8
                                 # value >= range only on a payload that opens
                                 # with eight 0xFF bytes; it stays bit by bit
@@ -325,7 +340,9 @@ class RangeDecoder:
                             # B of input give m bytes of bits at one division
                             m, t = divmod(n, 8)
                             if m:
-                                b = int.from_bytes(bytes(islice(iter(pull, None), m)), "big")
+                                b = data[pos : pos + m]
+                                b = int.from_bytes(b, "big") << 8 * (m - len(b))
+                                pos += m
                                 j, r = divmod((value << 8 * m - 8) | b >> 8, rng >> 8)
                                 value = r << 8 | b & 0xFF
                                 k = k << 8 * m | j
@@ -349,13 +366,16 @@ class RangeDecoder:
                 value -= q * lo
                 rng = rng - q * lo if cum[k + 1] == total else q * (cum[k + 1] - lo)
                 while rng < TOP:
-                    value = ((value << 8) | (pull() & 0xFF)) & MASK
+                    if not rng:
+                        raise RuntimeError(_ZERO_RANGE)
+                    value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
+                    pos += 1
                     rng <<= 8
                 cum = walk.send(k)
         except StopIteration as end:
             return end.value
         finally:
-            self.value, self.range = value, rng
+            self.value, self.range, self._pos = value, rng, pos
 
 
 def _single(cum: Sequence[int]) -> Generator[Sequence[int], int, int]:

@@ -26,8 +26,9 @@ time.  The decoder runs the walk's mirror, _decode_walk: it hands each
 table to the range decoder, takes back the count, and follows a chain
 without the stack until the chain branches, which at n = 1 is the whole
 rest of a member.  In the fixed regime that rest is one run, (table, L - d)
-in the table's slot, its bits coming back as one int.  Every distinct member
-is checked against the regime before the first symbol is coded.
+in the table's slot, its bits coming back as one int, and the member is
+complete when the run returns.  Every distinct member is checked against
+the regime before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -366,10 +367,11 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     yield each decision's table, receive its outcome.  Appends the members
     to out in lexicographic order, one BitString per copy.  A node's chain
     is followed without the stack until it branches, which at n = 1 is the
-    whole rest of a member; in the fixed regime that rest is one run item
-    (table, L - d), its outcomes received as one int.  The prefix is a
-    bytearray of 0/1 values, which the run extends in one step and
-    BitString.from_bits packs in C."""
+    whole rest of a member.  In the fixed regime that rest is one run item
+    (table, L - d), its outcomes received as one int; the member is
+    appended as soon as the run returns, and its chain ends there.  The
+    prefix is a bytearray of 0/1 values, which the run extends in one step
+    and BitString.from_bits packs in C."""
     end, complete, model, cap, _ = _schedule(params.regime)
     fam = params.family
     split, termination = _tables(fam.split_table, fam.termination_table, model)
@@ -402,11 +404,12 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                 table = split(n)
             if n == 1 and end is not None:
                 # a fixed-length member alone below its node: the rest of it
-                # is one run, its bits sent back as one int
+                # is one run, its bits sent back as one int, and the member
+                # is complete when the run returns
                 rest = yield table, end - d
                 prefix += format(rest, f"0{end - d}b").encode().translate(_DIGIT_BITS)
-                d = end
-                continue
+                out.append(BitString.from_bits(prefix))
+                break
             n1 = yield table
             if 0 < n1 < n:
                 stack.append((n1, d + 1, 1))

@@ -1,0 +1,162 @@
+"""The paper's algorithm, taken literally, as a byte-exact oracle for the codec.
+
+The oracle builds the count-annotated trie with MultisetTree and walks it
+in preorder, child 0 before child 1.  At each node it codes one count with
+one encode_interval call: in the general regime the termination count
+first, under termination_table(n, hazard(model, d)), then, unless the node
+is complete, how many of the other members go on with a 1, under
+split_table(n).  Its decoder mirrors that with one decode_target call per
+decision.  The codec's sorted-member walk, its runs and its byte steps must
+give the same payload, and decode the same members, on random multisets.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msetzip.bits import BitReader, BitString
+from msetzip.container import compress, decompress, parse_header
+from msetzip.fibcode import fib_encode, read_fib
+from msetzip.models import FibTerminatorDetector, UniformLength, hazard
+from msetzip.msettree import MultisetTree
+from msetzip.rangecoder import RangeDecoder, RangeEncoder
+from msetzip.treecodec import (
+    BetaBinomialFamily,
+    BinomialFamily,
+    CodecParams,
+    FixedRegime,
+    GeneralRegime,
+    SelfDelimitingRegime,
+    encode_members,
+)
+
+FAMILIES = [
+    BinomialFamily(Fraction(1, 3)),
+    BinomialFamily(Fraction(1, 2)),
+    BetaBinomialFamily(Fraction(2), Fraction(5)),
+]
+
+
+def _termination_table(params: CodecParams, n: int, d: int):
+    return params.family.termination_table(n, hazard(params.regime.length_model, d))
+
+
+def _complete(regime, prefix: list) -> bool:
+    if isinstance(regime, FixedRegime):
+        return len(prefix) == regime.length
+    if isinstance(regime, SelfDelimitingRegime):
+        return regime.detector.is_complete(bytearray(prefix))
+    return False  # the general regime ends members by termination counts
+
+
+def oracle_encode(members, params: CodecParams) -> RangeEncoder:
+    """An encoder that has coded every count of members' trie, one call
+    per decision."""
+    enc = RangeEncoder()
+    regime, family = params.regime, params.family
+    tree = MultisetTree.build(members)
+    stack = [(tree.root, [])] if len(tree) else []
+    while stack:
+        node, prefix = stack.pop()
+        n = node.count
+        if isinstance(regime, GeneralRegime):
+            enc.encode_interval(_termination_table(params, n, len(prefix)), node.slack)
+            n -= node.slack
+            if not n:
+                continue
+        elif _complete(regime, prefix):
+            continue
+        enc.encode_interval(family.split_table(n), node.child1.count if node.child1 else 0)
+        for bit, child in ((1, node.child1), (0, node.child0)):
+            if child is not None:
+                stack.append((child, prefix + [bit]))
+    return enc
+
+
+def oracle_decode(params: CodecParams, n_members: int, dec: RangeDecoder, cap: int) -> list:
+    """The members of oracle_encode's payload, in lexicographic order.  A
+    wrong payload may describe members without end, so the walk stops with
+    an AssertionError below depth cap."""
+    regime, family = params.regime, params.family
+    out: list = []
+    stack = [(n_members, [])] if n_members else []
+    while stack:
+        n, prefix = stack.pop()
+        assert len(prefix) <= cap, f"a member longer than {cap} bits"
+        if isinstance(regime, GeneralRegime):
+            n_t = dec.decode_target(_termination_table(params, n, len(prefix)))
+            out += [BitString.from_bits(prefix)] * n_t
+            n -= n_t
+            if not n:
+                continue
+        elif _complete(regime, prefix):
+            out += [BitString.from_bits(prefix)] * n
+            continue
+        n1 = dec.decode_target(family.split_table(n))
+        if n1:
+            stack.append((n1, prefix + [1]))
+        if n - n1:
+            stack.append((n - n1, prefix + [0]))
+    return out
+
+
+def _random_bits(length: int):
+    """Bit strings of length bits from a seeded generator.  Hypothesis's own
+    draws lean to runs of zeros or ones, whose payload bytes are mostly
+    0x00 or 0xFF, where a byte step that loses a byte's bits can go unseen."""
+    return st.integers(0, 2**32).map(
+        lambda seed: "".join(random.Random(seed).choices("01", k=length))
+    )
+
+
+@st.composite
+def multisets(draw):
+    """(members, regime): a few distinct members, each with up to 40 copies
+    or just one, under a fixed, a self-delimiting or a general regime."""
+    kind = draw(st.sampled_from(["fixed", "fib", "general"]))
+    if kind == "fixed":
+        length = draw(st.integers(1, 100))
+        regime = FixedRegime(length)
+        member = st.one_of(
+            st.integers(0, 2**length - 1).map(lambda v: format(v, f"0{length}b")),
+            _random_bits(length),
+        )
+    elif kind == "fib":
+        regime = SelfDelimitingRegime(FibTerminatorDetector())
+        member = st.integers(1, 10**12).map(fib_encode)
+    else:
+        regime = GeneralRegime(UniformLength(0, 40))
+        member = st.one_of(st.text("01", max_size=40), st.integers(0, 40).flatmap(_random_bits))
+    distinct = draw(st.lists(member, max_size=12, unique=True))
+    copies = st.integers(1, 40) if draw(st.booleans()) else st.just(1)
+    return [m for m in distinct for _ in range(draw(copies))], regime
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=multisets())
+def test_encoder_matches_the_trie_walk(case):
+    members, regime = case
+    for family in FAMILIES:
+        params = CodecParams(regime, family)
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        oracle = oracle_encode(members, params)
+        assert enc.symbols_coded == oracle.symbols_coded
+        assert enc.finish() == oracle.finish()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=multisets())
+def test_decoder_matches_the_trie_walk(case):
+    members, regime = case
+    want = sorted(map(BitString.from_str, members))
+    cap = max(map(len, members), default=0)
+    for family in FAMILIES:
+        container = compress(members, CodecParams(regime, family))
+        params, header_len = parse_header(container)
+        reader = BitReader(container, start_bit=8 * header_len)
+        n_members = read_fib(reader) - 1
+        oracle = oracle_decode(params, n_members, RangeDecoder.from_reader(reader), cap)
+        assert decompress(container) == oracle == want

@@ -2,6 +2,8 @@
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 from itertools import accumulate
 
 import pytest
@@ -460,8 +462,9 @@ def _check_decoded_run(data: bytes, state, count: int) -> None:
     for _ in range(count):
         want = want << 1 | one.decode_target(HALF)
     assert (got, dec.value, dec.range) == (want, one.value, one.range)
-    after = [dec.decode_target([0, 3, 8]) for _ in range(24)], dec.value, dec.range
-    assert after == ([one.decode_target([0, 3, 8]) for _ in range(24)], one.value, one.range)
+    for _ in range(24):
+        assert dec.decode_target([0, 3, 8]) == one.decode_target([0, 3, 8])
+        assert (dec.value, dec.range) == (one.value, one.range)
 
 
 @pytest.mark.parametrize("count", EDGE_COUNTS)
@@ -574,3 +577,58 @@ def test_decoder_from_unaligned_reader_reads_zeros_past_the_end(offset):
     for cum, k in stream + [([0, 1, 2, 3], 0)] * 40:  # then 40 decisions past the end
         assert framed.decode_target(cum) == plain.decode_target(cum)
         assert (framed.value, framed.range) == (plain.value, plain.range)
+
+
+@pytest.mark.parametrize("size", range(13))
+def test_decoder_reads_zeros_past_the_end_of_its_buffer(size):
+    # runs long enough to take byte steps past the last byte of a short
+    # payload, then single decisions
+    data = random.Random(size).randbytes(size)
+    for count in range(1, 201):
+        _check_decoded_run(data, None, count)
+
+
+def test_empty_payload_decodes_as_zeros():
+    dec = RangeDecoder.from_bytes(b"")
+    assert dec.value == 0
+    assert [dec.decode_target(HALF) for _ in range(100)] == [0] * 100
+    assert dec.decode_walk(_run_walk(HALF, 200)) == 0
+    assert dec.decode_walk(_run_walk([0, 3, 8], 70)) == 0
+    assert dec.value == 0
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail, instead of hanging, if the body runs past seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "item", [([0, 1, 2], 0), ([0, 3, 8], 1), ((HALF, 20), 5), (([0, 3, 8], 20), 5)]
+)
+def test_encoder_refuses_to_renormalise_a_zero_range(item):
+    # no input empties the interval, so this is an internal error, not a
+    # malformed-input one; without the guard the output grows forever
+    enc = RangeEncoder()
+    enc.range = 0
+    with _deadline(2.0), pytest.raises(RuntimeError, match="empty"):
+        enc.encode_intervals([item])
+
+
+@pytest.mark.parametrize("cum", [HALF, [0, 3, 8]])
+def test_decoder_refuses_to_renormalise_a_zero_range(cum):
+    # without the guard the run spins on zero bytes
+    dec = RangeDecoder.from_bytes(b"\x12\x34")
+    dec.range = 0
+    with _deadline(2.0), pytest.raises(RuntimeError, match="empty"):
+        dec.decode_walk(_run_walk(cum, 20))
