@@ -8,17 +8,18 @@ output byte from its most significant bit down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .errors import TruncationError
 
 # byte 0 -> ASCII '0', any other byte -> ASCII '1'
 _DIGITS = b"0" + b"1" * 255
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False, repr=False)
-class BitString:
+@total_ordering
+class BitString(Frozen):
     """An immutable sequence of bits backed by (bytes, bit length).
 
     Trailing pad bits in the last byte are forced to zero on construction,
@@ -27,12 +28,7 @@ class BitString:
     ("0" < "00" < "01" < "1").
     """
 
-    # Order compares the fields in turn.  Pad bits are zero, so comparing
-    # (data, nbits) is the text order: a byte string sorts before its
-    # extensions, and equal bytes differ only in how many of their
-    # trailing zeros are bits.
-    data: bytes
-    nbits: int
+    __slots__ = ("data", "nbits")
 
     def __init__(self, data: bytes, nbits: int):
         nbytes = (nbits + 7) >> 3
@@ -92,6 +88,14 @@ class BitString:
 
     def __len__(self) -> int:
         return self.nbits
+
+    def __lt__(self, other: object) -> bool:
+        # Pad bits are zero, so comparing (data, nbits) is the text order: a
+        # byte string sorts before its extensions, and equal bytes differ
+        # only in how many of their trailing zeros are bits.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.data, self.nbits) < (other.data, other.nbits)
 
     def __repr__(self) -> str:
         if self.nbits <= 64:

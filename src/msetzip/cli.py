@@ -23,7 +23,6 @@ import string
 import sys
 from fractions import Fraction
 
-from .bench import DEFAULT_N_GRID, bench_fib, bench_rsha1, write_csv
 from .bits import BitString, BitWriter
 from .container import compress, decompress, serialize_header
 from .errors import MsetzipError
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         b.add_argument(
             "--n-values",
             type=_n_values,
-            default=DEFAULT_N_GRID,
             metavar="N1,N2,...",
             help="benchmark points (default: powers of two, 16..16384)",
         )
@@ -231,7 +229,11 @@ def cmd_decompress(args) -> int:
     return 0
 
 
+# The bench commands import bench when they run: its records are a
+# dataclass, and compress and decompress start without dataclasses.
 def _emit_csv(records, path: str) -> None:
+    from .bench import write_csv
+
     if path == "-":
         write_csv(records, sys.stdout)
     else:
@@ -240,12 +242,18 @@ def _emit_csv(records, path: str) -> None:
 
 
 def cmd_bench_rsha1(args) -> int:
-    _emit_csv(bench_rsha1(args.n_values, args.seed), args.csv)
+    from .bench import DEFAULT_N_GRID, bench_rsha1
+
+    n_values = DEFAULT_N_GRID if args.n_values is None else args.n_values
+    _emit_csv(bench_rsha1(n_values, args.seed), args.csv)
     return 0
 
 
 def cmd_bench_fib(args) -> int:
-    _emit_csv(bench_fib(args.n_values, args.seed, args.k), args.csv)
+    from .bench import DEFAULT_N_GRID, bench_fib
+
+    n_values = DEFAULT_N_GRID if args.n_values is None else args.n_values
+    _emit_csv(bench_fib(n_values, args.seed, args.k), args.csv)
     return 0
 
 

@@ -30,10 +30,10 @@ ranges are the parameter classes' own; adding a type means appending one
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._frozen import Frozen
 from .bits import BitReader, BitString, BitWriter
 from .errors import CorruptStreamError, FormatError, TruncationError
 from .fibcode import fib_length, read_fib, write_fib
@@ -176,13 +176,18 @@ def parse_header(data: bytes) -> tuple[CodecParams, int]:
     return CodecParams(regime=regime, family=p.build("family", family_id)), p.pos
 
 
-@dataclass(frozen=True)
-class CompressResult:
-    data: bytes
-    header_bits: int
-    n_header_bits: int
-    payload_bits: int
-    coded_decisions: int
+class CompressResult(Frozen):
+    __slots__ = ("data", "header_bits", "n_header_bits", "payload_bits", "coded_decisions")
+
+    def __init__(
+        self,
+        data: bytes,
+        header_bits: int,
+        n_header_bits: int,
+        payload_bits: int,
+        coded_decisions: int,
+    ):
+        self._set(data, header_bits, n_header_bits, payload_bits, coded_decisions)
 
     @property
     def total_bits(self) -> int:

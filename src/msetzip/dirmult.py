@@ -25,11 +25,11 @@ distinct table, not once per decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+from ._frozen import Frozen
 from .distributions import LN2
 from .quantize import TABLES_PER_CALL, quantized_betabin
 from .rangecoder import RangeDecoder, RangeEncoder
@@ -37,20 +37,19 @@ from .rangecoder import RangeDecoder, RangeEncoder
 DEFAULT_ALPHA = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class IntMultiset:
+class IntMultiset(Frozen):
     """Counts over the alphabet 1..k; counts[i] is the multiplicity of i+1."""
 
-    k: int
-    counts: tuple
+    __slots__ = ("k", "counts")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, counts: tuple):
+        if k < 1:
             raise ValueError("alphabet bound k must be >= 1")
-        if len(self.counts) != self.k:
+        if len(counts) != k:
             raise ValueError("counts must have exactly k entries")
-        if min(self.counts) < 0:
+        if min(counts) < 0:
             raise ValueError("counts must be >= 0")
+        self._set(k, counts)
 
     @classmethod
     def from_values(cls, values, k: int) -> "IntMultiset":

@@ -9,6 +9,12 @@ the probability that a member known to have length >= d has length
 exactly d.  Hazards are computed in exact rational arithmetic so that
 depths past the model's support give exactly 1 (and the coder's tables
 degenerate to zero-cost point masses there) rather than 1 - epsilon.
+The hazard is also the support test: up to the model's maximum length, a
+length d is possible exactly where theta_T(d) > 0, since the residual
+mass 1 - sum_{k<d} L(k) is positive there.  The codec checks members'
+lengths before encoding, and the lengths at which the decoder ends
+members, by the hazard, never through pmf, whose exact powers (as in
+GeometricLength's) grow with the length.
 
 An EndDetector is the self-delimiting regime's pure predicate on
 prefixes.  It must be prefix-free: once a prefix tests complete, no
@@ -22,9 +28,10 @@ node on that side too, about the same prefixes as the decoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Protocol, Sequence, runtime_checkable
+
+from ._frozen import Frozen
 
 
 @runtime_checkable
@@ -49,15 +56,15 @@ def hazard(model: LengthModel, d: int) -> Fraction:
     return model.pmf(d) / residual
 
 
-@dataclass(frozen=True)
-class PointLength:
+class PointLength(Frozen):
     """All members have length exactly L."""
 
-    length: int
+    __slots__ = ("length",)
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, length: int):
+        if length < 0:
             raise ValueError("length must be >= 0")
+        self._set(length)
 
     def pmf(self, k: int) -> Fraction:
         return Fraction(1) if k == self.length else Fraction(0)
@@ -69,16 +76,15 @@ class PointLength:
         return self.length
 
 
-@dataclass(frozen=True)
-class UniformLength:
+class UniformLength(Frozen):
     """Lengths uniform on lo..hi inclusive."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi:
+    def __init__(self, lo: int, hi: int):
+        if not 0 <= lo <= hi:
             raise ValueError("need 0 <= lo <= hi")
+        self._set(lo, hi)
 
     def pmf(self, k: int) -> Fraction:
         if self.lo <= k <= self.hi:
@@ -93,15 +99,15 @@ class UniformLength:
         return self.hi
 
 
-@dataclass(frozen=True)
-class GeometricLength:
+class GeometricLength(Frozen):
     """L(k) = (1-p)^(k-1) p for k >= 1; constant hazard p past depth 0."""
 
-    p: Fraction
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.p <= 1:
+    def __init__(self, p: Fraction):
+        if not 0 < p <= 1:
             raise ValueError("p must lie in (0, 1]")
+        self._set(p)
 
     def pmf(self, k: int) -> Fraction:
         if k < 1:
@@ -143,14 +149,15 @@ class EndDetector(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class FibTerminatorDetector:
+class FibTerminatorDetector(Frozen):
     """Complete when the prefix ends in the Fibonacci-code terminator 11.
 
     Valid Fibonacci codewords contain no interior 11 (Zeckendorf digits
     never have two consecutive ones), so a multiset of codewords is
     prefix-free under this detector.
     """
+
+    __slots__ = ()
 
     def is_complete(self, prefix: Sequence[int]) -> bool:
         return len(prefix) >= 2 and prefix[-1] == 1 and prefix[-2] == 1
@@ -162,15 +169,15 @@ class FibTerminatorDetector:
         return nbits + 1 - pairs.bit_length() if pairs else None
 
 
-@dataclass(frozen=True)
-class FixedLengthDetector:
+class FixedLengthDetector(Frozen):
     """Complete at exactly `length` bits; the degenerate prefix-free family."""
 
-    length: int
+    __slots__ = ("length",)
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def __init__(self, length: int):
+        if length < 1:
             raise ValueError("length must be >= 1")
+        self._set(length)
 
     def is_complete(self, prefix: Sequence[int]) -> bool:
         return len(prefix) == self.length

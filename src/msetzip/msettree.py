@@ -13,18 +13,21 @@ Zero-count nodes are never kept.  A present child always has count >= 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .bits import BitString, as_bitstring
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class TreeNode:
-    count: int = 0
-    child0: Optional[TreeNode] = None
-    child1: Optional[TreeNode] = None
+    __slots__ = ("count", "child0", "child1")
+
+    def __init__(
+        self, count: int = 0, child0: Optional[TreeNode] = None, child1: Optional[TreeNode] = None
+    ):
+        self.count = count
+        self.child0 = child0
+        self.child1 = child1
 
     def child(self, bit: int) -> Optional["TreeNode"]:
         return self.child1 if bit else self.child0

@@ -69,7 +69,9 @@ over input in memory does (G. N. N. Martin, "Range encoding", 1979).
 
 No input narrows the interval to nothing, so a range of 0 is a bug in
 the coder: both sides raise RuntimeError when they would renormalise one,
-a test made once per output byte, not once per decision.
+a test made once per output byte, not once per decision.  The decoder
+also refuses, once per decode_walk, to start from a range outside
+[2**56, 2**64), where every renormalisation leaves it.
 """
 
 from __future__ import annotations
@@ -296,6 +298,11 @@ class RangeDecoder:
         its decisions.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
+        if not TOP <= rng <= MASK:
+            # every renormalisation leaves range in [TOP, MASK], so this one
+            # test keeps a register set outside it, 0 above all, from the
+            # division by range // total of every decision
+            raise RuntimeError(_ZERO_RANGE if not rng else f"range {rng} outside [2**56, 2**64)")
         size = len(data)
         try:
             cum = next(walk)

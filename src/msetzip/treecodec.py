@@ -62,12 +62,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .bits import BitString, as_bitstring
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
@@ -86,13 +86,13 @@ DECODE_DEPTH_CAP = 1 << 16
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class BinomialFamily:
-    theta: Fraction = Fraction(1, 2)
+class BinomialFamily(Frozen):
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.theta <= 1:
+    def __init__(self, theta: Fraction = Fraction(1, 2)):
+        if not 0 <= theta <= 1:
             raise ValueError("theta must lie in [0, 1]")
+        self._set(theta)
 
     def split_table(self, n: int) -> array:
         return quantized_binomial(n, self.theta)
@@ -107,14 +107,13 @@ class BinomialFamily:
         return binomial_log2pmf_table(n, theta_t)
 
 
-@dataclass(frozen=True)
-class BetaBinomialFamily:
-    alpha: Fraction = Fraction(1, 2)
-    beta: Fraction = Fraction(1, 2)
+class BetaBinomialFamily(Frozen):
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
+    def __init__(self, alpha: Fraction = Fraction(1, 2), beta: Fraction = Fraction(1, 2)):
+        if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
+        self._set(alpha, beta)
 
     def split_table(self, n: int) -> array:
         return quantized_betabin(n, self.alpha, self.beta)
@@ -134,23 +133,27 @@ class BetaBinomialFamily:
 Family = Union[BinomialFamily, BetaBinomialFamily]
 
 
-@dataclass(frozen=True)
-class FixedRegime:
-    length: int
+class FixedRegime(Frozen):
+    __slots__ = ("length",)
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def __init__(self, length: int):
+        if length < 1:
             raise ValueError("fixed-mode length must be >= 1")
+        self._set(length)
 
 
-@dataclass(frozen=True)
-class SelfDelimitingRegime:
-    detector: EndDetector
+class SelfDelimitingRegime(Frozen):
+    __slots__ = ("detector",)
+
+    def __init__(self, detector: EndDetector):
+        self._set(detector)
 
 
-@dataclass(frozen=True)
-class GeneralRegime:
-    length_model: LengthModel
+class GeneralRegime(Frozen):
+    __slots__ = ("length_model",)
+
+    def __init__(self, length_model: LengthModel):
+        self._set(length_model)
 
 
 Regime = Union[FixedRegime, SelfDelimitingRegime, GeneralRegime]
@@ -162,23 +165,26 @@ Completion = Callable[[Sequence[int]], bool]
 MemberCheck = Callable[[list], None]
 
 
-@dataclass(frozen=True)
-class CodecParams:
-    regime: Regime
-    family: Family = BinomialFamily()
+class CodecParams(Frozen):
+    __slots__ = ("regime", "family")
+
+    def __init__(self, regime: Regime, family: Family = BinomialFamily()):
+        self._set(regime, family)
 
 
 def _schedule(
     regime: Regime,
-) -> tuple[Optional[int], Optional[Completion], Optional[LengthModel], int, MemberCheck]:
-    """(depth at which every member ends, completion, length model whose
-    termination counts are coded, depth cap, member check).  The fixed
-    regime ends members by depth alone and the general regime never ends
-    one early, so only the self-delimiting regime has a completion, its
-    detector's is_complete.  Its member check asks the detector's
-    first_complete once per distinct member where the detector has one,
-    and is_complete once per trie node where not.  DECODE_DEPTH_CAP is read
-    per call, so lowering it takes effect at once."""
+) -> tuple[Optional[int], Optional[Completion], Optional[_Hazards], int, MemberCheck]:
+    """(depth at which every member ends, completion, the call's hazards of
+    the length model whose termination counts are coded, depth cap, member
+    check).  The fixed regime ends members by depth alone and the general
+    regime never ends one early, so only the self-delimiting regime has a
+    completion, its detector's is_complete.  Its member check asks the
+    detector's first_complete once per distinct member where the detector
+    has one, and is_complete once per trie node where not.  The general
+    regime's member check asks the hazards, as the tables do.
+    DECODE_DEPTH_CAP is read per call, so lowering it takes effect at
+    once."""
     if isinstance(regime, FixedRegime):
         length = regime.length
         return length, None, None, length, _lengths(lambda n: n == length)
@@ -188,16 +194,50 @@ def _schedule(
         check = _prefix_free(complete) if first is None else _ends_complete(first)
         return None, complete, None, DECODE_DEPTH_CAP, check
     if isinstance(regime, GeneralRegime):
-        model = regime.length_model
-        cap = model.max_length()
+        cap = regime.length_model.max_length()
+        hazards = _Hazards(regime.length_model)
         return (
             None,
             None,
-            model,
+            hazards,
             DECODE_DEPTH_CAP if cap is None else cap,
-            _lengths(lambda n: model.pmf(n) > 0),
+            _lengths(hazards.possible),
         )
     raise TypeError(f"unknown regime {regime!r}")
+
+
+class _Hazards:
+    """A length model's hazards by depth, each computed once per call.
+    first(d) is the first depth asked about whose hazard is d's, so depths
+    with equal hazards share tables keyed by it, and at[first(d)] is that
+    hazard.  The maps start afresh at TABLES_PER_CALL depths, which costs
+    sharing but no bytes, as a table depends on the hazard's value alone."""
+
+    __slots__ = ("model", "first_depth", "by_hazard", "at")
+
+    def __init__(self, model: LengthModel):
+        self.model = model
+        self.first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
+        self.by_hazard: dict[Fraction, int] = {}  # hazard -> first depth with it
+        self.at: dict[int, Fraction] = {}  # first depth -> its hazard
+
+    def first(self, d: int) -> int:
+        d0 = self.first_depth.get(d)
+        if d0 is None:
+            if len(self.first_depth) >= TABLES_PER_CALL:
+                self.first_depth.clear()
+                self.by_hazard.clear()
+                self.at.clear()
+            h = hazard(self.model, d)
+            d0 = self.first_depth[d] = self.by_hazard.setdefault(h, d)
+            self.at.setdefault(d0, h)
+        return d0
+
+    def possible(self, d: int) -> bool:
+        """Whether a member can have length d, for d at most the depth
+        cap: whether d's hazard is positive, which decides the model's
+        support without its pmf."""
+        return self.at[self.first(d)] > 0
 
 
 def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
@@ -259,18 +299,16 @@ def _prefix_free(complete: Completion) -> MemberCheck:
     return check
 
 
-def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]):
+def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards]):
     """Per-call caches over a family's table factories: split(n) and
     termination(d, n).  Keys are ints, which keeps the module-level caches'
     Fraction hashing off the per-node path; depths with equal hazards share
-    tables through the first depth that has that hazard, and each depth's
-    hazard is computed once.  Each cache keeps at most TABLES_PER_CALL
-    entries; the depth maps start afresh when full, which costs sharing but
-    no bytes, as a table depends on the hazard's value alone."""
+    tables through the first depth that has that hazard.  Each cache keeps
+    at most TABLES_PER_CALL entries."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
-    first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
-    by_hazard: dict[Fraction, int] = {}  # hazard -> first depth with it
-    hazard_at: dict[int, Fraction] = {}  # first depth -> its hazard
+    if hazards is None:
+        return split, None
+    first_depth, first, hazard_at = hazards.first_depth, hazards.first, hazards.at
 
     @lru_cache(maxsize=TABLES_PER_CALL)
     def shared(d0: int, n: int):
@@ -278,31 +316,23 @@ def _tables(split: Callable, termination: Callable, model: Optional[LengthModel]
 
     def termination_at(d: int, n: int):
         d0 = first_depth.get(d)
-        if d0 is None:
-            if len(first_depth) >= TABLES_PER_CALL:
-                first_depth.clear()
-                by_hazard.clear()
-                hazard_at.clear()
-            h = hazard(model, d)
-            d0 = first_depth[d] = by_hazard.setdefault(h, d)
-            hazard_at.setdefault(d0, h)
-        return shared(d0, n)
+        return shared(first(d) if d0 is None else d0, n)
 
     return split, termination_at
 
 
 def _sort(members: Iterable, regime: Regime):
-    """((datas, lengths, cum), model): the distinct members in
+    """((datas, lengths, cum), hazards): the distinct members in
     lexicographic order, datas[i] holding member i's bytes and lengths[i]
     its bit length, with cum[i + 1] - cum[i] its multiplicity; and the
-    length model whose termination counts are coded.
+    call's hazards of the length model whose termination counts are coded.
 
     Raises ModelMismatchError unless the regime can code every distinct
     member, so before anything is coded."""
     counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
     # (data, nbits) is BitString's order: pad bits are zero
     distinct = sorted(counts)
-    _, _, model, cap, check = _schedule(regime)
+    _, _, hazards, cap, check = _schedule(regime)
     longest = max((nbits for _, nbits in distinct), default=0)
     if longest > cap:
         raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
@@ -310,19 +340,19 @@ def _sort(members: Iterable, regime: Regime):
     datas = [data for data, _ in distinct]
     lengths = [nbits for _, nbits in distinct]
     cum = list(accumulate(map(counts.__getitem__, distinct), initial=0))
-    return (datas, lengths, cum), model
+    return (datas, lengths, cum), hazards
 
 
-def _decisions(
-    sorted_members: tuple, model: Optional[LengthModel], split: Callable, termination: Callable
-):
+def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Callable]):
     """Yield (table, outcome) for every decision the encoder codes, in
-    coding order, from _sort's members.  A trie node is a range [lo, hi)
-    of the sorted members at a depth d; a range of one distinct member is
-    coded from the member's bits to its end without the stack.  Where no
-    termination counts are coded and the member has one copy, that is a
-    run, one item ((split(1), count), bits): the member's remaining count
-    bits as one int, as RangeEncoder.encode_intervals reads it."""
+    coding order, from _sort's members and _tables' caches, termination
+    None where no termination counts are coded.  A trie node is a range
+    [lo, hi) of the sorted members at a depth d; a range of one distinct
+    member is coded from the member's bits to its end without the stack.
+    Where no termination counts are coded and the member has one copy,
+    that is a run, one item ((split(1), count), bits): the member's
+    remaining count bits as one int, as RangeEncoder.encode_intervals
+    reads it."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -333,7 +363,7 @@ def _decisions(
             data = datas[lo]
             value = int.from_bytes(data, "big") >> (8 * len(data) - end)
             table = split(n) if end > d else None
-            if model is not None:
+            if termination is not None:
                 for e, bit in enumerate(format(value, f"0{end}b")[d:end], d):
                     yield termination(e, n), 0
                     yield table, n if bit == "1" else 0
@@ -344,7 +374,7 @@ def _decisions(
             elif end > d:
                 yield (table, end - d), value & ((1 << (end - d)) - 1)
             continue
-        if model is not None:
+        if termination is not None:
             n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
             yield termination(d, n), n_t
             if n_t:
@@ -372,9 +402,9 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     appended as soon as the run returns, and its chain ends there.  The
     prefix is a bytearray of 0/1 values, which the run extends in one step
     and BitString.from_bits packs in C."""
-    end, complete, model, cap, _ = _schedule(params.regime)
+    end, complete, hazards, cap, _ = _schedule(params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, model)
+    split, termination = _tables(fam.split_table, fam.termination_table, hazards)
     prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
@@ -388,10 +418,10 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
             if d == end or complete is not None and complete(prefix):
                 out.extend(BitString.from_bits(prefix) for _ in range(n))
                 break
-            if model is not None:
+            if hazards is not None:
                 n_t = yield termination(d, n)
                 if n_t:
-                    if model.pmf(d) == 0:
+                    if not hazards.possible(d):
                         # reachable only with full-support termination tables on a
                         # corrupt stream; no encoder output decodes to this state
                         raise CorruptStreamError(f"decoded a member of impossible length {d}")
@@ -425,10 +455,10 @@ def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) ->
     Raises ModelMismatchError before coding anything for a member the
     regime cannot code, and mid-stream for a decision whose outcome the
     family gives zero probability."""
-    sorted_members, model = _sort(members, params.regime)
+    sorted_members, hazards = _sort(members, params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, model)
-    enc.encode_intervals(_decisions(sorted_members, model, split, termination))
+    split, termination = _tables(fam.split_table, fam.termination_table, hazards)
+    enc.encode_intervals(_decisions(sorted_members, split, termination))
 
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
@@ -443,11 +473,11 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    sorted_members, model = _sort(members, params.regime)
+    sorted_members, hazards = _sort(members, params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, model)
+    split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, hazards)
     total = 0.0
-    for table, k in _decisions(sorted_members, model, split, termination):
+    for table, k in _decisions(sorted_members, split, termination):
         if table.__class__ is tuple:  # a run, summed one decision at a time
             table, count = table
             for bit in format(k, f"0{count}b"):

@@ -1,6 +1,6 @@
 """The package's public surface: everything __all__ names exists, once,
-importing it leaves numpy unloaded, and the codec does not import the
-trie."""
+importing it leaves numpy and dataclasses unloaded, and the codec does
+not import the trie."""
 
 import ast
 import os
@@ -22,6 +22,17 @@ def test_import_leaves_numpy_unloaded():
     # the coding tables use math alone, so numpy is no runtime dependency
     env = {**os.environ, "PYTHONPATH": str(Path(msetzip.__file__).parents[1])}
     code = "import sys, msetzip; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # the value types are plain slotted classes, so no dataclass writes and
+    # compiles their methods at each start; bench, whose records are one,
+    # loads only with a bench command
+    env = {**os.environ, "PYTHONPATH": str(Path(msetzip.__file__).parents[1])}
+    code = "import sys, msetzip, msetzip.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"

@@ -625,6 +625,17 @@ def test_encoder_refuses_to_renormalise_a_zero_range(item):
         enc.encode_intervals([item])
 
 
+@pytest.mark.parametrize("rng", [0, 1, TOP - 1, MASK + 1])
+def test_decoder_refuses_a_range_no_renormalisation_leaves(rng):
+    # a decision divides by range // total before any renormalisation, so
+    # a zero range would raise ZeroDivisionError there, not the coder's error
+    dec = RangeDecoder.from_bytes(b"\x12\x34")
+    dec.range = rng
+    with pytest.raises(RuntimeError, match="empty" if rng == 0 else "outside"):
+        dec.decode_target([0, 1, 2])
+    assert dec.range == rng
+
+
 @pytest.mark.parametrize("cum", [HALF, [0, 3, 8]])
 def test_decoder_refuses_to_renormalise_a_zero_range(cum):
     # without the guard the run spins on zero bytes

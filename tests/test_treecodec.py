@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import msetzip
 import msetzip.treecodec as treecodec
 from msetzip.bits import BitString, as_bitstring
 from msetzip.errors import CorruptStreamError, ModelMismatchError
@@ -828,3 +829,23 @@ class TestCorruptStreams:
             ok += 1
             assert all(1 <= len(m.to_str()) <= 3 for m in members)
         assert ok + bad == 200
+
+    def test_general_lengths_are_checked_by_hazard_not_pmf(self, monkeypatch):
+        # a geometric pmf is an exact power (1 - p)^(k - 1) p, one per
+        # length; the hazard decides the same support without it
+        def refuse(self, k):
+            raise AssertionError(f"pmf({k}) was called")
+
+        monkeypatch.setattr(GeometricLength, "pmf", refuse)
+        params = CodecParams(GeneralRegime(GeometricLength(Fraction(1, 4))), BetaBinomialFamily())
+        members = ["1", "01", "0010", "0010", "1" * 300]
+        assert msetzip.decompress(msetzip.compress(members, params)) == sorted(
+            map(as_bitstring, members)
+        )
+        with pytest.raises(ModelMismatchError):
+            msetzip.compress([""], params)
+        # a Beta-binomial termination table gives depth 0 mass, where a
+        # geometric length has none: the top of the interval ends a member
+        # there, and only a corrupt stream holds it
+        with pytest.raises(CorruptStreamError, match="impossible length 0"):
+            decode_members(params, 1, RangeDecoder.from_bytes(b"\xff" * 8))
