@@ -13,7 +13,9 @@ whose output for an integer seed is stable across Python versions.
 
 import hashlib
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -76,6 +78,15 @@ def _skewed_duplicates(seed: int, n: int, distinct: int) -> list[str]:
     rng = random.Random(seed)
     pool = [_bits(rng, rng.getrandbits(5) + 1) for _ in range(distinct)]
     return [pool[min(rng.getrandbits(6), rng.getrandbits(6)) % distinct] for _ in range(n)]
+
+
+def _zipf_duplicates(seed: int, n: int, distinct: int) -> list[str]:
+    """n draws, Zipf(1) by rank, from `distinct` strings of 1..256 bits,
+    with integer weights so the draws need getrandbits alone."""
+    rng = random.Random(seed)
+    pool = [_bits(rng, rng.getrandbits(8) + 1) for _ in range(distinct)]
+    cum = list(accumulate(2**20 // rank for rank in range(1, distinct + 1)))
+    return [pool[bisect_right(cum, rng.getrandbits(32) % cum[-1])] for _ in range(n)]
 
 
 def _sha1_members(seed: int, n: int) -> list[str]:
@@ -174,6 +185,22 @@ def _cases() -> dict:
     for bit, name in (("1", "ones"), ("0", "zeros")):
         params = CodecParams(FixedRegime(2048), FAMILIES["binom-1/2"])
         cases[f"fixed2048/N=1/{name}"] = ([bit * 2048], params)
+    # General-regime members with many copies: below its last branch each
+    # copy set codes a termination count of 0 and a split of 0 or all of
+    # them at every depth.  Under UniformLength(100, 300) the termination
+    # table is a point mass below depth 100, then changes with every depth
+    # and is never dyadic; the 300-bit member reaches the depth cap.
+    rng = random.Random(6)
+    copies = {150: 1, 181: 40, 233: 7, 267: 23, 298: 2, 300: 13}
+    cases["uniform100-300/long-duplicates"] = (
+        [m for nbits, c in copies.items() for m in [_bits(rng, nbits)] * c],
+        CodecParams(GeneralRegime(UniformLength(100, 300)), FAMILIES["binom-1/3"]),
+    )
+    # The general-regime benchmark's configuration, at a smaller size.
+    cases["geom1/128/zipf-2000"] = (
+        _zipf_duplicates(7, 2000, 32),
+        CodecParams(GeneralRegime(GeometricLength(Fraction(1, 128))), FAMILIES["betabin-1/2,1/2"]),
+    )
     return cases
 
 
@@ -218,6 +245,7 @@ GOLDEN = {
     "fixlen8/betabin-2,5": "4d535a31010101010008000000020000000100000005000000015e56eae7154d80",
     "fixlen8/binom-1/2": "4d535a3101010001000800000001000000025b1022715cf8",
     "fixlen8/binom-1/3": "4d535a3101010001000800000001000000035df9733c88ba",
+    "geom1/128/zipf-2000": (2977, "868b0d8adad8308f5a5a1b098040cd6bc7c095048937da8c7b452b415bd51469"),
     "geom1/16/skewed-duplicates-2000": (1442, "560ccc80ce0eb6c91db8cf74ab73486030e5c647e17c03905404cbd573f549b5"),
     "geom1/4/N=0": "4d535a310102000200000001000000040000000100000003c0",
     "geom1/4/N=1/betabin-2,5": "4d535a3101020102000000010000000400000002000000010000000500000001716962",
@@ -243,6 +271,7 @@ GOLDEN = {
     "uniform0-10/binom-1/2": "4d535a31010200010000000a00000001000000024f928e75c0fa30",
     "uniform0-10/binom-1/3": "4d535a31010200010000000a00000001000000034fc3714267f329",
     "uniform0-10/duplicates": "4d535a31010201010000000a000000020000000100000005000000012936052acd5b406f772de1c812077a3e23a39818",
+    "uniform100-300/long-duplicates": (2052, "795b59da71c1b36e5fc2b8e63b016856413ac27173ba7e21b3fa1e76a49371d4"),
 }
 
 
