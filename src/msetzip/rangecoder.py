@@ -33,6 +33,25 @@ coded one at a time would, and both sides refuse a run whose table has
 other than two outcomes, whose total is out of range or whose count is
 below 1 with ValueError, before any of its decisions.
 
+A stream may also hold a chain: the depths below a node of a multiset's
+trie where no member ends and all n members take the same branch.  Its
+item is (split, n, termination, d, count), split a table whose top
+outcome is n and termination(e, n) the table of depth e, and at each depth
+e from d it codes outcome 0 of termination(e, n) and then outcome 0 or n
+of split.  The encoder codes ((split, n, termination, d, count), bits), one
+bit per depth, first depth on top, 1 for outcome n.  The decoder decodes
+at most count depths and answers 1 << c | bits for the c depths it took.
+At each depth it works out both outcomes in copies of its registers and
+commits the depth only if the termination outcome is 0 and the split
+outcome 0 or n.  Otherwise it stops there, the registers as that depth
+found them, and the caller decodes the depth one decision at a time, so
+any payload decodes exactly as it would one decision per table.  Both
+sides refuse a chain whose n is not its split table's top outcome, whose
+split total is out of range or whose count is below 0 with ValueError,
+before any of its depths.  The encoder reads the bits of a chain, and of
+a run under a table other than [0, 1, 2], as bytes of 0/1 values, one
+small int per decision rather than a shift of the whole int.
+
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
 added straight into the output, turning its trailing 0xFF bytes to 0x00
@@ -79,7 +98,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Generator, Iterable, Sequence, TypeVar
 
-from .bits import BitReader, BitString
+from .bits import BitReader, BitString, marked_bits
 from .errors import ModelMismatchError
 
 RANGE_BITS = 64
@@ -124,9 +143,13 @@ class RangeEncoder:
         ((cum, count), bits), cum a two-outcome table and bits an int in
         [0, 2**count), codes outcome 1 for each 1 bit and outcome 0 for each
         0 bit, first bit on top, exactly as those decisions one by one would.
+        A chain ((split, n, termination, d, count), bits) codes, for each
+        depth e from d and each bit, outcome 0 of termination(e, n) and
+        then outcome n of split for a 1 bit, 0 for a 0 bit.
 
         An error leaves the decisions before the failing one coded.  A
-        malformed run raises ValueError before any of its decisions.
+        malformed run or chain raises ValueError before any of its
+        decisions.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -136,6 +159,56 @@ class RangeEncoder:
         try:
             for cum, k in decisions:
                 if cum.__class__ is tuple:
+                    if len(cum) == 5:
+                        # a chain: per depth, termination outcome 0, then
+                        # split outcome 0 or n by the next bit of k
+                        split, n, termination, d, count = cum
+                        s1, sn, stotal = _chain(split, n, count)
+                        if not 0 <= k < 1 << count:
+                            raise ValueError(f"bits {k} do not fit a chain of {count} depths")
+                        for b in marked_bits(k | 1 << count):
+                            term = termination(d, n)
+                            d += 1
+                            total = term[-1]
+                            if not 1 <= total <= TOTAL_MAX:
+                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                            hi = term[1]
+                            if not hi:
+                                raise ModelMismatchError("outcome 0 has zero probability under the model")
+                            if total > 1:
+                                if hi != total:
+                                    rng = rng // total * hi
+                                    while rng < TOP:
+                                        if not rng:
+                                            raise RuntimeError(_ZERO_RANGE)
+                                        emit(low >> shift)
+                                        low = (low << 8) & MASK
+                                        rng <<= 8
+                                coded += 1
+                            if b:
+                                if sn == stotal:
+                                    raise ModelMismatchError(
+                                        f"outcome {n} has zero probability under the model"
+                                    )
+                                x = rng // stotal * sn
+                                low += x
+                                rng -= x
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
+                            elif not s1:
+                                raise ModelMismatchError("outcome 0 has zero probability under the model")
+                            elif s1 != stotal:
+                                rng = rng // stotal * s1
+                            if stotal > 1:
+                                while rng < TOP:
+                                    if not rng:
+                                        raise RuntimeError(_ZERO_RANGE)
+                                    emit(low >> shift)
+                                    low = (low << 8) & MASK
+                                    rng <<= 8
+                                coded += 1
+                        continue
                     head, total, count = _run(cum)
                     if not 0 <= k < 1 << count:
                         raise ValueError(f"bits {k} do not fit a run of {count} decisions")
@@ -149,18 +222,12 @@ class RangeEncoder:
                         stop = 0
                     else:
                         stop = (k ^ (1 << count) - 1).bit_length()
-                    # a point mass codes nothing, and outcome 0 beside a dead
-                    # outcome 1 keeps the registers as they are
-                    if total > 1 and head != total:
-                        base = count
-                        for n in range(count - 1, stop - 1, -1):
-                            if n < base:
-                                # the next 30 bits of k, one digit of Python's
-                                # int: k is shifted once per 30 bits, not per bit
-                                base = n - 29 if n > 29 else 0
-                                bits = k >> base & 0x3FFFFFFF
-                            x = rng >> 1 if half else rng // total * head
-                            if bits >> n - base & 1:
+                    if half:
+                        # at most nine decisions, each reading its bit
+                        # straight from k, up to the first renormalisation
+                        for n in range(count - 1, -1, -1):
+                            x = rng >> 1
+                            if k >> n & 1:
                                 low += x
                                 rng -= x
                                 if low > MASK:
@@ -175,9 +242,8 @@ class RangeEncoder:
                                     emit(low >> shift)
                                     low = (low << 8) & MASK
                                     rng <<= 8
-                                if half:
-                                    break
-                        if half and n:
+                                break
+                        if n:
                             # range is 256 q: each 8 bits j add q j to low and
                             # shift out a byte, so m bytes of bits J are one step
                             m, t = divmod(n, 8)
@@ -193,6 +259,25 @@ class RangeEncoder:
                                 if low > MASK:
                                     self._carry()
                                     low &= MASK
+                    elif total > 1 and 0 < head < total:
+                        # (a point mass codes nothing, and the live outcome
+                        # beside a dead one keeps the registers as they are)
+                        for b in marked_bits(k | 1 << count):
+                            x = rng // total * head
+                            if b:
+                                low += x
+                                rng -= x
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
+                            else:
+                                rng = x
+                            while rng < TOP:
+                                if not rng:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                emit(low >> shift)
+                                low = (low << 8) & MASK
+                                rng <<= 8
                     if total > 1:
                         coded += count - stop
                     if stop:
@@ -294,8 +379,11 @@ class RangeDecoder:
         (cum, count) of a two-outcome table and a number of decisions under
         it; it is sent their outcomes as one int, the first decision's
         outcome in its top bit, exactly as the decisions one by one would
-        have decoded them.  A malformed run raises ValueError before any of
-        its decisions.
+        have decoded them.  Or it may yield a chain (split, n, termination,
+        d, count); it is sent 1 << c | bits for the c <= count depths from d
+        whose termination outcome is 0 and split outcome 0 or n (a 1 bit),
+        and the next depth is left undecoded.  A malformed run or chain
+        raises ValueError before any of its decisions.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -308,6 +396,58 @@ class RangeDecoder:
             cum = next(walk)
             while True:
                 if cum.__class__ is tuple:
+                    if len(cum) == 5:
+                        # a chain: decode a depth's termination count, then its
+                        # split, into v, r, p, and commit the depth only if
+                        # they are 0, and 0 or n; k takes at most 30 bits, the
+                        # older ones wait in top under the leading 1
+                        split, n, termination, d, count = cum
+                        s1, sn, stotal = _chain(split, n, count)
+                        top, k, j = 1, 0, 0
+                        for d in range(d, d + count):
+                            term = termination(d, n)
+                            total = term[-1]
+                            if not 1 <= total <= TOTAL_MAX:
+                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                            hi = term[1]
+                            v, r, p = value, rng, pos
+                            if hi != total:
+                                if not hi:
+                                    break
+                                r = rng // total * hi
+                                if v >= r:  # that is, v // (rng // total) >= hi
+                                    break
+                                while r < TOP:
+                                    if not r:
+                                        raise RuntimeError(_ZERO_RANGE)
+                                    v = (v << 8 | (data[p] if p < size else 0)) & MASK
+                                    p += 1
+                                    r <<= 8
+                            q = r // stotal
+                            if s1 and (s1 == stotal or v < q * s1):
+                                if s1 != stotal:
+                                    r = q * s1
+                                k += k
+                            elif sn < stotal and v >= q * sn:  # the remainder zone too
+                                x = q * sn
+                                v -= x
+                                r -= x
+                                k += k + 1
+                            else:
+                                break
+                            while r < TOP:
+                                if not r:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                v = (v << 8 | (data[p] if p < size else 0)) & MASK
+                                p += 1
+                                r <<= 8
+                            value, rng, pos = v, r, p
+                            j += 1
+                            if j == 30:
+                                top = top << 30 | k
+                                k = j = 0
+                        cum = walk.send(top << j | k)
+                        continue
                     head, total, count = _run(cum)
                     k = 0
                     if head != total:  # else outcome 1 is dead and every outcome is 0
@@ -388,6 +528,21 @@ class RangeDecoder:
 def _single(cum: Sequence[int]) -> Generator[Sequence[int], int, int]:
     """The walk of one decision: decode_target as a decode_walk."""
     return (yield cum)
+
+
+def _chain(split: Sequence[int], n: int, count: int) -> tuple[int, int, int]:
+    """(cum[1], cum[n], total) of a chain's split table cum, the bounds of
+    its outcomes 0 and n.  Raises ValueError, for the encoder and the
+    decoder alike, unless n >= 1 is the table's top outcome, total is in
+    [1, TOTAL_MAX] and count >= 0."""
+    if n < 1 or len(split) != n + 2:
+        raise ValueError(f"a chain at n = {n} needs a split table of {n + 1} outcomes")
+    total = split[-1]
+    if not 1 <= total <= TOTAL_MAX:
+        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+    if count < 0:
+        raise ValueError(f"a chain needs count >= 0, got {count}")
+    return split[1], split[n], total
 
 
 def _run(item: tuple) -> tuple[int, int, int]:

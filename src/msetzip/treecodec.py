@@ -16,19 +16,32 @@ decisions come straight from the member's bits: split(m) with outcome 0 or
 m per bit and, in the general regime, one termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
-order, except a run: one copy of one member (m = 1) where no termination
-counts are coded, whose remaining decisions under the two-outcome table
-split(1) are one item ((table, count), bits), the member's remaining count
-bits as one int.  The range coder codes that stream in one call, a run
-under the equiprobable split(1) a whole stretch of bytes at a time, and the
-ideal codelength sums it over the exact log2 pmf, a run one decision at a
-time.  The decoder runs the walk's mirror, _decode_walk: it hands each
-table to the range decoder, takes back the count, and follows a chain
-without the stack until the chain branches, which at n = 1 is the whole
-rest of a member.  In the fixed regime that rest is one run, (table, L - d)
-in the table's slot, its bits coming back as one int, and the member is
-complete when the run returns.  Every distinct member is checked against
-the regime before the first symbol is coded.
+order, except for the rest of one distinct member below its node of depth
+d, which is one item, its remaining count bits as one int:
+
+  * a run, where no termination counts are coded and the member has one
+    copy: ((split(1), count), bits), count decisions under the two-outcome
+    table split(1);
+  * a chain, in the general regime, for any number m of copies:
+    ((split(m), m, termination, d, count), bits), a termination count of 0
+    and a split of 0 or m at each depth, followed by the final termination
+    count m as a decision of its own.
+
+The range coder codes that stream in one call, a run under the
+equiprobable split(1) a whole stretch of bytes at a time, and the ideal
+codelength sums it over the exact log2 pmf, a run or a chain one decision
+at a time.  The decoder runs the walk's mirror, _decode_walk: it hands each
+table to the range decoder, takes back the count, and follows a node's
+path without the stack until it branches, which at n = 1 is the whole rest
+of a member.  In the fixed regime that rest is one run, (table, L - d) in
+the table's slot, its bits coming back as one int, and the member is
+complete when the run returns.  In the general regime the walk offers a
+chain (split(n), n, termination, d, cap - d) at every node.  The range
+decoder takes depths up to the first one whose termination count is not 0
+or whose split is not 0 or n, and stops before it; the walk then decodes
+that depth one decision at a time and offers the next chain below it.
+Every distinct member is checked against the regime before the first
+symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -64,11 +77,11 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._frozen import Frozen
-from .bits import BitString, as_bitstring
+from .bits import BitString, as_bitstring, marked_bits
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
 from .models import EndDetector, LengthModel, hazard
@@ -81,9 +94,6 @@ from .rangecoder import RangeDecoder, RangeEncoder
 # members sit far past this library's domain of short sequences, and
 # hitting the cap costs well under a second.
 DECODE_DEPTH_CAP = 1 << 16
-
-# ASCII '0'/'1' digits to the bit values 0/1
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class BinomialFamily(Frozen):
@@ -286,8 +296,7 @@ def _prefix_free(complete: Completion) -> MemberCheck:
             m = min(nbits, before_nbits)
             del prefix[m - ((value >> (nbits - m)) ^ (before >> (before_nbits - m))).bit_length() :]
             done = done and len(prefix) == before_nbits
-            rest = format(value, f"0{nbits}b")[len(prefix) : nbits]
-            for bit in rest.encode().translate(_DIGIT_BITS):
+            for bit in marked_bits(value | 1 << nbits)[len(prefix) :]:
                 if done:
                     raise ModelMismatchError(f"member extends a complete {len(prefix)}-bit prefix")
                 prefix.append(bit)
@@ -350,9 +359,11 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
     [lo, hi) of the sorted members at a depth d; a range of one distinct
     member is coded from the member's bits to its end without the stack.
     Where no termination counts are coded and the member has one copy,
-    that is a run, one item ((split(1), count), bits): the member's
+    that is a run, one item ((split(1), count), bits); in the general
+    regime, for m copies, a chain ((split(m), m, termination, d, count),
+    bits) and then the final termination count.  bits are the member's
     remaining count bits as one int, as RangeEncoder.encode_intervals
-    reads it."""
+    reads them."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -364,9 +375,8 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
             value = int.from_bytes(data, "big") >> (8 * len(data) - end)
             table = split(n) if end > d else None
             if termination is not None:
-                for e, bit in enumerate(format(value, f"0{end}b")[d:end], d):
-                    yield termination(e, n), 0
-                    yield table, n if bit == "1" else 0
+                if end > d:  # a chain: the member's remaining bits as one int
+                    yield (table, n, termination, d, end - d), value & ((1 << (end - d)) - 1)
                 yield termination(end, n), n
             elif n > 1:  # a run is one copy, so m copies take a decision per bit
                 for bit in format(value, f"0{end}b")[d:end]:
@@ -395,13 +405,16 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
 def _decode_walk(n_members: int, params: CodecParams, out: list):
     """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
     yield each decision's table, receive its outcome.  Appends the members
-    to out in lexicographic order, one BitString per copy.  A node's chain
+    to out in lexicographic order, one BitString per copy.  A node's path
     is followed without the stack until it branches, which at n = 1 is the
     whole rest of a member.  In the fixed regime that rest is one run item
     (table, L - d), its outcomes received as one int; the member is
-    appended as soon as the run returns, and its chain ends there.  The
-    prefix is a bytearray of 0/1 values, which the run extends in one step
-    and BitString.from_bits packs in C."""
+    appended as soon as the run returns, and its path ends there.  In the
+    general regime each node first yields a chain item, (split(n), n,
+    termination, d, cap - d), and receives 1 << c | bits for the c depths
+    the range decoder could take whole; the depth after them goes one
+    decision at a time.  The prefix is a bytearray of 0/1 values, which a
+    run or a chain extends in one step and BitString.from_bits packs in C."""
     end, complete, hazards, cap, _ = _schedule(params.regime)
     fam = params.family
     split, termination = _tables(fam.split_table, fam.termination_table, hazards)
@@ -416,16 +429,24 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
             if d == end or complete is not None and complete(prefix):
-                out.extend(BitString.from_bits(prefix) for _ in range(n))
+                out.extend(map(BitString.from_bits, repeat(prefix, n)))
                 break
             if hazards is not None:
+                if table is None:
+                    table = split(n)
+                # a chain: the depths from here whose termination count is 0
+                # and whose members all take one branch, up to the depth cap
+                chain = yield table, n, termination, d, cap - d
+                if chain > 1:
+                    prefix += marked_bits(chain)
+                    d += chain.bit_length() - 1
                 n_t = yield termination(d, n)
                 if n_t:
                     if not hazards.possible(d):
                         # reachable only with full-support termination tables on a
                         # corrupt stream; no encoder output decodes to this state
                         raise CorruptStreamError(f"decoded a member of impossible length {d}")
-                    out.extend(BitString.from_bits(prefix) for _ in range(n_t))
+                    out.extend(map(BitString.from_bits, repeat(prefix, n_t)))
                     n -= n_t
                     if not n:
                         break
@@ -437,7 +458,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                 # is one run, its bits sent back as one int, and the member
                 # is complete when the run returns
                 rest = yield table, end - d
-                prefix += format(rest, f"0{end - d}b").encode().translate(_DIGIT_BITS)
+                prefix += marked_bits(rest | 1 << end - d)
                 out.append(BitString.from_bits(prefix))
                 break
             n1 = yield table
@@ -478,10 +499,15 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, hazards)
     total = 0.0
     for table, k in _decisions(sorted_members, split, termination):
-        if table.__class__ is tuple:  # a run, summed one decision at a time
-            table, count = table
-            for bit in format(k, f"0{count}b"):
-                total -= table[1] if bit == "1" else table[0]
-        else:
+        if table.__class__ is not tuple:
             total -= table[k]
+        elif len(table) == 2:  # a run, summed one decision at a time
+            table, count = table
+            for bit in marked_bits(k | 1 << count):
+                total -= table[bit]
+        else:  # a chain, summed one decision at a time
+            table, n, termination, d, count = table
+            for e, bit in enumerate(marked_bits(k | 1 << count), d):
+                total -= termination(e, n)[0]
+                total -= table[n if bit else 0]
     return total

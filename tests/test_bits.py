@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from msetzip import CodecParams, FixedRegime, compress, decompress
-from msetzip.bits import BitReader, BitString, BitWriter, as_bitstring
+from msetzip.bits import BitReader, BitString, BitWriter, as_bitstring, marked_bits
 from msetzip.errors import TruncationError
 from msetzip.msettree import MultisetTree
 
@@ -269,3 +269,9 @@ class TestBitReader:
         rest = BitReader(data, start_bit=start).read_rest()
         padded = BitReader(data + bytes(3), start_bit=start)
         assert list(rest) + [0] * 2 == [padded.read_bits(8) for _ in range(len(rest) + 2)]
+
+
+@given(st.text("01", max_size=200))
+def test_marked_bits_are_the_bits_below_the_marker(text):
+    # the count bits of 1 << count | bits as 0/1 values, leading zeros kept
+    assert marked_bits(int("1" + text, 2)) == bytes(int(c) for c in text)

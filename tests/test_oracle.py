@@ -6,18 +6,21 @@ one encode_interval call: in the general regime the termination count
 first, under termination_table(n, hazard(model, d)), then, unless the node
 is complete, how many of the other members go on with a 1, under
 split_table(n).  Its decoder mirrors that with one decode_target call per
-decision.  The codec's sorted-member walk, its runs and its byte steps must
-give the same payload, and decode the same members, on random multisets.
+decision.  The codec's sorted-member walk, its runs, chains and byte steps
+must give the same payload, and decode the same members, on random
+multisets; and decode the same members from random payload bytes.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msetzip.bits import BitReader, BitString
 from msetzip.container import compress, decompress, parse_header
+from msetzip.errors import CorruptStreamError
 from msetzip.fibcode import fib_encode, read_fib
 from msetzip.models import FibTerminatorDetector, UniformLength, hazard
 from msetzip.msettree import MultisetTree
@@ -29,6 +32,7 @@ from msetzip.treecodec import (
     FixedRegime,
     GeneralRegime,
     SelfDelimitingRegime,
+    decode_members,
     encode_members,
 )
 
@@ -160,3 +164,29 @@ def test_decoder_matches_the_trie_walk(case):
         n_members = read_fib(reader) - 1
         oracle = oracle_decode(params, n_members, RangeDecoder.from_reader(reader), cap)
         assert decompress(container) == oracle == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, 2**32).map(lambda seed: random.Random(seed).randbytes(64)),
+    ),
+    n_members=st.integers(0, 40),
+)
+@example(data=b"", n_members=5)  # zeros: under BetaBin no member ever ends
+def test_random_payloads_decode_as_the_trie_walk(data, n_members):
+    # payloads that no encoder wrote: where a chain stops, and which
+    # depths it leaves to one decision at a time, must not change what
+    # decodes.  Under BetaBin the termination count ignores the hazard, so
+    # members can pass the depth cap of 40, which both sides refuse.
+    regime = GeneralRegime(UniformLength(0, 40))
+    for family in FAMILIES:
+        params = CodecParams(regime, family)
+        try:
+            want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), 40)
+        except AssertionError:
+            with pytest.raises(CorruptStreamError):
+                decode_members(params, n_members, RangeDecoder.from_bytes(data))
+        else:
+            assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want

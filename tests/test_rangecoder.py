@@ -1,5 +1,6 @@
 """Range coder: round-trip correctness and tightness of the output length."""
 
+import copy
 import math
 import random
 import signal
@@ -614,7 +615,14 @@ def _deadline(seconds: float):
 
 
 @pytest.mark.parametrize(
-    "item", [([0, 1, 2], 0), ([0, 3, 8], 1), ((HALF, 20), 5), (([0, 3, 8], 20), 5)]
+    "item",
+    [
+        ([0, 1, 2], 0),
+        ([0, 3, 8], 1),
+        ((HALF, 20), 5),
+        (([0, 3, 8], 20), 5),
+        (([0, 3, 8], 1, lambda d, n: [0, 1, 1], 0, 20), 5),  # a chain
+    ],
 )
 def test_encoder_refuses_to_renormalise_a_zero_range(item):
     # no input empties the interval, so this is an internal error, not a
@@ -643,3 +651,259 @@ def test_decoder_refuses_to_renormalise_a_zero_range(cum):
     dec.range = 0
     with _deadline(2.0), pytest.raises(RuntimeError, match="empty"):
         dec.decode_walk(_run_walk(cum, 20))
+
+
+# --- chains: per depth a termination count of 0, then a split of 0 or n -----
+
+# (split table, n, termination tables cycled by depth); the kernels read a
+# termination table's first bound and total, and the split table's bounds
+# of outcomes 0 and n
+CHAIN_CASES = [
+    ([0, 1, 2], 1, [[0, 2, 3], [0, 11184811, 16777216]]),
+    ([0, 11184811, 16777216], 1, [[0, 1, 1]]),  # termination total 1: a point mass on 0
+    ([0, 3, 5, 11, 20], 3, [[0, 9, 12, 14, 15], [0, 15, 15, 15, 15]]),  # t1 == total
+    ([0, 0, 5, 9, 20], 3, [[0, 9, 12, 14, 15]]),  # dead outcome 0
+    ([0, 4, 9, 20, 20], 3, [[0, 9, 12, 14, 15]]),  # dead top outcome
+    ([0, 4, 9, 20, 20], 3, [[0, 1, 1, 1, 1]]),  # the split sees the remainder zone
+    ([0, 1, 2, TOTAL_MAX - 1, TOTAL_MAX], 3, [[0, TOTAL_MAX - 1, TOTAL_MAX, TOTAL_MAX, TOTAL_MAX]]),
+    ([0, TOTAL_MAX - 1, TOTAL_MAX], 1, [[0, 1, TOTAL_MAX]]),  # slivers: carries and long shifts
+    ([0, 1, 1], 1, [[0, 5, 8], [0, 1, 1]]),  # point masses on either split outcome
+    ([0, 0, 1], 1, [[0, 5, 8]]),
+    ([0, 0, 1, 1], 2, [[0, 5, 8, 9]]),  # a point mass on a middle outcome
+    ([0, 5, 6, 9], 2, [[0, 0, 3, 8], [0, 4, 4, 4]]),  # a dead termination outcome 0
+    ([0, 5, 6, 9], 2, [[0, 0, 1, 1], [0, 4, 4, 4]]),  # a termination point mass past 0
+]
+
+
+def _termination(tables):
+    return lambda d, n: tables[d % len(tables)]
+
+
+def _chain(case, d: int, bits: str) -> tuple:
+    """The chain item of bits, written as '0'/'1' text, from depth d."""
+    split, n, tables = case
+    return (split, n, _termination(tables), d, len(bits)), int(bits or "0", 2)
+
+
+def _chain_decisions(case, d: int, bits: str) -> list:
+    """A chain's decisions one by one: per depth, termination outcome 0,
+    then split outcome 0 per '0' and n per '1'."""
+    split, n, tables = case
+    out = []
+    for e, bit in enumerate(bits, d):
+        out += [(tables[e % len(tables)], 0), (split, n if bit == "1" else 0)]
+    return out
+
+
+def _one_by_one(enc: RangeEncoder, stream) -> tuple:
+    """(error type, low, range, symbols_coded, payload) of coding stream one
+    encode_interval call per decision."""
+    error = None
+    try:
+        for cum, k in stream:
+            enc.encode_interval(cum, k)
+    except ModelMismatchError as e:
+        error = type(e)
+    return error, enc.low, enc.range, enc.symbols_coded, enc.finish()
+
+
+def _as_chain(enc: RangeEncoder, stream) -> tuple:
+    error = None
+    try:
+        enc.encode_intervals(stream)
+    except ModelMismatchError as e:
+        error = type(e)
+    return error, enc.low, enc.range, enc.symbols_coded, enc.finish()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    case=st.sampled_from(CHAIN_CASES),
+    d=st.integers(0, 3),
+    bits=st.text("01", max_size=300),
+)
+def test_chain_codes_as_its_decisions(seed, case, d, bits):
+    lead = _lead(seed)
+    tail = [([0, 2, 5], 1)]  # coded only if the chain raised nothing
+    got = _as_chain(RangeEncoder(), lead + [_chain(case, d, bits)] + tail)
+    assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits) + tail)
+
+
+def _chain_walk(case, d: int, count: int):
+    split, n, tables = case
+    return (yield split, n, _termination(tables), d, count)
+
+
+def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int) -> int:
+    """What a chain decodes, one decode_target call per decision: each depth
+    is tried on a copy of dec and kept only if its termination count is 0
+    and its split 0 or n.  Returns 1 << depths | bits."""
+    split, n, tables = case
+    got = 1
+    for e in range(d, d + count):
+        trial = copy.copy(dec)
+        if trial.decode_target(tables[e % len(tables)]):
+            break
+        k = trial.decode_target(split)
+        if k not in (0, n):
+            break
+        dec.value, dec.range, dec._pos = trial.value, trial.range, trial._pos
+        got = got << 1 | (k == n)
+    return got
+
+
+def _check_decoded_chain(data: bytes, state, lead: list, case, d: int, count: int) -> None:
+    """The chain decodes as _chain_by_targets, from the registers (value,
+    range) or, where state is None, from where lead's tables leave data;
+    and the decoders read on alike after it."""
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    if state is not None:
+        dec.value, dec.range = one.value, one.range = state
+    for cum, _ in lead:
+        dec.decode_target(cum)
+        one.decode_target(cum)
+    got = dec.decode_walk(_chain_walk(case, d, count))
+    assert got == _chain_by_targets(one, case, d, count)
+    assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+    for cum in (*case[2], case[0], [0, 3, 8]):
+        assert dec.decode_target(cum) == one.decode_target(cum)
+        assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    case=st.sampled_from(CHAIN_CASES),
+    d=st.integers(0, 3),
+    count=st.integers(0, 300),
+    data=st.binary(max_size=80),
+)
+def test_decoded_chain_matches_its_decisions(seed, case, d, count, data):
+    # on arbitrary bytes, most of them no encoder's output
+    _check_decoded_chain(data, None, _lead(seed), case, d, count)
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_chain_round_trips(case):
+    # a chain of live outcomes, then the termination outcome that ends it
+    split, n, tables = case
+    live = ("0" if split[1] else "") + ("1" if split[n] != split[-1] else "")
+    if not live or not all(t[1] for t in tables):
+        return
+    bits = "".join(random.Random(7).choice(live) for _ in range(300))
+    end = [0, 1, 3, 6, 10][: n + 2]
+    enc = RangeEncoder()
+    enc.encode_intervals([_chain(case, 0, bits), (end, 1)])
+    dec = RangeDecoder.from_bytes(enc.finish().data)
+    got = dec.decode_walk(_chain_walk(case, 0, len(bits)))
+    assert format(got, "b")[1:] == bits
+    assert dec.decode_target(end) == 1
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_chain_from_edge_states(case):
+    # the renormalisation threshold, ranges just below 2**64, and (for the
+    # encoder) a low at the top of the window after output that ends in
+    # 0xFF bytes, where a carry ripples back
+    data = bytes(random.Random(11).getrandbits(8) for _ in range(40))
+    for rng in (TOP, TOP + 1, 2**64 - 257, MASK):
+        for bits in ("1" * 40, "0" * 40, "10" * 20, "0110" * 10 + "1"):
+            for low, out in EDGE_LOWS:
+                got = _as_chain(_encoder_at(low, rng, out), [_chain(case, 1, bits)])
+                want = _one_by_one(_encoder_at(low, rng, out), _chain_decisions(case, 1, bits))
+                assert got == want
+        for value in (0, rng // 3, rng - 1):
+            for count in (0, 1, 9, 40):
+                _check_decoded_chain(data, (value, rng), [], case, 1, count)
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_decoded_chain_at_the_bounds_of_its_outcomes(case):
+    # a value on either side of each bound the chain compares it with: the
+    # termination's outcome 0, and (where the termination leaves the
+    # registers as they are) the split's outcomes 0 and n and its remainder
+    split, n, tables = case
+    data = bytes(range(40))
+    for rng in (TOP, TOP + 1, 2**64 - 257, MASK):
+        term = tables[1 % len(tables)]
+        bounds = {rng // term[-1] * term[1]}
+        bounds.update(rng // split[-1] * b for b in (split[1], split[n], split[-1]))
+        for value in sorted({b + e for b in bounds for e in (-1, 0)}):
+            if 0 <= value < rng:
+                _check_decoded_chain(data, (value, rng), [], case, 1, 3)
+
+
+def test_chain_carries_through_ff_bytes(monkeypatch):
+    carries = []
+    carry = RangeEncoder._carry
+    monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
+    case = CHAIN_CASES[6]  # outcome n a sliver at the top of the split table
+    bits = "1" * 200 + "0" + "1" * 200
+    got = _as_chain(RangeEncoder(), [_chain(case, 0, bits)])
+    assert carries  # a carry rippled back inside the chain
+    assert got == _one_by_one(RangeEncoder(), _chain_decisions(case, 0, bits))
+
+
+def test_chain_of_no_depths_codes_nothing():
+    for case in CHAIN_CASES:
+        enc, ref = RangeEncoder(), RangeEncoder()
+        enc.encode_intervals([([0, 3, 8], 1), _chain(case, 5, ""), ([0, 3, 8], 0)])
+        ref.encode_intervals([([0, 3, 8], 1), ([0, 3, 8], 0)])
+        assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+        assert enc.finish() == ref.finish()
+        dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
+        state = dec.value, dec.range
+        assert dec.decode_walk(_chain_walk(case, 5, 0)) == 1
+        assert (dec.value, dec.range) == state
+
+
+@pytest.mark.parametrize(
+    "split,n,count,bits",
+    [
+        ([0, 3, 8], 2, 3, 0),  # n is not the table's top outcome
+        ([0, 3, 5, 8], 1, 3, 0),
+        ([0, 8], 0, 3, 0),
+        ([0, 1, TOTAL_MAX + 1], 1, 3, 0),
+        ([0, 0, 0], 1, 3, 0),
+        ([0, 3, 8], 1, -1, 0),
+        ([0, 3, 8], 1, 3, 8),  # bits that do not fit the count (encoder only)
+        ([0, 3, 8], 1, 3, -1),
+    ],
+)
+def test_both_kernels_refuse_a_malformed_chain(split, n, count, bits):
+    # before any of its decisions: the encoder keeps its registers, output
+    # and symbols_coded, and the decoder its value and range
+    item = (split, n, lambda d, n: [0, 5, 8], 0, count)
+    enc, ref = RangeEncoder(), RangeEncoder()
+    ref.encode_interval([0, 3, 8], 1)
+    with pytest.raises(ValueError):
+        enc.encode_intervals([([0, 3, 8], 1), (item, bits), ([0, 3, 8], 0)])
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    assert enc.finish() == ref.finish()
+    if bits:
+        return
+    dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
+    state = dec.value, dec.range
+    with pytest.raises(ValueError):
+        dec.decode_walk(iter([item]))
+    assert (dec.value, dec.range) == state
+
+
+def test_chain_refuses_a_termination_table_at_its_depth():
+    # a termination total out of range raises ValueError at its depth, with
+    # the depths before it coded, as one decision at a time would
+    tables = {0: [0, 5, 8], 1: [0, 6, 9], 2: [0, 1, TOTAL_MAX + 1]}
+    item = ([0, 3, 8], 1, lambda d, n: tables[d], 0, 3)
+    enc, ref = RangeEncoder(), RangeEncoder()
+    ref.encode_intervals([([0, 5, 8], 0), ([0, 3, 8], 1), ([0, 6, 9], 0), ([0, 3, 8], 0)])
+    with pytest.raises(ValueError):
+        enc.encode_intervals([(item, 0b101)])
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    data = ref.finish().data
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    for cum in ([0, 5, 8], [0, 3, 8], [0, 6, 9], [0, 3, 8]):
+        one.decode_target(cum)
+    with pytest.raises(ValueError):
+        dec.decode_walk(iter([item]))
+    assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)

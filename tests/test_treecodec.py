@@ -368,6 +368,33 @@ class TestOptimality:
             assert payload.nbits <= 6
 
 
+def _counted(stream, seen):
+    """stream, recording each item with what the coder sent back for it."""
+    item = next(stream)
+    try:
+        while True:
+            reply = yield item
+            seen.append((item, reply))
+            item = stream.send(reply)
+    except StopIteration as end:
+        return end.value
+
+
+def _record_coder_items(monkeypatch) -> tuple[list, list, list]:
+    """(encoded, decoded, built): the lists that the items each coder
+    direction is handed, with its replies, and one entry per
+    BitString.from_bits call, are recorded in from then on."""
+    encoded, decoded, built = [], [], []
+    encode, decode = RangeEncoder.encode_intervals, RangeDecoder.decode_walk
+    monkeypatch.setattr(
+        RangeEncoder, "encode_intervals", lambda enc, s: encode(enc, _counted(iter(s), encoded))
+    )
+    monkeypatch.setattr(RangeDecoder, "decode_walk", lambda dec, w: decode(dec, _counted(w, decoded)))
+    from_bits = BitString.from_bits
+    monkeypatch.setattr(BitString, "from_bits", lambda bits: built.append(1) or from_bits(bits))
+    return encoded, decoded, built
+
+
 class TestRuns:
     """A single member's chain reaches the range coder as one item."""
 
@@ -375,28 +402,7 @@ class TestRuns:
         from test_golden import CASES
 
         members, params = CASES["fixed160/sha1-1024"]
-        encoded, decoded, built = [], [], []
-
-        def counted(stream, seen):
-            # records each item with what the coder sent back for it
-            item = next(stream)
-            try:
-                while True:
-                    reply = yield item
-                    seen.append((item, reply))
-                    item = stream.send(reply)
-            except StopIteration as end:
-                return end.value
-
-        encode, decode = RangeEncoder.encode_intervals, RangeDecoder.decode_walk
-        monkeypatch.setattr(
-            RangeEncoder, "encode_intervals", lambda enc, s: encode(enc, counted(iter(s), encoded))
-        )
-        monkeypatch.setattr(
-            RangeDecoder, "decode_walk", lambda dec, w: decode(dec, counted(w, decoded))
-        )
-        from_bits = BitString.from_bits
-        monkeypatch.setattr(BitString, "from_bits", lambda bits: built.append(1) or from_bits(bits))
+        encoded, decoded, built = _record_coder_items(monkeypatch)
 
         enc = RangeEncoder()
         encode_members(members, params, enc)
@@ -413,6 +419,31 @@ class TestRuns:
             assert (cum, count, bits) == (got_cum, got_count, got_bits)
         assert len(encoded) < enc.symbols_coded // 40 and len(decoded) < enc.symbols_coded // 40
         assert len(built) == len(members)
+
+    @pytest.mark.parametrize("name", ["geom1/128/zipf-2000", "uniform100-300/long-duplicates"])
+    def test_general_duplicates_reach_the_coder_as_chains(self, name, monkeypatch):
+        # below its last branch each distinct member, whatever its copies,
+        # is one chain item ((split(n), n, termination, d, count), bits) to
+        # the encoder; the decoder offers a chain at every node and gets the
+        # same depths back as 1 << count | bits
+        from test_golden import CASES
+
+        members, params = CASES[name]
+        encoded, decoded, built = _record_coder_items(monkeypatch)
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        assert len(encoded) < enc.symbols_coded // 20 and len(decoded) < enc.symbols_coded // 20
+        assert len(built) == len(members)
+        sent = Counter(
+            (item[3], item[1], 1 << item[4] | bits)
+            for item, bits in (item for item, _ in encoded)
+            if item.__class__ is tuple
+        )
+        assert sum(sent.values()) == len(set(members))
+        received = Counter((item[3], item[1], reply) for item, reply in decoded if len(item) == 5)
+        assert not sent - received
 
     @pytest.mark.parametrize(
         "name",
