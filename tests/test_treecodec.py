@@ -381,9 +381,10 @@ def _counted(stream, seen):
 
 
 def _record_coder_items(monkeypatch) -> tuple[list, list, list]:
-    """(encoded, decoded, built): the lists that the items each coder
-    direction is handed, with its replies, and one entry per
-    BitString.from_bits call, are recorded in from then on."""
+    """Patch both coder directions and BitString.from_bits to record into
+    three lists, returned as (encoded, decoded, built): each item a coder
+    direction is handed, with the reply sent back for it, and one entry per
+    from_bits call."""
     encoded, decoded, built = [], [], []
     encode, decode = RangeEncoder.encode_intervals, RangeDecoder.decode_walk
     monkeypatch.setattr(
