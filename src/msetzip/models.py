@@ -16,6 +16,17 @@ lengths before encoding, and the lengths at which the decoder ends
 members, by the hazard, never through pmf, whose exact powers (as in
 GeometricLength's) grow with the length.
 
+A model may also define
+
+    same_hazard_until(d) -> Optional[int]
+
+the first depth after d whose hazard may differ from d's, or None if no
+later depth's does.  The codec then looks up one termination table per
+such stretch of depths, not one per depth; a model without it gets d + 1,
+a stretch of one depth.  All three shipped models define it:
+GeometricLength's hazard is p at every depth from 1, and PointLength's
+and UniformLength's are 0 at every depth below the shortest length.
+
 An EndDetector is the self-delimiting regime's pure predicate on
 prefixes.  It must be prefix-free: once a prefix tests complete, no
 extension of it may ever be a member.  The decoder hands it each prefix as
@@ -56,6 +67,13 @@ def hazard(model: LengthModel, d: int) -> Fraction:
     return model.pmf(d) / residual
 
 
+def same_hazard_until(model: LengthModel, d: int) -> Optional[int]:
+    """The first depth after d whose hazard may differ from d's, None if
+    no later depth's does; d + 1 for a model that does not say."""
+    shortcut = getattr(model, "same_hazard_until", None)
+    return d + 1 if shortcut is None else shortcut(d)
+
+
 class PointLength(Frozen):
     """All members have length exactly L."""
 
@@ -74,6 +92,9 @@ class PointLength(Frozen):
 
     def max_length(self) -> Optional[int]:
         return self.length
+
+    def same_hazard_until(self, d: int) -> Optional[int]:
+        return self.length if d < self.length else d + 1
 
 
 class UniformLength(Frozen):
@@ -97,6 +118,9 @@ class UniformLength(Frozen):
 
     def max_length(self) -> Optional[int]:
         return self.hi
+
+    def same_hazard_until(self, d: int) -> Optional[int]:
+        return self.lo if d < self.lo else d + 1
 
 
 class GeometricLength(Frozen):
@@ -127,6 +151,12 @@ class GeometricLength(Frozen):
         if self.p == 1 and d > 1:
             raise ValueError(f"length model has no mass at depth >= {d}")
         return self.p
+
+    def same_hazard_until(self, d: int) -> Optional[int]:
+        if d < 1:
+            return 1
+        # past depth 1 a degenerate p == 1 has no hazard to share
+        return None if self.p < 1 else d + 1
 
     def max_length(self) -> Optional[int]:
         return None if self.p < 1 else 1

@@ -36,21 +36,25 @@ below 1 with ValueError, before any of its decisions.
 A stream may also hold a chain: the depths below a node of a multiset's
 trie where no member ends and all n members take the same branch.  Its
 item is (split, n, termination, d, count), split a table whose top
-outcome is n and termination(e, n) the table of depth e, and at each depth
-e from d it codes outcome 0 of termination(e, n) and then outcome 0 or n
-of split.  The encoder codes ((split, n, termination, d, count), bits), one
-bit per depth, first depth on top, 1 for outcome n.  The decoder decodes
-at most count depths and answers 1 << c | bits for the c depths it took.
-At each depth it works out both outcomes in copies of its registers and
-commits the depth only if the termination outcome is 0 and the split
-outcome 0 or n.  Otherwise it stops there, the registers as that depth
-found them, and the caller decodes the depth one decision at a time, so
-any payload decodes exactly as it would one decision per table.  Both
-sides refuse a chain whose n is not its split table's top outcome, whose
-split total is out of range or whose count is below 0 with ValueError,
-before any of its depths.  The encoder reads the bits of a chain, and of
-a run under a table other than [0, 1, 2], as bytes of 0/1 values, one
-small int per decision rather than a shift of the whole int.
+outcome is n, and at each depth e from d it codes outcome 0 of e's
+termination table and then outcome 0 or n of split.  termination(e, n)
+gives (table, end): the table of depth e, which every depth in [e, end)
+shares, end None where every later depth does.  Both sides call it at d
+and then only at each end they reach, and check the table's total and
+outcome-0 bound there, once per such stretch of depths.  The encoder
+codes ((split, n, termination, d, count), bits), one bit per depth, first
+depth on top, 1 for outcome n.  The decoder decodes at most count depths
+and answers 1 << c | bits for the c depths it took.  At each depth it
+works out both outcomes in copies of its registers and commits the depth
+only if the termination outcome is 0 and the split outcome 0 or n.
+Otherwise it stops there, the registers as that depth found them, and
+the caller decodes the depth one decision at a time, so any payload
+decodes exactly as it would one decision per table.  Both sides refuse a
+chain whose n is not its split table's top outcome, whose split total is
+out of range or whose count is below 0 with ValueError, before any of its
+depths.  The encoder reads the bits of a chain, and of a run under a
+table other than [0, 1, 2], as bytes of 0/1 values, one small int per
+decision rather than a shift of the whole int.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -144,8 +148,11 @@ class RangeEncoder:
         [0, 2**count), codes outcome 1 for each 1 bit and outcome 0 for each
         0 bit, first bit on top, exactly as those decisions one by one would.
         A chain ((split, n, termination, d, count), bits) codes, for each
-        depth e from d and each bit, outcome 0 of termination(e, n) and
-        then outcome n of split for a 1 bit, 0 for a 0 bit.
+        depth e from d and each bit, outcome 0 of e's termination table and
+        then outcome n of split for a 1 bit, 0 for a 0 bit.  Its
+        termination(e, n) gives (table, end), the table shared by the
+        depths [e, end), end None for every later depth; it is called at d
+        and then only at each end the chain reaches.
 
         An error leaves the decisions before the failing one coded.  A
         malformed run or chain raises ValueError before any of its
@@ -166,15 +173,21 @@ class RangeEncoder:
                         s1, sn, stotal = _chain(split, n, count)
                         if not 0 <= k < 1 << count:
                             raise ValueError(f"bits {k} do not fit a chain of {count} depths")
+                        end = d
                         for b in marked_bits(k | 1 << count):
-                            term = termination(d, n)
+                            if d == end:  # a stretch starts: its table, checked once
+                                term, end = termination(d, n)
+                                total = term[-1]
+                                if not 1 <= total <= TOTAL_MAX:
+                                    raise ValueError(
+                                        f"total must be in [1, {TOTAL_MAX}], got {total}"
+                                    )
+                                hi = term[1]
+                                if not hi:
+                                    raise ModelMismatchError(
+                                        "outcome 0 has zero probability under the model"
+                                    )
                             d += 1
-                            total = term[-1]
-                            if not 1 <= total <= TOTAL_MAX:
-                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                            hi = term[1]
-                            if not hi:
-                                raise ModelMismatchError("outcome 0 has zero probability under the model")
                             if total > 1:
                                 if hi != total:
                                     rng = rng // total * hi
@@ -380,7 +393,9 @@ class RangeDecoder:
         it; it is sent their outcomes as one int, the first decision's
         outcome in its top bit, exactly as the decisions one by one would
         have decoded them.  Or it may yield a chain (split, n, termination,
-        d, count); it is sent 1 << c | bits for the c <= count depths from d
+        d, count), termination(e, n) giving (table, end) as for
+        RangeEncoder.encode_intervals and called only where a stretch
+        starts; it is sent 1 << c | bits for the c <= count depths from d
         whose termination outcome is 0 and split outcome 0 or n (a 1 bit),
         and the next depth is left undecoded.  A malformed run or chain
         raises ValueError before any of its decisions.
@@ -404,16 +419,20 @@ class RangeDecoder:
                         split, n, termination, d, count = cum
                         s1, sn, stotal = _chain(split, n, count)
                         top, k, j = 1, 0, 0
+                        end = d
                         for d in range(d, d + count):
-                            term = termination(d, n)
-                            total = term[-1]
-                            if not 1 <= total <= TOTAL_MAX:
-                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                            hi = term[1]
+                            if d == end:  # a stretch starts: its table, checked once
+                                term, end = termination(d, n)
+                                total = term[-1]
+                                if not 1 <= total <= TOTAL_MAX:
+                                    raise ValueError(
+                                        f"total must be in [1, {TOTAL_MAX}], got {total}"
+                                    )
+                                hi = term[1]
+                                if not hi:  # outcome 0 is dead: the depth goes
+                                    break  # one decision at a time
                             v, r, p = value, rng, pos
                             if hi != total:
-                                if not hi:
-                                    break
                                 r = rng // total * hi
                                 if v >= r:  # that is, v // (rng // total) >= hi
                                     break

@@ -25,7 +25,11 @@ d, which is one item, its remaining count bits as one int:
   * a chain, in the general regime, for any number m of copies:
     ((split(m), m, termination, d, count), bits), a termination count of 0
     and a split of 0 or m at each depth, followed by the final termination
-    count m as a decision of its own.
+    count m as a decision of its own.  termination(e, m) gives the table
+    of depth e and the end of its stretch, the first depth after e whose
+    hazard may differ (the length model's same_hazard_until), so a chain
+    looks a table up once per stretch of equal hazards, not once per
+    depth: at most twice per chain under a geometric length.
 
 The range coder codes that stream in one call, a run under the
 equiprobable split(1) a whole stretch of bytes at a time, and the ideal
@@ -84,7 +88,7 @@ from ._frozen import Frozen
 from .bits import BitString, as_bitstring, marked_bits
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
-from .models import EndDetector, LengthModel, hazard
+from .models import EndDetector, LengthModel, hazard, same_hazard_until
 from .quantize import TABLES_PER_CALL, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -309,15 +313,21 @@ def _prefix_free(complete: Completion) -> MemberCheck:
 
 
 def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards]):
-    """Per-call caches over a family's table factories: split(n) and
-    termination(d, n).  Keys are ints, which keeps the module-level caches'
+    """Per-call caches over a family's table factories: split(n), and
+    termination(d, n) -> (table, end), the termination table of depth d
+    and the end of its stretch: the first depth after d whose hazard may
+    differ, as the length model's same_hazard_until gives it, or None.
+    Every depth in [d, end) takes the same table, so a chain looks one up
+    only at the depths where a stretch starts; a single decision takes the
+    table alone.  Keys are ints, which keeps the module-level caches'
     Fraction hashing off the per-node path; depths with equal hazards share
     tables through the first depth that has that hazard.  Each cache keeps
     at most TABLES_PER_CALL entries."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     if hazards is None:
         return split, None
-    first_depth, first, hazard_at = hazards.first_depth, hazards.first, hazards.at
+    model, first_depth, hazard_at = hazards.model, hazards.first_depth, hazards.at
+    first = hazards.first
 
     @lru_cache(maxsize=TABLES_PER_CALL)
     def shared(d0: int, n: int):
@@ -325,7 +335,7 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
 
     def termination_at(d: int, n: int):
         d0 = first_depth.get(d)
-        return shared(first(d) if d0 is None else d0, n)
+        return shared(first(d) if d0 is None else d0, n), same_hazard_until(model, d)
 
     return split, termination_at
 
@@ -377,7 +387,7 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
             if termination is not None:
                 if end > d:  # a chain: the member's remaining bits as one int
                     yield (table, n, termination, d, end - d), value & ((1 << (end - d)) - 1)
-                yield termination(end, n), n
+                yield termination(end, n)[0], n
             elif n > 1:  # a run is one copy, so m copies take a decision per bit
                 for bit in format(value, f"0{end}b")[d:end]:
                     yield table, n if bit == "1" else 0
@@ -386,7 +396,7 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
             continue
         if termination is not None:
             n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
-            yield termination(d, n), n_t
+            yield termination(d, n)[0], n_t
             if n_t:
                 lo += 1
                 n -= n_t
@@ -440,7 +450,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                 if chain > 1:
                     prefix += marked_bits(chain)
                     d += chain.bit_length() - 1
-                n_t = yield termination(d, n)
+                n_t = yield termination(d, n)[0]
                 if n_t:
                     if not hazards.possible(d):
                         # reachable only with full-support termination tables on a
@@ -507,7 +517,10 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
                 total -= table[bit]
         else:  # a chain, summed one decision at a time
             table, n, termination, d, count = table
+            end = d
             for e, bit in enumerate(marked_bits(k | 1 << count), d):
-                total -= termination(e, n)[0]
+                if e == end:  # a stretch starts: its termination table
+                    term, end = termination(e, n)
+                total -= term[0]
                 total -= table[n if bit else 0]
     return total

@@ -15,7 +15,22 @@ from msetzip.models import (
     PointLength,
     UniformLength,
     hazard,
+    same_hazard_until,
 )
+
+SHIPPED_MODELS = [
+    PointLength(0),
+    PointLength(1),
+    PointLength(37),
+    UniformLength(0, 0),
+    UniformLength(0, 5),
+    UniformLength(3, 3),
+    UniformLength(12, 400),
+    GeometricLength(Fraction(1)),
+    GeometricLength(Fraction(1, 2)),
+    GeometricLength(Fraction(1, 4)),
+    GeometricLength(Fraction(99, 100)),
+]
 
 
 class TestHazard:
@@ -64,6 +79,58 @@ class TestHazard:
             assert survival * th == m.pmf(d)
             survival *= 1 - th
         assert survival == 0
+
+
+def _deepest(model) -> int:
+    """The deepest depth with a hazard, or 1000 where every depth has one."""
+    longest = model.max_length()
+    return 1000 if longest is None else longest
+
+
+class TestSameHazardUntil:
+    @given(
+        st.sampled_from(SHIPPED_MODELS).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(0, _deepest(m)))
+        )
+    )
+    @example((PointLength(0), 0))
+    @example((GeometricLength(Fraction(1)), 0))
+    @example((GeometricLength(Fraction(1)), 1))
+    @example((UniformLength(12, 400), 11))
+    @settings(max_examples=400, deadline=None)
+    def test_every_depth_of_a_stretch_has_its_hazard(self, case):
+        # every depth in [d, until) has d's hazard; where until is None, a
+        # window of 300 depths stands for every later one
+        model, d = case
+        until = model.same_hazard_until(d)
+        assert until is None or until > d
+        top = d + 300 if until is None else min(until, d + 300)
+        if model.max_length() is not None:
+            top = min(top, model.max_length() + 1)
+        h = hazard(model, d)
+        for e in range(d, top):
+            assert hazard(model, e) == h
+
+    def test_shipped_stretches(self):
+        assert [PointLength(5).same_hazard_until(d) for d in (0, 4, 5)] == [5, 5, 6]
+        assert [UniformLength(3, 9).same_hazard_until(d) for d in (0, 2, 3, 9)] == [3, 3, 4, 10]
+        geometric = GeometricLength(Fraction(1, 3))
+        assert [geometric.same_hazard_until(d) for d in (0, 1, 500)] == [1, None, None]
+        assert [GeometricLength(Fraction(1)).same_hazard_until(d) for d in (0, 1)] == [1, 2]
+
+    def test_a_model_that_does_not_say_has_stretches_of_one_depth(self):
+        class Bare:
+            def pmf(self, k):
+                return Fraction(1) if k == 3 else Fraction(0)
+
+            def cdf_below(self, d):
+                return Fraction(1) if d > 3 else Fraction(0)
+
+            def max_length(self):
+                return 3
+
+        assert [same_hazard_until(Bare(), d) for d in range(4)] == [1, 2, 3, 4]
+        assert same_hazard_until(PointLength(3), 0) == 3
 
 
 class TestLengthModels:

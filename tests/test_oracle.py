@@ -13,16 +13,24 @@ multisets; and decode the same members from random payload bytes.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import msetzip.treecodec as treecodec
 from msetzip.bits import BitReader, BitString
 from msetzip.container import compress, decompress, parse_header
 from msetzip.errors import CorruptStreamError
 from msetzip.fibcode import fib_encode, read_fib
-from msetzip.models import FibTerminatorDetector, UniformLength, hazard
+from msetzip.models import (
+    FibTerminatorDetector,
+    GeometricLength,
+    PointLength,
+    UniformLength,
+    hazard,
+)
 from msetzip.msettree import MultisetTree
 from msetzip.rangecoder import RangeDecoder, RangeEncoder
 from msetzip.treecodec import (
@@ -115,6 +123,20 @@ def _random_bits(length: int):
     )
 
 
+# a general regime's length model, and the lengths of the members it can
+# code: a hazard that differs at every depth from 0, one that is the same
+# at every depth from 1 (or has only depths 0 and 1), and one that is 0 at
+# every depth below a single length
+LENGTH_MODELS = [
+    st.just((UniformLength(0, 40), st.integers(0, 40))),
+    *(
+        st.just((GeometricLength(p), st.integers(1, 40 if p < 1 else 1)))
+        for p in (Fraction(1, 2), Fraction(1, 4), Fraction(1))
+    ),
+    st.integers(0, 40).map(lambda length: (PointLength(length), st.just(length))),
+]
+
+
 @st.composite
 def multisets(draw):
     """(members, regime): a few distinct members, each with up to 40 copies
@@ -131,8 +153,11 @@ def multisets(draw):
         regime = SelfDelimitingRegime(FibTerminatorDetector())
         member = st.integers(1, 10**12).map(fib_encode)
     else:
-        regime = GeneralRegime(UniformLength(0, 40))
-        member = st.one_of(st.text("01", max_size=40), st.integers(0, 40).flatmap(_random_bits))
+        model, lengths = draw(st.one_of(LENGTH_MODELS))
+        regime = GeneralRegime(model)
+        member = lengths.flatmap(
+            lambda n: st.one_of(st.text("01", min_size=n, max_size=n), _random_bits(n))
+        )
     distinct = draw(st.lists(member, max_size=12, unique=True))
     copies = st.integers(1, 40) if draw(st.booleans()) else st.just(1)
     return [m for m in distinct for _ in range(draw(copies))], regime
@@ -173,20 +198,35 @@ def test_decoder_matches_the_trie_walk(case):
         st.integers(0, 2**32).map(lambda seed: random.Random(seed).randbytes(64)),
     ),
     n_members=st.integers(0, 40),
+    model=st.sampled_from(
+        [
+            UniformLength(0, 40),
+            GeometricLength(Fraction(1, 4)),
+            GeometricLength(Fraction(1)),
+            PointLength(7),
+        ]
+    ),
 )
-@example(data=b"", n_members=5)  # zeros: under BetaBin no member ever ends
-def test_random_payloads_decode_as_the_trie_walk(data, n_members):
+# zeros: under BetaBin no member ever ends
+@example(data=b"", n_members=5, model=UniformLength(0, 40))
+def test_random_payloads_decode_as_the_trie_walk(data, n_members, model):
     # payloads that no encoder wrote: where a chain stops, and which
     # depths it leaves to one decision at a time, must not change what
     # decodes.  Under BetaBin the termination count ignores the hazard, so
-    # members can pass the depth cap of 40, which both sides refuse.
-    regime = GeneralRegime(UniformLength(0, 40))
-    for family in FAMILIES:
-        params = CodecParams(regime, family)
-        try:
-            want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), 40)
-        except AssertionError:
-            with pytest.raises(CorruptStreamError):
-                decode_members(params, n_members, RangeDecoder.from_bytes(data))
-        else:
-            assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want
+    # members can pass the depth cap (the model's longest length, else
+    # 40), or end at a length the model gives no mass, both of which the
+    # codec refuses.
+    regime = GeneralRegime(model)
+    cap = 40 if model.max_length() is None else model.max_length()
+    with mock.patch.object(treecodec, "DECODE_DEPTH_CAP", 40):
+        for family in FAMILIES:
+            params = CodecParams(regime, family)
+            try:
+                want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), cap)
+            except AssertionError:
+                want = None
+            if want is None or not all(hazard(model, len(m)) > 0 for m in want):
+                with pytest.raises(CorruptStreamError):
+                    decode_members(params, n_members, RangeDecoder.from_bytes(data))
+            else:
+                assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want

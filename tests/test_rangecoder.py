@@ -622,7 +622,7 @@ def _deadline(seconds: float):
         ([0, 3, 8], 1),
         ((HALF, 20), 5),
         (([0, 3, 8], 20), 5),
-        (([0, 3, 8], 1, lambda d, n: [0, 1, 1], 0, 20), 5),  # a chain
+        (([0, 3, 8], 1, lambda d, n: ([0, 1, 1], d + 1), 0, 20), 5),  # a chain
     ],
 )
 def test_encoder_refuses_to_renormalise_a_zero_range(item):
@@ -658,7 +658,8 @@ def test_decoder_refuses_to_renormalise_a_zero_range(cum):
 
 # (split table, n, termination tables cycled by depth); the kernels read a
 # termination table's first bound and total, and the split table's bounds
-# of outcomes 0 and n
+# of outcomes 0 and n.  A chain's termination(d, n) gives the table of
+# depth d and the end of its stretch, the depths that share that table.
 CHAIN_CASES = [
     ([0, 1, 2], 1, [[0, 2, 3], [0, 11184811, 16777216]]),
     ([0, 11184811, 16777216], 1, [[0, 1, 1]]),  # termination total 1: a point mass on 0
@@ -676,23 +677,37 @@ CHAIN_CASES = [
 ]
 
 
-def _termination(tables):
-    return lambda d, n: tables[d % len(tables)]
+# stretch widths: each stretch of that many depths, from depth 0, takes
+# the next of a case's tables; None is one stretch of the first table
+WIDTHS = [2, 3, 8, None]
 
 
-def _chain(case, d: int, bits: str) -> tuple:
+def _table_at(tables, width, e: int):
+    """The termination table of depth e under stretches of width depths."""
+    return tables[0] if width is None else tables[e // width % len(tables)]
+
+
+def _termination(tables, width=1):
+    """termination(d, n) -> (table, end): the table of d's stretch and
+    where that stretch ends; width 1 gives each depth its own."""
+    if width is None:
+        return lambda d, n: (tables[0], None)
+    return lambda d, n: (tables[d // width % len(tables)], (d // width + 1) * width)
+
+
+def _chain(case, d: int, bits: str, width=1) -> tuple:
     """The chain item of bits, written as '0'/'1' text, from depth d."""
     split, n, tables = case
-    return (split, n, _termination(tables), d, len(bits)), int(bits or "0", 2)
+    return (split, n, _termination(tables, width), d, len(bits)), int(bits or "0", 2)
 
 
-def _chain_decisions(case, d: int, bits: str) -> list:
+def _chain_decisions(case, d: int, bits: str, width=1) -> list:
     """A chain's decisions one by one: per depth, termination outcome 0,
     then split outcome 0 per '0' and n per '1'."""
     split, n, tables = case
     out = []
     for e, bit in enumerate(bits, d):
-        out += [(tables[e % len(tables)], 0), (split, n if bit == "1" else 0)]
+        out += [(_table_at(tables, width, e), 0), (split, n if bit == "1" else 0)]
     return out
 
 
@@ -722,12 +737,12 @@ def test_chain_codes_as_its_decisions(seed, case, d, bits):
     assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits) + tail)
 
 
-def _chain_walk(case, d: int, count: int):
+def _chain_walk(case, d: int, count: int, width=1):
     split, n, tables = case
-    return (yield split, n, _termination(tables), d, count)
+    return (yield split, n, _termination(tables, width), d, count)
 
 
-def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int) -> int:
+def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int, width=1) -> int:
     """What a chain decodes, one decode_target call per decision: each depth
     is tried on a copy of dec and kept only if its termination count is 0
     and its split 0 or n.  Returns 1 << depths | bits."""
@@ -735,7 +750,7 @@ def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int) -> int:
     got = 1
     for e in range(d, d + count):
         trial = copy.copy(dec)
-        if trial.decode_target(tables[e % len(tables)]):
+        if trial.decode_target(_table_at(tables, width, e)):
             break
         k = trial.decode_target(split)
         if k not in (0, n):
@@ -745,7 +760,9 @@ def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int) -> int:
     return got
 
 
-def _check_decoded_chain(data: bytes, state, lead: list, case, d: int, count: int) -> None:
+def _check_decoded_chain(
+    data: bytes, state, lead: list, case, d: int, count: int, width=1
+) -> None:
     """The chain decodes as _chain_by_targets, from the registers (value,
     range) or, where state is None, from where lead's tables leave data;
     and the decoders read on alike after it."""
@@ -755,8 +772,8 @@ def _check_decoded_chain(data: bytes, state, lead: list, case, d: int, count: in
     for cum, _ in lead:
         dec.decode_target(cum)
         one.decode_target(cum)
-    got = dec.decode_walk(_chain_walk(case, d, count))
-    assert got == _chain_by_targets(one, case, d, count)
+    got = dec.decode_walk(_chain_walk(case, d, count, width))
+    assert got == _chain_by_targets(one, case, d, count, width)
     assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
     for cum in (*case[2], case[0], [0, 3, 8]):
         assert dec.decode_target(cum) == one.decode_target(cum)
@@ -774,6 +791,58 @@ def _check_decoded_chain(data: bytes, state, lead: list, case, d: int, count: in
 def test_decoded_chain_matches_its_decisions(seed, case, d, count, data):
     # on arbitrary bytes, most of them no encoder's output
     _check_decoded_chain(data, None, _lead(seed), case, d, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    case=st.sampled_from(CHAIN_CASES),
+    width=st.sampled_from(WIDTHS),
+    d=st.integers(0, 9),
+    bits=st.text("01", max_size=300),
+)
+def test_stretched_chain_codes_as_its_decisions(seed, case, width, d, bits):
+    # one table for several depths, the chain starting anywhere in a stretch
+    lead = _lead(seed)
+    tail = [([0, 2, 5], 1)]
+    got = _coded(lead + [_chain(case, d, bits, width)] + tail)
+    assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits, width) + tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    case=st.sampled_from(CHAIN_CASES),
+    width=st.sampled_from(WIDTHS),
+    d=st.integers(0, 9),
+    count=st.integers(0, 300),
+    data=st.binary(max_size=80),
+)
+def test_decoded_stretched_chain_matches_its_decisions(seed, case, width, d, count, data):
+    _check_decoded_chain(data, None, _lead(seed), case, d, count, width)
+
+
+@pytest.mark.parametrize("width", [1, *WIDTHS])
+def test_chain_looks_up_one_table_per_stretch(width):
+    # from depth 3 over 40 depths, a lookup where the chain starts and at
+    # each later depth where a stretch starts, in both kernels
+    case = CHAIN_CASES[0]
+    split, n, tables = case
+    termination, asked = _termination(tables, width), []
+    item = (split, n, lambda d, n: asked.append(d) or termination(d, n), 3, 40)
+    starts = [3] if width is None else [3, *range(width * (3 // width + 1), 43, width)]
+    bits = int("0110" * 10, 2)
+    enc = RangeEncoder()
+    enc.encode_intervals([(item, bits)])
+    assert asked == starts
+    asked.clear()
+
+    def walk():
+        return (yield item)
+
+    dec = RangeDecoder.from_bytes(enc.finish().data)
+    assert dec.decode_walk(walk()) == 1 << 40 | bits
+    assert asked == starts
 
 
 def _live_split_bits(case) -> str:
@@ -872,7 +941,7 @@ def test_chain_of_no_depths_codes_nothing():
 def test_both_kernels_refuse_a_malformed_chain(split, n, count, bits):
     # before any of its decisions: the encoder keeps its registers, output
     # and symbols_coded, and the decoder its value and range
-    item = (split, n, lambda d, n: [0, 5, 8], 0, count)
+    item = (split, n, lambda d, n: ([0, 5, 8], d + 1), 0, count)
     enc, ref = RangeEncoder(), RangeEncoder()
     ref.encode_interval([0, 3, 8], 1)
     with pytest.raises(ValueError):
@@ -892,7 +961,7 @@ def test_chain_refuses_a_termination_table_at_its_depth():
     # a termination total out of range raises ValueError at its depth, with
     # the depths before it coded, as one decision at a time would
     tables = {0: [0, 5, 8], 1: [0, 6, 9], 2: [0, 1, TOTAL_MAX + 1]}
-    item = ([0, 3, 8], 1, lambda d, n: tables[d], 0, 3)
+    item = ([0, 3, 8], 1, lambda d, n: (tables[d], d + 1), 0, 3)
     enc, ref = RangeEncoder(), RangeEncoder()
     ref.encode_intervals([([0, 5, 8], 0), ([0, 3, 8], 1), ([0, 6, 9], 0), ([0, 3, 8], 0)])
     with pytest.raises(ValueError):
@@ -904,4 +973,39 @@ def test_chain_refuses_a_termination_table_at_its_depth():
         one.decode_target(cum)
     with pytest.raises(ValueError):
         dec.decode_walk(iter([item]))
+    assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+@pytest.mark.parametrize(
+    "bad,error", [([0, 1, TOTAL_MAX + 1], ValueError), ([0, 0, 8], ModelMismatchError)]
+)
+def test_chain_checks_a_stretch_table_at_the_stretch_start(bad, error):
+    # a stretch's table is checked once, at the first depth that takes it:
+    # the depths before that are coded, and the encoder raises there, as
+    # one decision at a time would; the decoder raises there too, or, on a
+    # dead outcome 0, stops there and leaves that depth undecoded
+    asked = []
+    stretches = {0: ([0, 5, 8], 2), 2: (bad, None)}
+    item = ([0, 3, 8], 1, lambda d, n: asked.append(d) or stretches[d], 0, 4)
+    enc, ref = RangeEncoder(), RangeEncoder()
+    ref.encode_intervals([([0, 5, 8], 0), ([0, 3, 8], 1), ([0, 5, 8], 0), ([0, 3, 8], 0)])
+    with pytest.raises(error):
+        enc.encode_intervals([(item, 0b1011)])
+    assert asked == [0, 2]
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    data = ref.finish().data
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    for cum in ([0, 5, 8], [0, 3, 8], [0, 5, 8], [0, 3, 8]):
+        one.decode_target(cum)
+
+    def walk():
+        return (yield item)
+
+    asked.clear()
+    if error is ValueError:
+        with pytest.raises(ValueError):
+            dec.decode_walk(walk())
+    else:
+        assert dec.decode_walk(walk()) == 0b110
+    assert asked == [0, 2]
     assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
