@@ -690,9 +690,10 @@ def _table_at(tables, width, e: int):
 def _termination(tables, width=1):
     """termination(d, n) -> (table, end): the table of d's stretch and
     where that stretch ends; width 1 gives each depth its own."""
-    if width is None:
-        return lambda d, n: (tables[0], None)
-    return lambda d, n: (tables[d // width % len(tables)], (d // width + 1) * width)
+    return lambda d, n: (
+        _table_at(tables, width, d),
+        None if width is None else (d // width + 1) * width,
+    )
 
 
 def _chain(case, d: int, bits: str, width=1) -> tuple:
@@ -723,18 +724,21 @@ def _one_by_one(enc: RangeEncoder, stream) -> tuple:
     return error, enc.low, enc.range, enc.symbols_coded, enc.finish()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     case=st.sampled_from(CHAIN_CASES),
+    width=st.sampled_from([1, *WIDTHS]),
     d=st.integers(0, 3),
     bits=st.text("01", max_size=300),
 )
-def test_chain_codes_as_its_decisions(seed, case, d, bits):
+def test_chain_codes_as_its_decisions(seed, case, width, d, bits):
+    # a table per depth, or one for several, the chain starting anywhere
+    # in a stretch
     lead = _lead(seed)
     tail = [([0, 2, 5], 1)]  # coded only if the chain raised nothing
-    got = _coded(lead + [_chain(case, d, bits)] + tail)
-    assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits) + tail)
+    got = _coded(lead + [_chain(case, d, bits, width)] + tail)
+    assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits, width) + tail)
 
 
 def _chain_walk(case, d: int, count: int, width=1):
@@ -780,45 +784,17 @@ def _check_decoded_chain(
         assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     case=st.sampled_from(CHAIN_CASES),
+    width=st.sampled_from([1, *WIDTHS]),
     d=st.integers(0, 3),
     count=st.integers(0, 300),
     data=st.binary(max_size=80),
 )
-def test_decoded_chain_matches_its_decisions(seed, case, d, count, data):
+def test_decoded_chain_matches_its_decisions(seed, case, width, d, count, data):
     # on arbitrary bytes, most of them no encoder's output
-    _check_decoded_chain(data, None, _lead(seed), case, d, count)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32),
-    case=st.sampled_from(CHAIN_CASES),
-    width=st.sampled_from(WIDTHS),
-    d=st.integers(0, 9),
-    bits=st.text("01", max_size=300),
-)
-def test_stretched_chain_codes_as_its_decisions(seed, case, width, d, bits):
-    # one table for several depths, the chain starting anywhere in a stretch
-    lead = _lead(seed)
-    tail = [([0, 2, 5], 1)]
-    got = _coded(lead + [_chain(case, d, bits, width)] + tail)
-    assert got == _one_by_one(RangeEncoder(), lead + _chain_decisions(case, d, bits, width) + tail)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32),
-    case=st.sampled_from(CHAIN_CASES),
-    width=st.sampled_from(WIDTHS),
-    d=st.integers(0, 9),
-    count=st.integers(0, 300),
-    data=st.binary(max_size=80),
-)
-def test_decoded_stretched_chain_matches_its_decisions(seed, case, width, d, count, data):
     _check_decoded_chain(data, None, _lead(seed), case, d, count, width)
 
 

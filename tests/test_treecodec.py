@@ -495,20 +495,21 @@ class TestRuns:
         params = CodecParams(FixedRegime(65535), BinomialFamily(Fraction(1, 3)))
         payload, _ = round_trip([member], params)
 
-        def cpu_s(code):  # CPU time, which other processes disturb less
-            start = time.process_time()
-            code()
-            return time.process_time() - start
+        def encode():
+            encode_members([member], params, RangeEncoder())
 
-        # interleaved, so a slow stretch of the host slows both sides alike
-        encode_s = decode_s = math.inf
+        def decode():
+            decode_members(params, 1, RangeDecoder.from_bytes(payload.data))
+
+        # best of 7 in CPU time, which other processes disturb less, the
+        # samples interleaved so a slow stretch of the host slows both sides
+        times = {encode: [], decode: []}
         for _ in range(7):
-            encode_s = min(encode_s, cpu_s(lambda: encode_members([member], params, RangeEncoder())))
-            decode_s = min(
-                decode_s,
-                cpu_s(lambda: decode_members(params, 1, RangeDecoder.from_bytes(payload.data))),
-            )
-        assert decode_s <= 2.5 * encode_s
+            for code, samples in times.items():
+                start = time.process_time()
+                code()
+                samples.append(time.process_time() - start)
+        assert min(times[decode]) <= 2.5 * min(times[encode])
 
 
 # --- rejection and robustness ----------------------------------------------
