@@ -119,6 +119,14 @@ class UniformLength(Frozen):
     def max_length(self) -> Optional[int]:
         return self.hi
 
+    def hazard(self, d: int) -> Fraction:
+        # one of the hi - d + 1 lengths still possible, each as likely
+        if d < self.lo:
+            return Fraction(0)
+        if d > self.hi:
+            raise ValueError(f"length model has no mass at depth >= {d}")
+        return Fraction(1, self.hi - d + 1)
+
     def same_hazard_until(self, d: int) -> Optional[int]:
         return self.lo if d < self.lo else d + 1
 

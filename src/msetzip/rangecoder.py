@@ -18,43 +18,30 @@ encode_interval(cum, k) and decode_target(cum) are the one-decision
 streams.  A table with T == 1 is a point mass: it carries no information, so
 nothing is coded for it.
 
-Either stream may also hold a run: many decisions under one two-outcome
-table [0, head, total], with the table checked once.  A run puts the tuple
-(cum, count), count >= 1 its number of decisions, in the table's slot, and
-its outcomes are the bits of one int, first decision on top: the encoder
-codes the item ((cum, count), bits), and the decoder, handed (cum, count),
-answers with that int.  Both loops take x = (range // T) * head, the
-generic update of either outcome; outcome 1 is the one where value >= x.
-Under the equiprobable table [0, 1, 2], which binomial 1/2 and every
-symmetric Beta-binomial give at n = 1, x is range >> 1, the same integer
-without the division and the multiply: the shift CABAC uses for its bypass
-bins.  A run leaves the coder's bytes and state exactly as its decisions
-coded one at a time would, and both sides refuse a run whose table has
-other than two outcomes, whose total is out of range or whose count is
-below 1 with ValueError, before any of its decisions.
-
-A stream may also hold a chain: the depths below a node of a multiset's
-trie where no member ends and all n members take the same branch.  Its
-item is (split, n, termination, d, count), split a table whose top
-outcome is n, and at each depth e from d it codes outcome 0 of e's
-termination table and then outcome 0 or n of split.  termination(e, n)
+Either stream may also hold a chain: the depths below a node of a
+multiset's trie where no member ends and all n members take the same
+branch.  Its item is (split, n, termination, d, count), split a table
+whose top outcome is n, and at each depth e from d it codes outcome 0 of
+e's termination table and then outcome 0 or n of split.  termination(e, n)
 gives (table, end): the table of depth e, which every depth in [e, end)
 shares, end None where every later depth does.  Both sides call it at d
 and then only at each end they reach, and check the table's total and
-outcome-0 bound there, once per such stretch of depths.  The encoder
-codes ((split, n, termination, d, count), bits), one bit per depth, first
-depth on top, 1 for outcome n.  The decoder decodes at most count depths
-and answers 1 << c | bits for the c depths it took.  At each depth it
-works out both outcomes in copies of its registers and commits the depth
-only if the termination outcome is 0 and the split outcome 0 or n.
-Otherwise it stops there, the registers as that depth found them, and
-the caller decodes the depth one decision at a time, so any payload
-decodes exactly as it would one decision per table.  Both sides refuse a
-chain whose n is not its split table's top outcome, whose split total is
-out of range or whose count is below 0 with ValueError, before any of its
-depths.  The encoder reads the bits of a chain, and of a run under a
-table other than [0, 1, 2], as bytes of 0/1 values, one small int per
-decision rather than a shift of the whole int.
+outcome-0 bound there, once per such stretch of depths.  Where no
+termination counts are coded the termination is a point mass, [0, 1] in
+one stretch, and a chain at n = 1 is a run of decisions under the
+two-outcome table split.  The encoder codes ((split, n, termination, d,
+count), bits), one bit per depth, first depth on top, 1 for outcome n.
+The decoder decodes at most count depths and answers 1 << c | bits for
+the c depths it took.  At each depth it works out both outcomes in copies
+of its registers and commits the depth only if the termination outcome is
+0 and the split outcome 0 or n.  Otherwise it stops there, the registers
+as that depth found them, and the caller decodes the depth one decision
+at a time, so any payload decodes exactly as it would one decision per
+table.  Both sides refuse a chain whose n is not its split table's top
+outcome, whose split total is out of range or whose count is below 0 with
+ValueError, before any of its depths.  The encoder reads the bits of a
+chain as bytes of 0/1 values, one small int per depth rather than a shift
+of the whole int.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -63,8 +50,12 @@ and incrementing the byte before them.  The code value stays below 1, so
 no carry passes the first byte, and the output is pure bytes with no bit
 stuffing.
 
-An equiprobable run codes a whole stretch of bytes at a time.  Its
-decisions go one by one up to its first renormalisation, at most nine of
+A stretch whose termination table is a point mass (T == 1) under the
+equiprobable split [0, 1, 2], which binomial 1/2 and every symmetric
+Beta-binomial give at n = 1, codes whole bytes of depths at a time.  There
+each depth takes x = range >> 1, the split's generic update without the
+division and the multiply: the shift CABAC uses for its bypass bins.  Its
+depths go one by one up to its first renormalisation, at most nine of
 them, which leaves range = R = 256 q in [2**63, 2**64).  From there eight
 halvings leave range == q exactly and the next renormalisation restores R,
 so each further 8 decisions j only add q j to low and shift out one byte.
@@ -77,7 +68,7 @@ followed by B's last byte is value.  A tail of t < 8 decisions j adds
 (R >> t) j to low, or takes j = value // (R >> t), and leaves
 range = R >> t.  The decoder steps bytes only while value < range, which
 holds unless the payload opens with eight 0xFF bytes; there
-value == range, and the run decodes one decision at a time as the
+value == range, and the stretch decodes one depth at a time as the
 per-decision decoder would.
 
 With a 64-bit range register and table totals capped at TOTAL_MAX =
@@ -143,20 +134,17 @@ class RangeEncoder:
 
     def encode_intervals(self, decisions: Iterable[tuple]) -> None:
         """Code outcome k of the table cum for each (cum, k) in turn, with
-        the registers in local variables and no call per decision.  A run
-        ((cum, count), bits), cum a two-outcome table and bits an int in
-        [0, 2**count), codes outcome 1 for each 1 bit and outcome 0 for each
-        0 bit, first bit on top, exactly as those decisions one by one would.
-        A chain ((split, n, termination, d, count), bits) codes, for each
-        depth e from d and each bit, outcome 0 of e's termination table and
-        then outcome n of split for a 1 bit, 0 for a 0 bit.  Its
-        termination(e, n) gives (table, end), the table shared by the
-        depths [e, end), end None for every later depth; it is called at d
-        and then only at each end the chain reaches.
+        the registers in local variables and no call per decision.  A chain
+        ((split, n, termination, d, count), bits), bits an int in
+        [0, 2**count), codes, for each depth e from d and each bit, first
+        bit on top, outcome 0 of e's termination table and then outcome n
+        of split for a 1 bit, 0 for a 0 bit, exactly as those decisions one
+        by one would.  Its termination(e, n) gives (table, end), the table
+        shared by the depths [e, end), end None for every later depth; it
+        is called at d and then only at each end the chain reaches.
 
         An error leaves the decisions before the failing one coded.  A
-        malformed run or chain raises ValueError before any of its
-        decisions.
+        malformed chain raises ValueError before any of its decisions.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -166,28 +154,71 @@ class RangeEncoder:
         try:
             for cum, k in decisions:
                 if cum.__class__ is tuple:
-                    if len(cum) == 5:
-                        # a chain: per depth, termination outcome 0, then
-                        # split outcome 0 or n by the next bit of k
-                        split, n, termination, d, count = cum
-                        s1, sn, stotal = _chain(split, n, count)
-                        if not 0 <= k < 1 << count:
-                            raise ValueError(f"bits {k} do not fit a chain of {count} depths")
-                        end = d
-                        for b in marked_bits(k | 1 << count):
-                            if d == end:  # a stretch starts: its table, checked once
-                                term, end = termination(d, n)
-                                total = term[-1]
-                                if not 1 <= total <= TOTAL_MAX:
-                                    raise ValueError(
-                                        f"total must be in [1, {TOTAL_MAX}], got {total}"
-                                    )
-                                hi = term[1]
-                                if not hi:
-                                    raise ModelMismatchError(
-                                        "outcome 0 has zero probability under the model"
-                                    )
-                            d += 1
+                    # a chain: per depth, termination outcome 0, then split
+                    # outcome 0 or n by the next bit of k, a stretch at a time
+                    split, n, termination, d, count = cum
+                    s1, sn, stotal = _chain(split, n, count)
+                    if not 0 <= k < 1 << count:
+                        raise ValueError(f"bits {k} do not fit a chain of {count} depths")
+                    half = stotal == 2 and s1 == 1
+                    bits = None
+                    left = count  # the depths still to code are k's low bits
+                    while left:
+                        # a stretch starts: its table, checked once
+                        term, end = termination(d, n)
+                        total = term[-1]
+                        if not 1 <= total <= TOTAL_MAX:
+                            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                        hi = term[1]
+                        if not hi:
+                            raise ModelMismatchError("outcome 0 has zero probability under the model")
+                        m = end - d if end is not None and d < end < d + left else left
+                        d += m
+                        left -= m
+                        if total == 1 and half:
+                            # equiprobable: the stretch's m bits j straight from
+                            # k, one at a time up to the first renormalisation,
+                            # at most nine of them
+                            j = k if m == count else k >> left & (1 << m) - 1
+                            for i in range(m - 1, -1, -1):
+                                x = rng >> 1
+                                if j >> i & 1:
+                                    low += x
+                                    rng -= x
+                                    if low > MASK:
+                                        self._carry()
+                                        low &= MASK
+                                else:
+                                    rng = x
+                                if rng < TOP:
+                                    while rng < TOP:
+                                        if not rng:
+                                            raise RuntimeError(_ZERO_RANGE)
+                                        emit(low >> shift)
+                                        low = (low << 8) & MASK
+                                        rng <<= 8
+                                    break
+                            if i:
+                                # range is 256 q: each 8 bits b add q b to low and
+                                # shift out a byte, so q8 bytes of bits B are one step
+                                q8, t = divmod(i, 8)
+                                if q8:
+                                    v = (low << 8 * q8) + rng * (j >> t & (1 << 8 * q8) - 1)
+                                    if v >> RANGE_BITS + 8 * q8:
+                                        self._carry()
+                                    out += (v >> RANGE_BITS & (1 << 8 * q8) - 1).to_bytes(q8, "big")
+                                    low = v & MASK
+                                if t:
+                                    rng >>= t
+                                    low += rng * (j & (1 << t) - 1)
+                                    if low > MASK:
+                                        self._carry()
+                                        low &= MASK
+                            coded += m
+                            continue
+                        if bits is None:
+                            bits = marked_bits(k | 1 << count)
+                        for b in bits[count - left - m : count - left]:
                             if total > 1:
                                 if hi != total:
                                     rng = rng // total * hi
@@ -221,82 +252,6 @@ class RangeEncoder:
                                     low = (low << 8) & MASK
                                     rng <<= 8
                                 coded += 1
-                        continue
-                    head, total, count = _run(cum)
-                    if not 0 <= k < 1 << count:
-                        raise ValueError(f"bits {k} do not fit a run of {count} decisions")
-                    half = total == 2 and head == 1
-                    # stop bits go uncoded, from the run's first outcome of
-                    # zero probability to its end: none where both outcomes
-                    # are live, as under [0, 1, 2]
-                    if head == total:
-                        stop = k.bit_length()
-                    elif head:
-                        stop = 0
-                    else:
-                        stop = (k ^ (1 << count) - 1).bit_length()
-                    if half:
-                        # at most nine decisions, each reading its bit
-                        # straight from k, up to the first renormalisation
-                        for n in range(count - 1, -1, -1):
-                            x = rng >> 1
-                            if k >> n & 1:
-                                low += x
-                                rng -= x
-                                if low > MASK:
-                                    self._carry()
-                                    low &= MASK
-                            else:
-                                rng = x
-                            if rng < TOP:
-                                while rng < TOP:
-                                    if not rng:
-                                        raise RuntimeError(_ZERO_RANGE)
-                                    emit(low >> shift)
-                                    low = (low << 8) & MASK
-                                    rng <<= 8
-                                break
-                        if n:
-                            # range is 256 q: each 8 bits j add q j to low and
-                            # shift out a byte, so m bytes of bits J are one step
-                            m, t = divmod(n, 8)
-                            if m:
-                                v = (low << 8 * m) + rng * (k >> t & (1 << 8 * m) - 1)
-                                if v >> RANGE_BITS + 8 * m:
-                                    self._carry()
-                                out += (v >> RANGE_BITS & (1 << 8 * m) - 1).to_bytes(m, "big")
-                                low = v & MASK
-                            if t:
-                                rng >>= t
-                                low += rng * (k & (1 << t) - 1)
-                                if low > MASK:
-                                    self._carry()
-                                    low &= MASK
-                    elif total > 1 and 0 < head < total:
-                        # (a point mass codes nothing, and the live outcome
-                        # beside a dead one keeps the registers as they are)
-                        for b in marked_bits(k | 1 << count):
-                            x = rng // total * head
-                            if b:
-                                low += x
-                                rng -= x
-                                if low > MASK:
-                                    self._carry()
-                                    low &= MASK
-                            else:
-                                rng = x
-                            while rng < TOP:
-                                if not rng:
-                                    raise RuntimeError(_ZERO_RANGE)
-                                emit(low >> shift)
-                                low = (low << 8) & MASK
-                                rng <<= 8
-                    if total > 1:
-                        coded += count - stop
-                    if stop:
-                        raise ModelMismatchError(
-                            f"the run's outcome {1 if head else 0} has zero probability"
-                        )
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
@@ -382,23 +337,21 @@ class RangeDecoder:
         """
         return self.decode_walk(_single(cum))
 
-    def decode_walk(self, walk: Generator[Sequence[int] | tuple[Sequence[int], int], int, T]) -> T:
+    def decode_walk(self, walk: Generator[Sequence[int] | tuple, int, T]) -> T:
         """Run walk, a generator that yields tables, sending it the decoded
         outcome of each one, and return what it returns.  The registers
         stay in local variables, with no call per decision, so a stream
         whose tables depend on earlier outcomes decodes in one call.
 
-        A table is a list or array.  A walk may also yield a run, the tuple
-        (cum, count) of a two-outcome table and a number of decisions under
-        it; it is sent their outcomes as one int, the first decision's
-        outcome in its top bit, exactly as the decisions one by one would
-        have decoded them.  Or it may yield a chain (split, n, termination,
-        d, count), termination(e, n) giving (table, end) as for
-        RangeEncoder.encode_intervals and called only where a stretch
+        A table is a list or array.  A walk may also yield a chain (split,
+        n, termination, d, count), termination(e, n) giving (table, end) as
+        for RangeEncoder.encode_intervals and called only where a stretch
         starts; it is sent 1 << c | bits for the c <= count depths from d
         whose termination outcome is 0 and split outcome 0 or n (a 1 bit),
-        and the next depth is left undecoded.  A malformed run or chain
-        raises ValueError before any of its decisions.
+        the first depth's in the top bit below the leading 1, exactly as
+        those decisions one by one would have decoded them, and the next
+        depth is left undecoded.  A malformed chain raises ValueError
+        before any of its depths.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -411,26 +364,76 @@ class RangeDecoder:
             cum = next(walk)
             while True:
                 if cum.__class__ is tuple:
-                    if len(cum) == 5:
-                        # a chain: decode a depth's termination count, then its
-                        # split, into v, r, p, and commit the depth only if
-                        # they are 0, and 0 or n; k takes at most 30 bits, the
-                        # older ones wait in top under the leading 1
-                        split, n, termination, d, count = cum
-                        s1, sn, stotal = _chain(split, n, count)
-                        top, k, j = 1, 0, 0
-                        end = d
-                        for d in range(d, d + count):
-                            if d == end:  # a stretch starts: its table, checked once
-                                term, end = termination(d, n)
-                                total = term[-1]
-                                if not 1 <= total <= TOTAL_MAX:
-                                    raise ValueError(
-                                        f"total must be in [1, {TOTAL_MAX}], got {total}"
-                                    )
-                                hi = term[1]
-                                if not hi:  # outcome 0 is dead: the depth goes
-                                    break  # one decision at a time
+                    # a chain: decode a depth's termination count, then its
+                    # split, into v, r, p, and commit the depth only if
+                    # they are 0, and 0 or n; k takes at most 30 bits, the
+                    # older ones wait in top under the leading 1
+                    split, n, termination, d, count = cum
+                    s1, sn, stotal = _chain(split, n, count)
+                    half = stotal == 2 and s1 == 1
+                    top, k, j = 1, 0, 0
+                    stop = d + count
+                    while d < stop:
+                        # a stretch starts: its table, checked once
+                        term, end = termination(d, n)
+                        total = term[-1]
+                        if not 1 <= total <= TOTAL_MAX:
+                            raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                        hi = term[1]
+                        if not hi:  # outcome 0 is dead: the depth goes
+                            break  # one decision at a time
+                        if end is None or not d < end < stop:
+                            end = stop
+                        if total == 1 and half:
+                            # equiprobable: bit by bit up to the first
+                            # renormalisation, then bytes; k holds j + m - i
+                            # bits after bit i of the stretch's m
+                            j += end - d
+                            for i in range(end - d - 1, -1, -1):
+                                x = rng >> 1
+                                if value >= x:
+                                    k += k + 1
+                                    value -= x
+                                    rng -= x
+                                else:
+                                    k += k
+                                    rng = x
+                                if rng < TOP:
+                                    while rng < TOP:
+                                        if not rng:
+                                            raise RuntimeError(_ZERO_RANGE)
+                                        value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
+                                        pos += 1
+                                        rng <<= 8
+                                    # value >= range only on a payload that opens
+                                    # with eight 0xFF bytes; it stays bit by bit
+                                    if value < rng:
+                                        break
+                                    if j - i >= 30:
+                                        top = top << j - i | k
+                                        k, j = 0, i
+                            j -= i
+                            d = end
+                            if i:  # left only where the loop broke off
+                                # the mirror of the encoder's byte steps: q8
+                                # bytes B of input give q8 bytes of bits at
+                                # one division
+                                top = top << j | k
+                                k = j = 0
+                                q8, t = divmod(i, 8)
+                                if q8:
+                                    b = data[pos : pos + q8]
+                                    b = int.from_bytes(b, "big") << 8 * (q8 - len(b))
+                                    pos += q8
+                                    x, r = divmod((value << 8 * q8 - 8) | b >> 8, rng >> 8)
+                                    value = r << 8 | b & 0xFF
+                                    top = top << 8 * q8 | x
+                                if t:
+                                    rng >>= t
+                                    x, value = divmod(value, rng)
+                                    top = top << t | x
+                            continue
+                        for d in range(d, end):
                             v, r, p = value, rng, pos
                             if hi != total:
                                 r = rng // total * hi
@@ -465,58 +468,11 @@ class RangeDecoder:
                             if j == 30:
                                 top = top << 30 | k
                                 k = j = 0
-                        cum = walk.send(top << j | k)
-                        continue
-                    head, total, count = _run(cum)
-                    k = 0
-                    if head != total:  # else outcome 1 is dead and every outcome is 0
-                        half = total == 2 and head == 1
-                        # k holds at most 30 outcomes, one digit of Python's
-                        # int, and the older ones wait in top, which grows
-                        # once per 30 outcomes, not once per outcome
-                        top, fold = 0, count - 30
-                        for n in range(count - 1, -1, -1):
-                            x = rng >> 1 if half else rng // total * head
-                            if value >= x:  # that is, value // (rng // total) >= head
-                                k = k << 1 | 1
-                                value -= x
-                                rng -= x
-                            else:
-                                k <<= 1
-                                rng = x
-                            if rng < TOP:
-                                while rng < TOP:
-                                    if not rng:
-                                        raise RuntimeError(_ZERO_RANGE)
-                                    value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
-                                    pos += 1
-                                    rng <<= 8
-                                # value >= range only on a payload that opens
-                                # with eight 0xFF bytes; it stays bit by bit
-                                if half and value < rng:
-                                    break
-                            if n == fold:
-                                top = top << 30 | k
-                                k = 0
-                                fold -= 30
-                        if top:
-                            k |= top << fold + 30 - n
-                        if n:  # left only where the loop broke off
-                            # the mirror of the encoder's byte steps: m bytes
-                            # B of input give m bytes of bits at one division
-                            m, t = divmod(n, 8)
-                            if m:
-                                b = data[pos : pos + m]
-                                b = int.from_bytes(b, "big") << 8 * (m - len(b))
-                                pos += m
-                                j, r = divmod((value << 8 * m - 8) | b >> 8, rng >> 8)
-                                value = r << 8 | b & 0xFF
-                                k = k << 8 * m | j
-                            if t:
-                                rng >>= t
-                                j, value = divmod(value, rng)
-                                k = k << t | j
-                    cum = walk.send(k)
+                        else:
+                            d = end
+                            continue
+                        break  # the depth d stopped the chain
+                    cum = walk.send(top << j | k)
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
@@ -563,16 +519,3 @@ def _chain(split: Sequence[int], n: int, count: int) -> tuple[int, int, int]:
         raise ValueError(f"a chain needs count >= 0, got {count}")
     return split[1], split[n], total
 
-
-def _run(item: tuple) -> tuple[int, int, int]:
-    """(head, total, count) of the run item (cum, count), whose table
-    cum = [0, head, total] gives outcome 0 the slice [0, head) and outcome 1
-    [head, total).  Raises ValueError, for the encoder and the decoder
-    alike, unless cum has two outcomes, total is in [1, TOTAL_MAX] and
-    count >= 1."""
-    (_, head, total), count = item  # a ValueError unless cum has two outcomes
-    if not 1 <= total <= TOTAL_MAX:
-        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-    if count < 1:
-        raise ValueError(f"a run needs count >= 1, got {count}")
-    return head, total, count

@@ -16,36 +16,37 @@ decisions come straight from the member's bits: split(m) with outcome 0 or
 m per bit and, in the general regime, one termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
-order, except for the rest of one distinct member below its node of depth
-d, which is one item, its remaining count bits as one int:
+order, except for the rest of one distinct member of m copies below its
+node of depth d, which is one chain item, its remaining count bits as one
+int: ((split(m), m, stretch, d, count), bits), a termination count of 0
+and a split of 0 or m at each depth, followed in the general regime by
+the final termination count m as a decision of its own.  stretch(e, m)
+gives the termination table of depth e and the end of its stretch, the
+first depth after e whose hazard may differ (the length model's
+same_hazard_until), so a chain looks a table up once per stretch of equal
+hazards, not once per depth: at most twice per chain under a geometric
+length.  Where no termination counts are coded, in the fixed and
+self-delimiting regimes, the termination is a point mass in one stretch,
+which the coder codes nothing for.
 
-  * a run, where no termination counts are coded and the member has one
-    copy: ((split(1), count), bits), count decisions under the two-outcome
-    table split(1);
-  * a chain, in the general regime, for any number m of copies:
-    ((split(m), m, termination, d, count), bits), a termination count of 0
-    and a split of 0 or m at each depth, followed by the final termination
-    count m as a decision of its own.  termination(e, m) gives the table
-    of depth e and the end of its stretch, the first depth after e whose
-    hazard may differ (the length model's same_hazard_until), so a chain
-    looks a table up once per stretch of equal hazards, not once per
-    depth: at most twice per chain under a geometric length.
-
-The range coder codes that stream in one call, a run under the
-equiprobable split(1) a whole stretch of bytes at a time, and the ideal
-codelength sums it over the exact log2 pmf, a run or a chain one decision
-at a time.  The decoder runs the walk's mirror, _decode_walk: it hands each
-table to the range decoder, takes back the count, and follows a node's
-path without the stack until it branches, which at n = 1 is the whole rest
-of a member.  In the fixed regime that rest is one run, (table, L - d) in
-the table's slot, its bits coming back as one int, and the member is
-complete when the run returns.  In the general regime the walk offers a
-chain (split(n), n, termination, d, cap - d) at every node.  The range
-decoder takes depths up to the first one whose termination count is not 0
-or whose split is not 0 or n, and stops before it; the walk then decodes
-that depth one decision at a time and offers the next chain below it.
-Every distinct member is checked against the regime before the first
-symbol is coded.
+The range coder codes that stream in one call, a chain under a point-mass
+termination and the equiprobable split(1) a whole stretch of bytes at a
+time, and the ideal codelength sums it over the exact log2 pmf, a chain
+one decision at a time.  The decoder runs the walk's mirror, _decode_walk:
+it hands each table to the range decoder, takes back the count, and
+follows a node's path without the stack until it branches, which at
+n = 1 is the whole rest of a member.  In the fixed and general regimes
+the walk offers a chain (split(n), n, stretch, d, cap - d) at a node of
+n = 1 and at each node after a split that did not branch, but not on
+entering a node of n > 1, whose first split may branch at once.  The
+range decoder takes depths up to the first one whose termination
+count is not 0 or whose split is not 0 or n, and stops before it; the
+walk then decodes that depth one decision at a time, and takes a
+termination count under a point mass, which codes nothing, without the
+range decoder.  A fixed-length member is complete when its path reaches
+depth L.  The self-delimiting regime decodes one decision at a time, its
+detector asked at each depth.  Every distinct member is checked against
+the regime before the first symbol is coded.
 
 The regime sets the walk's schedule, resolved once per call:
 
@@ -77,7 +78,7 @@ validate members, not to code.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
@@ -249,9 +250,10 @@ class _Hazards:
 
     def possible(self, d: int) -> bool:
         """Whether a member can have length d, for d at most the depth
-        cap: whether d's hazard is positive, which decides the model's
-        support without its pmf."""
-        return self.at[self.first(d)] > 0
+        cap: whether d's hazard, in [0, 1], is not 0, which decides the
+        model's support without its pmf (a Fraction's truth is one test of
+        its numerator, where > 0 is a Python-level comparison)."""
+        return bool(self.at[self.first(d)])
 
 
 def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
@@ -312,20 +314,33 @@ def _prefix_free(complete: Completion) -> MemberCheck:
     return check
 
 
+# The termination of a chain where no termination counts are coded: a
+# point mass on outcome 0 in one stretch of every depth.  (0, 1) is that
+# table's cumulative counts, total 1, so the coder codes nothing for it,
+# and its entry 0 is that outcome's log2 pmf, 0, for ideal_codelength.
+_POINT_MASS = (0, 1), None
+
+
+def _point_mass(d: int, n: int):
+    return _POINT_MASS
+
+
 def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards]):
-    """Per-call caches over a family's table factories: split(n), and
-    termination(d, n) -> (table, end), the termination table of depth d
-    and the end of its stretch: the first depth after d whose hazard may
-    differ, as the length model's same_hazard_until gives it, or None.
-    Every depth in [d, end) takes the same table, so a chain looks one up
-    only at the depths where a stretch starts; a single decision takes the
-    table alone.  Keys are ints, which keeps the module-level caches'
-    Fraction hashing off the per-node path; depths with equal hazards share
-    tables through the first depth that has that hazard.  Each cache keeps
-    at most TABLES_PER_CALL entries."""
+    """Per-call caches over a family's table factories: (split, termination,
+    stretch).  split(n) is the split table of n members; termination(d, n)
+    the termination table of depth d, for a single decision; stretch(d, n),
+    for a chain, is (table, end), that table and the end of its stretch:
+    the first depth after d whose hazard may differ, as the length model's
+    same_hazard_until gives it, or None.  Every depth in [d, end) takes the
+    same table, so a chain looks one up only at the depths where a stretch
+    starts.  Where no termination counts are coded, termination is None
+    and stretch gives the point mass.  Keys are ints, which keeps the
+    module-level caches' Fraction hashing off the per-node path; depths
+    with equal hazards share tables through the first depth that has that
+    hazard.  Each cache keeps at most TABLES_PER_CALL entries."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     if hazards is None:
-        return split, None
+        return split, None, _point_mass
     model, first_depth, hazard_at = hazards.model, hazards.first_depth, hazards.at
     first = hazards.first
 
@@ -335,9 +350,12 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
 
     def termination_at(d: int, n: int):
         d0 = first_depth.get(d)
-        return shared(first(d) if d0 is None else d0, n), same_hazard_until(model, d)
+        return shared(first(d) if d0 is None else d0, n)
 
-    return split, termination_at
+    def stretch(d: int, n: int):
+        return termination_at(d, n), same_hazard_until(model, d)
+
+    return split, termination_at, stretch
 
 
 def _sort(members: Iterable, regime: Regime):
@@ -362,18 +380,18 @@ def _sort(members: Iterable, regime: Regime):
     return (datas, lengths, cum), hazards
 
 
-def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Callable]):
+def _decisions(
+    sorted_members: tuple, split: Callable, termination: Optional[Callable], stretch: Callable
+):
     """Yield (table, outcome) for every decision the encoder codes, in
     coding order, from _sort's members and _tables' caches, termination
     None where no termination counts are coded.  A trie node is a range
     [lo, hi) of the sorted members at a depth d; a range of one distinct
-    member is coded from the member's bits to its end without the stack.
-    Where no termination counts are coded and the member has one copy,
-    that is a run, one item ((split(1), count), bits); in the general
-    regime, for m copies, a chain ((split(m), m, termination, d, count),
-    bits) and then the final termination count.  bits are the member's
-    remaining count bits as one int, as RangeEncoder.encode_intervals
-    reads them."""
+    member, of m copies, is coded from the member's bits to its end
+    without the stack, as one chain ((split(m), m, stretch, d, count),
+    bits), bits the member's remaining count bits as one int, as
+    RangeEncoder.encode_intervals reads them; in the general regime the
+    final termination count m follows it."""
     datas, lengths, cum = sorted_members
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
@@ -381,22 +399,16 @@ def _decisions(sorted_members: tuple, split: Callable, termination: Optional[Cal
         n = cum[hi] - cum[lo]
         if hi - lo == 1:
             end = lengths[lo]
-            data = datas[lo]
-            value = int.from_bytes(data, "big") >> (8 * len(data) - end)
-            table = split(n) if end > d else None
+            if end > d:
+                data = datas[lo]
+                value = int.from_bytes(data, "big") >> (8 * len(data) - end)
+                yield (split(n), n, stretch, d, end - d), value & ((1 << (end - d)) - 1)
             if termination is not None:
-                if end > d:  # a chain: the member's remaining bits as one int
-                    yield (table, n, termination, d, end - d), value & ((1 << (end - d)) - 1)
-                yield termination(end, n)[0], n
-            elif n > 1:  # a run is one copy, so m copies take a decision per bit
-                for bit in format(value, f"0{end}b")[d:end]:
-                    yield table, n if bit == "1" else 0
-            elif end > d:
-                yield (table, end - d), value & ((1 << (end - d)) - 1)
+                yield termination(end, n), n
             continue
         if termination is not None:
             n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
-            yield termination(d, n)[0], n_t
+            yield termination(d, n), n_t
             if n_t:
                 lo += 1
                 n -= n_t
@@ -416,18 +428,20 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
     yield each decision's table, receive its outcome.  Appends the members
     to out in lexicographic order, one BitString per copy.  A node's path
-    is followed without the stack until it branches, which at n = 1 is the
-    whole rest of a member.  In the fixed regime that rest is one run item
-    (table, L - d), its outcomes received as one int; the member is
-    appended as soon as the run returns, and its path ends there.  In the
-    general regime each node first yields a chain item, (split(n), n,
-    termination, d, cap - d), and receives 1 << c | bits for the c depths
-    the range decoder could take whole; the depth after them goes one
-    decision at a time.  The prefix is a bytearray of 0/1 values, which a
-    run or a chain extends in one step and BitString.from_bits packs in C."""
+    is followed without the stack until it branches.  In the fixed and
+    general regimes the walk offers a chain (split(n), n, stretch, d,
+    cap - d) at a node of n = 1 and at each node after a split that did
+    not branch, and receives 1 << c | bits for the c depths the range
+    decoder could take whole; the depth after them goes one decision at a
+    time.  A fixed-length member is complete when its path reaches depth
+    L, by a chain or by a split.  The self-delimiting regime takes every
+    decision one at a time.  A termination count whose table is a point
+    mass codes nothing, so the walk takes that table's one live outcome
+    without the range decoder.  The prefix is a bytearray of 0/1 values,
+    which a chain extends in one step and BitString.from_bits packs in C."""
     end, complete, hazards, cap, _ = _schedule(params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, hazards)
+    split, termination, stretch = _tables(fam.split_table, fam.termination_table, hazards)
     prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
@@ -435,42 +449,40 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
         if d:
             prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
         table = None  # fetched when first needed: a complete node codes no split
+        chain = n == 1 and complete is None
         while True:
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
             if d == end or complete is not None and complete(prefix):
-                out.extend(map(BitString.from_bits, repeat(prefix, n)))
+                _copies(out, prefix, n)
                 break
-            if hazards is not None:
-                if table is None:
-                    table = split(n)
-                # a chain: the depths from here whose termination count is 0
-                # and whose members all take one branch, up to the depth cap
-                chain = yield table, n, termination, d, cap - d
-                if chain > 1:
-                    prefix += marked_bits(chain)
-                    d += chain.bit_length() - 1
-                n_t = yield termination(d, n)[0]
-                if n_t:
-                    if not hazards.possible(d):
+            if table is None:
+                table = split(n)
+            if chain:
+                # the depths from here whose termination count is 0 and whose
+                # members all take one branch, up to the depth cap
+                chain = False
+                taken = yield table, n, stretch, d, cap - d
+                if taken > 1:
+                    prefix += marked_bits(taken)
+                    d += taken.bit_length() - 1
+                    continue
+            if termination is not None:
+                term = termination(d, n)
+                if term[-1] == 1:  # a point mass codes nothing: its live outcome
+                    n_t = bisect_right(term, 0) - 1
+                else:
+                    n_t = yield term
+                    if n_t and not hazards.possible(d):
                         # reachable only with full-support termination tables on a
                         # corrupt stream; no encoder output decodes to this state
                         raise CorruptStreamError(f"decoded a member of impossible length {d}")
-                    out.extend(map(BitString.from_bits, repeat(prefix, n_t)))
+                if n_t:
+                    _copies(out, prefix, n_t)
                     n -= n_t
                     if not n:
                         break
-                    table = None
-            if table is None:
-                table = split(n)
-            if n == 1 and end is not None:
-                # a fixed-length member alone below its node: the rest of it
-                # is one run, its bits sent back as one int, and the member
-                # is complete when the run returns
-                rest = yield table, end - d
-                prefix += marked_bits(rest | 1 << end - d)
-                out.append(BitString.from_bits(prefix))
-                break
+                    table = split(n)
             n1 = yield table
             if 0 < n1 < n:
                 stack.append((n1, d + 1, 1))
@@ -478,6 +490,15 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                 break
             prefix.append(1 if n1 else 0)
             d += 1
+            chain = complete is None
+
+
+def _copies(out: list, prefix: bytearray, n: int) -> None:
+    """Append n copies of the member prefix to out, one BitString each."""
+    if n == 1:  # the common case, without map and repeat
+        out.append(BitString.from_bits(prefix))
+    else:
+        out.extend(map(BitString.from_bits, repeat(prefix, n)))
 
 
 def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) -> None:
@@ -488,8 +509,8 @@ def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) ->
     family gives zero probability."""
     sorted_members, hazards = _sort(members, params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_table, fam.termination_table, hazards)
-    enc.encode_intervals(_decisions(sorted_members, split, termination))
+    tables = _tables(fam.split_table, fam.termination_table, hazards)
+    enc.encode_intervals(_decisions(sorted_members, *tables))
 
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
@@ -506,21 +527,18 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
     sorted_members, hazards = _sort(members, params.regime)
     fam = params.family
-    split, termination = _tables(fam.split_log2pmf, fam.termination_log2pmf, hazards)
+    tables = _tables(fam.split_log2pmf, fam.termination_log2pmf, hazards)
     total = 0.0
-    for table, k in _decisions(sorted_members, split, termination):
+    for table, k in _decisions(sorted_members, *tables):
         if table.__class__ is not tuple:
             total -= table[k]
-        elif len(table) == 2:  # a run, summed one decision at a time
-            table, count = table
-            for bit in marked_bits(k | 1 << count):
-                total -= table[bit]
-        else:  # a chain, summed one decision at a time
-            table, n, termination, d, count = table
-            end = d
-            for e, bit in enumerate(marked_bits(k | 1 << count), d):
-                if e == end:  # a stretch starts: its termination table
-                    term, end = termination(e, n)
-                total -= term[0]
-                total -= table[n if bit else 0]
+            continue
+        # a chain, summed one decision at a time
+        table, n, stretch, d, count = table
+        end = d
+        for e, bit in enumerate(marked_bits(k | 1 << count), d):
+            if e == end:  # a stretch starts: its termination table
+                term, end = stretch(e, n)
+            total -= term[0]
+            total -= table[n if bit else 0]
     return total

@@ -70,6 +70,20 @@ class TestHazard:
         with pytest.raises(ValueError):
             GeometricLength(Fraction(1)).hazard(2)
 
+    def test_uniform_shortcut_matches_generic_formula(self):
+        # every depth of every small model: 0 below lo, 1 / (hi - d + 1) on
+        # [lo, hi], and past hi the ValueError of a model with no mass left
+        for hi in range(12):
+            for lo in range(hi + 1):
+                m = UniformLength(lo, hi)
+                for d in range(hi + 3):
+                    residual = 1 - m.cdf_below(d)
+                    if residual:
+                        assert m.hazard(d) == m.pmf(d) / residual
+                    else:
+                        with pytest.raises(ValueError):
+                            m.hazard(d)
+
     def test_hazards_reconstruct_pmf(self):
         # survival * hazard telescopes back to L(k)
         m = UniformLength(2, 6)

@@ -232,7 +232,10 @@ def test_stream_error_keeps_what_came_before():
     assert enc.finish() == ref.finish()
 
 
-# --- runs: many decisions under one table in one stream item ----------------
+# --- runs: many decisions under one two-outcome table in one stream item -----
+#
+# A run is the chain of one copy, n = 1, whose termination codes nothing: a
+# point mass on outcome 0 in one stretch of every depth.
 
 RUN_TABLES = [
     [0, 1, 2],
@@ -247,7 +250,7 @@ RUN_TABLES = [
     [0, TOTAL_MAX, TOTAL_MAX],
 ]
 
-# tables with other than two outcomes, which no run may have
+# tables with other than two outcomes, which no chain at n = 1 may have
 NOT_RUN_TABLES = [
     [0, 3, 5, 11, 20],  # n = 3
     list(quantize([math.log2(p) for p in (0.2, 0.3, 0.1, 0.15, 0.25)])),
@@ -256,9 +259,29 @@ NOT_RUN_TABLES = [
 ]
 
 
+HALF = [0, 1, 2]
+POINT_MASS = [0, 1]
+
+
+def _point_mass(d: int, n: int) -> tuple:
+    """The termination of a run: a point mass on outcome 0, one stretch."""
+    return POINT_MASS, None
+
+
+def _run_chain(cum, count: int) -> tuple:
+    """The run of count decisions under cum: a chain at n = 1 from depth 0."""
+    return cum, 1, _point_mass, 0, count
+
+
+def _run_item(cum, count: int, bits) -> tuple:
+    """The run's stream item, its outcomes the bits of one int, first
+    decision on top."""
+    return _run_chain(cum, count), bits
+
+
 def _run(cum, bits: str) -> tuple:
-    """The run item of bits, written as '0'/'1' text: ((cum, count), int)."""
-    return (cum, len(bits)), int(bits, 2)
+    """The run item of bits, written as '0'/'1' text."""
+    return _run_item(cum, len(bits), int(bits, 2))
 
 
 def _decisions_of(cum, bits: str) -> list:
@@ -339,7 +362,7 @@ def test_run_validates_its_table():
 @pytest.mark.parametrize(
     "count,bits,error",
     [
-        (0, 0, ValueError),
+        (0, 0, None),  # a chain of no depths: it codes nothing, and the stream goes on
         (-1, 0, ValueError),
         (3, 8, ValueError),
         (3, -1, ValueError),
@@ -348,18 +371,26 @@ def test_run_validates_its_table():
     ],
 )
 def test_malformed_run_codes_nothing(count, bits, error):
-    # a run whose count is below 1 or whose bits do not fit in count bits
+    # a run whose count is below 0 or whose bits do not fit in count bits
     # raises before any of its decisions, after the decisions before it
     enc, ref = RangeEncoder(), RangeEncoder()
     ref.encode_interval([0, 3, 8], 1)
-    with pytest.raises(error):
-        enc.encode_intervals([([0, 3, 8], 1), (([0, 1, 2], count), bits), ([0, 3, 8], 0)])
+    stream = [([0, 3, 8], 1), _run_item(HALF, count, bits), ([0, 3, 8], 0)]
+    if error is None:
+        ref.encode_interval([0, 3, 8], 0)
+        enc.encode_intervals(stream)
+    else:
+        with pytest.raises(error):
+            enc.encode_intervals(stream)
     assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
     assert enc.finish() == ref.finish()
 
 
 def _run_walk(cum, count):
-    return (yield cum, count)
+    """The walk of one run: it returns the run's outcomes as one int."""
+    got = yield _run_chain(cum, count)
+    assert got >> count == 1  # a point mass never stops a chain at n = 1
+    return got ^ 1 << count
 
 
 def _bit_walk(cum, count):
@@ -422,7 +453,6 @@ def test_equiprobable_runs_code_as_their_decisions_one_by_one(monkeypatch):
 
 # --- equiprobable runs from edge states, against one decision per call --------
 
-HALF = [0, 1, 2]
 # the renormalisation threshold, and every range that halves nine times
 # before its first renormalisation
 EDGE_RANGES = [TOP, TOP + 1, *range(2**64 - 256, 2**64)]
@@ -445,7 +475,7 @@ def _encoder_at(low: int, rng: int, out: bytes) -> RangeEncoder:
 
 def _check_encoded_run(low: int, rng: int, out: bytes, count: int, bits: int) -> None:
     enc, one = _encoder_at(low, rng, out), _encoder_at(low, rng, out)
-    enc.encode_intervals([((HALF, count), bits)])
+    enc.encode_intervals([_run_item(HALF, count, bits)])
     for bit in format(bits, f"0{count}b"):
         one.encode_interval(HALF, int(bit))
     assert (enc.low, enc.range, enc.symbols_coded) == (one.low, one.range, one.symbols_coded)
@@ -510,7 +540,7 @@ def test_long_runs_code_as_their_decisions_one_by_one(cum, count):
     # encode_interval and decode_target one decision per call
     for bits in _bit_patterns(count, count):
         enc, one = RangeEncoder(), RangeEncoder()
-        enc.encode_intervals([((cum, count), bits)])
+        enc.encode_intervals([_run_item(cum, count, bits)])
         for bit in format(bits, f"0{count}b"):
             one.encode_interval(cum, int(bit))
         assert (enc.low, enc.range, enc.symbols_coded) == (one.low, one.range, one.symbols_coded)
@@ -548,18 +578,25 @@ def test_decoded_run_validates_its_table():
 )
 def test_both_kernels_refuse_a_malformed_run(cum, count):
     # before any of its decisions: the encoder keeps its registers, output
-    # and symbols_coded, and the decoder its value and range
+    # and symbols_coded, and the decoder its value and range; a run of no
+    # decisions is a chain of no depths, which both kernels take as nothing
     enc, ref = RangeEncoder(), RangeEncoder()
     ref.encode_interval([0, 3, 8], 1)
-    with pytest.raises(ValueError):
-        enc.encode_intervals([([0, 3, 8], 1), ((cum, count), 0), ([0, 3, 8], 0)])
-    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
-    assert enc.finish() == ref.finish()
+    stream = [([0, 3, 8], 1), _run_item(cum, count, 0), ([0, 3, 8], 0)]
     dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
     dec.decode_target([0, 3, 8])
     state = dec.value, dec.range
-    with pytest.raises(ValueError):
-        dec.decode_walk(_run_walk(cum, count))
+    if count == 0:
+        ref.encode_interval([0, 3, 8], 0)
+        enc.encode_intervals(stream)
+        assert dec.decode_walk(_run_walk(cum, count)) == 0
+    else:
+        with pytest.raises(ValueError):
+            enc.encode_intervals(stream)
+        with pytest.raises(ValueError):
+            dec.decode_walk(_run_walk(cum, count))
+    assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
+    assert enc.finish() == ref.finish()
     assert (dec.value, dec.range) == state
 
 
@@ -620,8 +657,8 @@ def _deadline(seconds: float):
     [
         ([0, 1, 2], 0),
         ([0, 3, 8], 1),
-        ((HALF, 20), 5),
-        (([0, 3, 8], 20), 5),
+        _run_item(HALF, 20, 5),
+        _run_item([0, 3, 8], 20, 5),
         (([0, 3, 8], 1, lambda d, n: ([0, 1, 1], d + 1), 0, 20), 5),  # a chain
     ],
 )
@@ -674,12 +711,14 @@ CHAIN_CASES = [
     ([0, 0, 1, 1], 2, [[0, 5, 8, 9]]),  # a point mass on a middle outcome
     ([0, 5, 6, 9], 2, [[0, 0, 3, 8], [0, 4, 4, 4]]),  # a dead termination outcome 0
     ([0, 5, 6, 9], 2, [[0, 0, 1, 1], [0, 4, 4, 4]]),  # a termination point mass past 0
+    ([0, 1, 2], 1, [[0, 1]]),  # equiprobable under a point mass: the byte steps
+    ([0, 1, 2], 1, [[0, 1], [0, 2, 3]]),  # byte steps in every other stretch
 ]
 
 
 # stretch widths: each stretch of that many depths, from depth 0, takes
 # the next of a case's tables; None is one stretch of the first table
-WIDTHS = [2, 3, 8, None]
+WIDTHS = [2, 3, 8, 20, None]
 
 
 def _table_at(tables, width, e: int):

@@ -38,6 +38,7 @@ from msetzip.models import (
     GeometricLength,
     PointLength,
     UniformLength,
+    hazard,
 )
 from msetzip.msettree import MultisetTree
 from msetzip.rangecoder import RangeDecoder, RangeEncoder
@@ -136,8 +137,6 @@ def exact_tree_prob(tree: MultisetTree, params: CodecParams) -> Fraction:
                 return
             term = None
         else:
-            from msetzip.models import hazard
-
             term = hazard(regime.length_model, depth)
         rem = n
         if term is not None:
@@ -396,8 +395,45 @@ def _record_coder_items(monkeypatch) -> tuple[list, list, list]:
     return encoded, decoded, built
 
 
-class TestRuns:
-    """A single member's chain reaches the range coder as one item."""
+def _payload(members, params) -> bytes:
+    enc = RangeEncoder()
+    encode_members(members, params, enc)
+    return enc.finish().data
+
+
+def _sends(tree: MultisetTree, length, coded) -> int:
+    """The decoder's sends for the trie of the members: at each node, a
+    chain where one may start, which takes every depth below whose
+    termination count is 0 and whose members take one branch; then, unless
+    the fixed length is reached, a termination count where coded(d, n)
+    says its table is not a point mass (coded None where no termination
+    counts are coded), and a split."""
+    sends, stack = 0, [(tree.root, 0)] if len(tree) else []
+    while stack:
+        node, d = stack.pop()
+        chain = node.count == 1
+        while d != length:
+            if chain:
+                sends += 1
+                while not node.slack and (node.child0 is None) != (node.child1 is None):
+                    node, d = node.child0 or node.child1, d + 1
+                if d == length:
+                    break
+            if coded is not None:
+                sends += coded(d, node.count)
+                if node.slack == node.count:
+                    break
+            sends += 1
+            if node.child0 is not None and node.child1 is not None:
+                stack += [(node.child1, d + 1), (node.child0, d + 1)]
+                break
+            node, d, chain = node.child0 or node.child1, d + 1, True
+    return sends
+
+
+class TestChains:
+    """The rest of a distinct member below its last branch reaches the range
+    coder as one chain item."""
 
     def test_sha1_chains_are_one_coder_item_each(self, monkeypatch):
         from test_golden import CASES
@@ -410,23 +446,27 @@ class TestRuns:
         dec = RangeDecoder.from_bytes(enc.finish().data)
         assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
         assert enc.symbols_coded == 153686  # as when every decision was its own item
-        # a run is ((cum, count), bits) to the encoder and (cum, count) to
-        # the decoder, which sends the bits back as the same int
+        # a member alone below its node is the chain ((cum, 1, stretch, d,
+        # count), bits) to the encoder and (cum, 1, stretch, d, count) to the
+        # decoder, which sends back 1 << count | bits, every depth taken
         sent = [item for item, _ in encoded if item[0].__class__ is tuple]
-        received = [(item, bits) for item, bits in decoded if item.__class__ is tuple]
+        received = [(item, bits) for item, bits in decoded if item.__class__ is tuple and item[1] == 1]
         assert len(sent) == len(received) == len(members)
-        for ((cum, count), bits), ((got_cum, got_count), got_bits) in zip(sent, received):
+        for ((cum, n, _, d, count), bits), ((got_cum, got_n, _, got_d, got_count), got_bits) in zip(
+            sent, received
+        ):
             assert isinstance(bits, int) and isinstance(got_bits, int)
-            assert (cum, count, bits) == (got_cum, got_count, got_bits)
+            assert (cum, n, d, count, 1 << count | bits) == (got_cum, got_n, got_d, got_count, got_bits)
         assert len(encoded) < enc.symbols_coded // 40 and len(decoded) < enc.symbols_coded // 40
         assert len(built) == len(members)
 
     @pytest.mark.parametrize("name", ["geom1/128/zipf-2000", "uniform100-300/long-duplicates"])
     def test_general_duplicates_reach_the_coder_as_chains(self, name, monkeypatch):
         # below its last branch each distinct member, whatever its copies,
-        # is one chain item ((split(n), n, termination, d, count), bits) to
-        # the encoder; the decoder offers a chain at every node and gets the
-        # same depths back as 1 << count | bits
+        # is one chain item ((split(n), n, stretch, d, count), bits) to the
+        # encoder; the decoder gets the same depths back as 1 << count |
+        # bits, or, where it entered the member's node from a branch with
+        # n > 1 copies and so offered no chain there, all but the first
         from test_golden import CASES
 
         members, params = CASES[name]
@@ -443,8 +483,86 @@ class TestRuns:
             if item.__class__ is tuple
         )
         assert sum(sent.values()) == len(set(members))
-        received = Counter((item[3], item[1], reply) for item, reply in decoded if len(item) == 5)
-        assert not sent - received
+        received = Counter(
+            (item[3], item[1], reply) for item, reply in decoded if item.__class__ is tuple
+        )
+        for (d, n, marked), copies in sent.items():
+            count = marked.bit_length() - 1
+            below = (d + 1, n, 1 << count - 1 | marked & (1 << count - 1) - 1)
+            for _ in range(copies):
+                key = (d, n, marked) if received[(d, n, marked)] or n == 1 else below
+                assert received[key]
+                received[key] -= 1
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "geom1/128/zipf-2000",
+            "geom1/16/skewed-duplicates-2000",
+            "uniform100-300/long-duplicates",
+            "uniform0-10/duplicates",
+            "fixed160/duplicate-run-3",
+            "fixed16/duplicate-chain",
+        ],
+    )
+    def test_decoder_offers_a_chain_only_where_one_may_start(self, name, monkeypatch):
+        # the decoder offers a chain at a node of one member and after each
+        # split that did not branch, never on entering a node of n > 1
+        # members, where a branch would stop it at once; its sends are those
+        # of that rule over the trie, where a termination count whose table
+        # is a point mass is not sent, as it codes nothing
+        from test_golden import CASES
+
+        members, params = CASES[name]
+        _, decoded, _ = _record_coder_items(monkeypatch)
+        dec = RangeDecoder.from_bytes(_payload(members, params))
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        if isinstance(params.regime, GeneralRegime):
+            model, fam = params.regime.length_model, params.family
+            length = None
+
+            def coded(d, n):
+                return fam.termination_table(n, hazard(model, d))[-1] > 1
+
+        else:
+            length, coded = params.regime.length, None
+        assert len(decoded) == _sends(MultisetTree.build(members), length, coded)
+        for (before, n1), (item, _) in zip(decoded, decoded[1:]):
+            if item.__class__ is tuple and item[1] > 1:
+                assert before is item[0] and n1 in (0, item[1])
+
+    @pytest.mark.parametrize(
+        "name", ["geom1/128/zipf-2000", "uniform100-300/long-duplicates", "uniform0-10/duplicates"]
+    )
+    def test_stretch_ends_are_asked_only_where_chains_reach(self, name, monkeypatch):
+        # a single termination decision takes its table alone; the model is
+        # asked where a stretch ends only at the stretch starts a chain
+        # reaches, from its first depth up to the depth that stopped it
+        from test_golden import CASES
+
+        members, params = CASES[name]
+        model = params.regime.length_model
+        asked = []
+        ask = treecodec.same_hazard_until
+        monkeypatch.setattr(
+            treecodec, "same_hazard_until", lambda model, d: asked.append(d) or ask(model, d)
+        )
+        encoded, decoded, _ = _record_coder_items(monkeypatch)
+        enc = RangeEncoder()
+        encode_members(members, params, enc)
+        from_encoder, asked[:] = asked[:], []
+        decode_members(params, len(members), RangeDecoder.from_bytes(enc.finish().data))
+        sent = [(*chain, 1 << chain[4] | bits) for (chain, bits), _ in encoded if chain.__class__ is tuple]
+        received = [(*item, reply) for item, reply in decoded if item.__class__ is tuple]
+        for chains, got in ((sent, from_encoder), (received, asked)):
+            want = []
+            for _, _, _, d, count, marked in chains:
+                e, taken = d, marked.bit_length() - 1
+                while e is not None and e < d + count and e <= d + taken:
+                    want.append(e)
+                    e = ask(model, e)
+            assert got == want
+            assert want
 
     @pytest.mark.parametrize(
         "name",
@@ -458,10 +576,9 @@ class TestRuns:
             "fib/random-1500",
         ],
     )
-    def test_a_run_is_one_copy_of_one_member(self, name, monkeypatch):
-        # each member with one copy sends the bits below its own node as one
-        # run under split(1); a member with several copies sends them one
-        # decision at a time
+    def test_a_chain_is_the_rest_of_one_distinct_member(self, name, monkeypatch):
+        # each distinct member, of m copies, sends the bits below its own
+        # node as one chain under split(m), whose termination codes nothing
         from test_golden import CASES
 
         members, params = CASES[name]
@@ -471,20 +588,22 @@ class TestRuns:
             RangeEncoder, "encode_intervals", lambda enc, s: encode(enc, items.extend(s) or items)
         )
         encode_members(members, params, RangeEncoder())
-        runs = [(*run, bits) for run, bits in items if run.__class__ is tuple]
+        chains = [(*chain, bits) for chain, bits in items if chain.__class__ is tuple]
+        for _, n, stretch, d, _, _ in chains:
+            term, end = stretch(d, n)
+            assert term[-1] == term[1] == 1 and end is None  # a point mass, every depth
 
         counts = Counter(as_bitstring(m).to_str() for m in members)
         distinct = sorted(counts)  # prefix-free, so its neighbours fix each member's node
-        want, copied = [], 0
+        want = []
         for i, w in enumerate(distinct):
             shared = [len(os.path.commonprefix([w, v])) for v in distinct[max(i - 1, 0) : i + 2]]
             d = max(s + 1 for s in shared if s < len(w)) if len(distinct) > 1 else 0
-            if counts[w] == 1 and len(w) > d:
-                want.append((params.family.split_table(1), len(w) - d, int(w[d:], 2)))
-            elif counts[w] > 1:
-                copied += len(w) - d
-        assert runs == want
-        assert copied  # several copies of a member reach a chain of decisions
+            if len(w) > d:
+                m = counts[w]
+                want.append((params.family.split_table(m), m, d, len(w) - d, int(w[d:], 2)))
+        assert [(split, n, d, count, bits) for split, n, _, d, count, bits in chains] == want
+        assert any(m > 1 for _, m, *_ in want)  # several copies of a member are one chain
 
     def test_a_long_run_decodes_in_linear_time(self):
         # under a table other than [0, 1, 2] the decoder takes a run one
@@ -805,8 +924,12 @@ class TestMemberMemory:
         tables = treecodec._tables
 
         def counted(split, termination, hazards):
-            split, termination = tables(split, termination, hazards)
-            return split, lambda d, n: lookups.append(d) or termination(d, n)
+            split, termination, stretch = tables(split, termination, hazards)
+            return (
+                split,
+                lambda d, n: lookups.append(d) or termination(d, n),
+                lambda d, n: lookups.append(d) or stretch(d, n),
+            )
 
         monkeypatch.setattr(treecodec, "_tables", counted)
         member = BitString.from_bits(bytes(random.Random(4).randrange(2) for _ in range(60000)))
