@@ -43,7 +43,6 @@ from .models import (
     LengthModel,
     PointLength,
     UniformLength,
-    hazard,
 )
 from .msettree import MultisetTree, TreeNode
 from .rangecoder import RangeDecoder, RangeEncoder
@@ -90,7 +89,6 @@ __all__ = [
     "LengthModel",
     "PointLength",
     "UniformLength",
-    "hazard",
     "MultisetTree",
     "TreeNode",
     "RangeDecoder",

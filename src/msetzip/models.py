@@ -1,40 +1,41 @@
 """Length models and end-of-string detectors for the variable-length regimes.
 
-A LengthModel is a distribution over member lengths (k >= 0).  The
-general-regime codec only consumes it through the termination hazard
+A LengthModel is a distribution over member lengths (k >= 0), which the
+general-regime codec reads through three methods:
+
+    hazard(d) -> Fraction
+    same_hazard_until(d) -> Optional[int]
+    max_length() -> Optional[int]
+
+hazard(d) is the termination hazard
 
     theta_T(d) = L(d) / (1 - sum_{k<d} L(k)),
 
 the probability that a member known to have length >= d has length
-exactly d.  Hazards are computed in exact rational arithmetic so that
-depths past the model's support give exactly 1 (and the coder's tables
-degenerate to zero-cost point masses there) rather than 1 - epsilon.
-The hazard is also the support test: up to the model's maximum length, a
-length d is possible exactly where theta_T(d) > 0, since the residual
-mass 1 - sum_{k<d} L(k) is positive there.  The codec checks members'
-lengths before encoding, and the lengths at which the decoder ends
-members, by the hazard, never through pmf, whose exact powers (as in
-GeometricLength's) grow with the length.
-
-A model may also define
-
-    same_hazard_until(d) -> Optional[int]
-
-the first depth after d whose hazard may differ from d's, or None if no
-later depth's does.  The codec then looks up one termination table per
-such stretch of depths, not one per depth; a model without it gets d + 1,
-a stretch of one depth.  All three shipped models define it:
-GeometricLength's hazard is p at every depth from 1, and PointLength's
-and UniformLength's are 0 at every depth below the shortest length.
+exactly d, in exact rational arithmetic, so that it is exactly 1 at the
+longest length (and the coder's tables degenerate to zero-cost point
+masses there) rather than 1 - epsilon; it raises ValueError at a depth
+past every length, where the residual mass is 0.  The hazard is also the
+support test: up to the model's maximum length, a length d is possible
+exactly where theta_T(d) > 0.  same_hazard_until(d) is the first depth
+after d whose hazard may differ from d's, or None if no later depth's
+does, so the codec looks up one termination table per such stretch of
+depths, not one per depth.  GeometricLength's hazard is p at every depth
+from 1, and PointLength's and UniformLength's are 0 at every depth below
+the shortest length.  The shipped models also give pmf and cdf_below,
+which the codec never calls.
 
 An EndDetector is the self-delimiting regime's pure predicate on
-prefixes.  It must be prefix-free: once a prefix tests complete, no
-extension of it may ever be a member.  The decoder hands it each prefix as
-a bytearray of 0/1 values.  A detector may also answer for a whole member
-at once, through first_complete; both shipped detectors do, in closed
-form, and the check of the members before encoding then asks it once per
-distinct member.  A detector without it is asked is_complete at each trie
-node on that side too, about the same prefixes as the decoder.
+prefixes, with two methods.  is_complete(prefix) is asked by the decoder
+about each prefix, a bytearray of 0/1 values.  first_complete(value,
+nbits) answers for a whole member at once, and the member check before
+encoding asks it once per distinct member.  A detector must be
+prefix-free: once a prefix tests complete, no extension of it may ever be
+a member.
+
+The codec binds each method once per call, so a model or detector that
+lacks one fails with an AttributeError naming it before anything is
+coded.
 """
 
 from __future__ import annotations
@@ -47,31 +48,18 @@ from ._frozen import Frozen
 
 @runtime_checkable
 class LengthModel(Protocol):
-    def pmf(self, k: int) -> Fraction: ...
+    def hazard(self, d: int) -> Fraction:
+        """theta_T(d); ValueError where no mass is left at depths >= d."""
+        ...
 
-    def cdf_below(self, d: int) -> Fraction: ...
+    def same_hazard_until(self, d: int) -> Optional[int]:
+        """The first depth after d whose hazard may differ from d's, None
+        if no later depth's does."""
+        ...
 
     def max_length(self) -> Optional[int]:
         """Largest length with nonzero mass, None if unbounded."""
         ...
-
-
-def hazard(model: LengthModel, d: int) -> Fraction:
-    """Termination probability at depth d given survival to depth d."""
-    shortcut = getattr(model, "hazard", None)
-    if shortcut is not None:
-        return shortcut(d)
-    residual = 1 - model.cdf_below(d)
-    if residual <= 0:
-        raise ValueError(f"length model has no mass at depth >= {d}")
-    return model.pmf(d) / residual
-
-
-def same_hazard_until(model: LengthModel, d: int) -> Optional[int]:
-    """The first depth after d whose hazard may differ from d's, None if
-    no later depth's does; d + 1 for a model that does not say."""
-    shortcut = getattr(model, "same_hazard_until", None)
-    return d + 1 if shortcut is None else shortcut(d)
 
 
 class PointLength(Frozen):
@@ -92,6 +80,11 @@ class PointLength(Frozen):
 
     def max_length(self) -> Optional[int]:
         return self.length
+
+    def hazard(self, d: int) -> Fraction:
+        if d > self.length:
+            raise ValueError(f"length model has no mass at depth >= {d}")
+        return Fraction(1) if d == self.length else Fraction(0)
 
     def same_hazard_until(self, d: int) -> Optional[int]:
         return self.length if d < self.length else d + 1
@@ -152,8 +145,8 @@ class GeometricLength(Frozen):
         return 1 - (1 - self.p) ** (d - 1)
 
     def hazard(self, d: int) -> Fraction:
-        # memoryless shortcut; the generic pmf/residual route builds
-        # rationals whose size grows linearly with depth
+        # memoryless: p at every depth from 1, where pmf / (1 - cdf_below)
+        # builds rationals whose size grows linearly with depth
         if d < 1:
             return Fraction(0)
         if self.p == 1 and d > 1:
@@ -172,18 +165,15 @@ class GeometricLength(Frozen):
 
 @runtime_checkable
 class EndDetector(Protocol):
-    """is_complete is required.  A detector may also define
-
-        first_complete(value, nbits) -> Optional[int]
-
-    the length of the shortest prefix of the nbits-bit member value (its
-    first bit on top) for which is_complete holds, or None if none does.
-    It must agree with is_complete; the codec then checks the members
-    before encoding with one call each."""
-
     def is_complete(self, prefix: Sequence[int]) -> bool:
         """Whether prefix, a bytearray of 0/1 values, ends a member.  The
         codec may change the bytearray after the call returns."""
+        ...
+
+    def first_complete(self, value: int, nbits: int) -> Optional[int]:
+        """The length of the shortest prefix of the nbits-bit member value
+        (its first bit on top) for which is_complete holds, None if none
+        does."""
         ...
 
 

@@ -89,7 +89,7 @@ from ._frozen import Frozen
 from .bits import BitString, as_bitstring, marked_bits
 from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .errors import CorruptStreamError, ModelMismatchError
-from .models import EndDetector, LengthModel, hazard, same_hazard_until
+from .models import EndDetector, LengthModel
 from .quantize import TABLES_PER_CALL, quantized_betabin, quantized_binomial
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -195,19 +195,19 @@ def _schedule(
     check).  The fixed regime ends members by depth alone and the general
     regime never ends one early, so only the self-delimiting regime has a
     completion, its detector's is_complete.  Its member check asks the
-    detector's first_complete once per distinct member where the detector
-    has one, and is_complete once per trie node where not.  The general
-    regime's member check asks the hazards, as the tables do.
+    detector's first_complete once per distinct member; the general
+    regime's asks the hazards, as the tables do.  Each protocol method is
+    bound here, once per call, so a regime whose model or detector lacks
+    one fails with an AttributeError naming it before anything is coded.
     DECODE_DEPTH_CAP is read per call, so lowering it takes effect at
     once."""
     if isinstance(regime, FixedRegime):
         length = regime.length
         return length, None, None, length, _lengths(lambda n: n == length)
     if isinstance(regime, SelfDelimitingRegime):
-        complete = regime.detector.is_complete
-        first = getattr(regime.detector, "first_complete", None)
-        check = _prefix_free(complete) if first is None else _ends_complete(first)
-        return None, complete, None, DECODE_DEPTH_CAP, check
+        detector = regime.detector
+        check = _ends_complete(detector.first_complete)
+        return None, detector.is_complete, None, DECODE_DEPTH_CAP, check
     if isinstance(regime, GeneralRegime):
         cap = regime.length_model.max_length()
         hazards = _Hazards(regime.length_model)
@@ -221,17 +221,26 @@ def _schedule(
     raise TypeError(f"unknown regime {regime!r}")
 
 
+def hazard(theta_t: Callable[[int], Fraction], d: int) -> Fraction:
+    """theta_t(d), a length model's bound hazard method at depth d.  Every
+    hazard the codec computes is computed here, the one name that the
+    benchmark's tracer (perfbench/tracer.py) wraps to count and time them."""
+    return theta_t(d)
+
+
 class _Hazards:
     """A length model's hazards by depth, each computed once per call.
     first(d) is the first depth asked about whose hazard is d's, so depths
     with equal hazards share tables keyed by it, and at[first(d)] is that
-    hazard.  The maps start afresh at TABLES_PER_CALL depths, which costs
-    sharing but no bytes, as a table depends on the hazard's value alone."""
+    hazard; until is the model's same_hazard_until.  The maps start afresh
+    at TABLES_PER_CALL depths, which costs sharing but no bytes, as a
+    table depends on the hazard's value alone."""
 
-    __slots__ = ("model", "first_depth", "by_hazard", "at")
+    __slots__ = ("theta_t", "until", "first_depth", "by_hazard", "at")
 
     def __init__(self, model: LengthModel):
-        self.model = model
+        self.theta_t = model.hazard
+        self.until = model.same_hazard_until
         self.first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
         self.by_hazard: dict[Fraction, int] = {}  # hazard -> first depth with it
         self.at: dict[int, Fraction] = {}  # first depth -> its hazard
@@ -243,7 +252,7 @@ class _Hazards:
                 self.first_depth.clear()
                 self.by_hazard.clear()
                 self.at.clear()
-            h = hazard(self.model, d)
+            h = hazard(self.theta_t, d)
             d0 = self.first_depth[d] = self.by_hazard.setdefault(h, d)
             self.at.setdefault(d0, h)
         return d0
@@ -271,7 +280,8 @@ def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> Membe
     """The check that each member's shortest complete prefix, as the
     detector's first_complete finds it, is the whole member.  That also
     rules out a member that extends another, whose end would be a shorter
-    complete prefix of it."""
+    complete prefix of it.  It is one call per distinct member where the
+    decoder asks is_complete once per trie node."""
 
     def check(distinct: list) -> None:
         for data, nbits in distinct:
@@ -280,36 +290,6 @@ def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> Membe
                 if first is None:
                     raise ModelMismatchError(f"member of {nbits} bits does not end complete")
                 raise ModelMismatchError(f"member extends a complete {first}-bit prefix")
-
-    return check
-
-
-def _prefix_free(complete: Completion) -> MemberCheck:
-    """The check that complete holds at every member's end and at no
-    shorter prefix, for a detector without first_complete, and the
-    reference that _ends_complete is tested against.  The detector is a
-    pure predicate, so it is asked once per trie node, in the decoder's
-    preorder: each member starts at the prefix it shares with the member
-    before, which is that member, complete, or a shorter prefix of it that
-    was not."""
-
-    def check(distinct: list) -> None:
-        prefix = bytearray()  # 0/1 values, as the decoder's detector sees them
-        done = bool(distinct) and complete(prefix)
-        before = before_nbits = 0
-        for data, nbits in distinct:
-            value = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
-            m = min(nbits, before_nbits)
-            del prefix[m - ((value >> (nbits - m)) ^ (before >> (before_nbits - m))).bit_length() :]
-            done = done and len(prefix) == before_nbits
-            for bit in marked_bits(value | 1 << nbits)[len(prefix) :]:
-                if done:
-                    raise ModelMismatchError(f"member extends a complete {len(prefix)}-bit prefix")
-                prefix.append(bit)
-                done = complete(prefix)
-            if not done:
-                raise ModelMismatchError(f"member of {nbits} bits does not end complete")
-            before, before_nbits = value, nbits
 
     return check
 
@@ -341,8 +321,8 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     if hazards is None:
         return split, None, _point_mass
-    model, first_depth, hazard_at = hazards.model, hazards.first_depth, hazards.at
-    first = hazards.first
+    first_depth, hazard_at, first = hazards.first_depth, hazards.at, hazards.first
+    until = hazards.until
 
     @lru_cache(maxsize=TABLES_PER_CALL)
     def shared(d0: int, n: int):
@@ -353,7 +333,7 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
         return shared(first(d) if d0 is None else d0, n)
 
     def stretch(d: int, n: int):
-        return termination_at(d, n), same_hazard_until(model, d)
+        return termination_at(d, n), until(d)
 
     return split, termination_at, stretch
 

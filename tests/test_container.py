@@ -112,6 +112,9 @@ class TestHeader:
             def is_complete(self, prefix):
                 return len(prefix) == 2
 
+            def first_complete(self, value, nbits):
+                return 2 if nbits >= 2 else None
+
         with pytest.raises(ValueError):
             serialize_header(CodecParams(SelfDelimitingRegime(OddDetector())))
 

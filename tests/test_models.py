@@ -14,8 +14,15 @@ from msetzip.models import (
     LengthModel,
     PointLength,
     UniformLength,
-    hazard,
-    same_hazard_until,
+)
+from msetzip.rangecoder import RangeDecoder, RangeEncoder
+from msetzip.treecodec import (
+    CodecParams,
+    GeneralRegime,
+    SelfDelimitingRegime,
+    decode_members,
+    encode_members,
+    ideal_codelength,
 )
 
 SHIPPED_MODELS = [
@@ -33,63 +40,107 @@ SHIPPED_MODELS = [
 ]
 
 
+def reference_hazard(model, d: int) -> Fraction:
+    """theta_T(d) = L(d) / (1 - sum_{k<d} L(k)) from the model's pmf and
+    cdf_below, the definition the models' closed-form hazards are checked
+    against, and the one the oracles use; ValueError where no mass is left
+    at depths >= d."""
+    residual = 1 - model.cdf_below(d)
+    if residual <= 0:
+        raise ValueError(f"length model has no mass at depth >= {d}")
+    return model.pmf(d) / residual
+
+
+class Bare:
+    """A length model with pmf, cdf_below and max_length, but neither of
+    the hazard methods the codec reads."""
+
+    def pmf(self, k):
+        return Fraction(1) if k == 3 else Fraction(0)
+
+    def cdf_below(self, d):
+        return Fraction(1) if d > 3 else Fraction(0)
+
+    def max_length(self):
+        return 3
+
+
+class HazardOnly(Bare):
+    """Bare with a hazard, but no same_hazard_until."""
+
+    def hazard(self, d):
+        return reference_hazard(self, d)
+
+
+class IsCompleteOnly:
+    """A detector that answers is_complete, but not first_complete."""
+
+    def is_complete(self, prefix):
+        return len(prefix) == 3
+
+
 class TestHazard:
     def test_uniform_1_to_3(self):
         # survival renormalizes the per-depth rate: 0, 1/3, 1/2, 1
         m = UniformLength(1, 3)
-        assert hazard(m, 0) == Fraction(0)
-        assert hazard(m, 1) == Fraction(1, 3)
-        assert hazard(m, 2) == Fraction(1, 2)
-        assert hazard(m, 3) == Fraction(1)
+        assert m.hazard(0) == Fraction(0)
+        assert m.hazard(1) == Fraction(1, 3)
+        assert m.hazard(2) == Fraction(1, 2)
+        assert m.hazard(3) == Fraction(1)
         with pytest.raises(ValueError):
-            hazard(m, 4)
+            m.hazard(4)
 
     def test_point(self):
         m = PointLength(5)
         for d in range(5):
-            assert hazard(m, d) == 0
-        assert hazard(m, 5) == 1
+            assert m.hazard(d) == 0
+        assert m.hazard(5) == 1
         with pytest.raises(ValueError):
-            hazard(m, 6)
+            m.hazard(6)
 
     def test_point_zero_allows_empty_members(self):
         m = PointLength(0)
-        assert hazard(m, 0) == 1
+        assert m.hazard(0) == 1
 
     def test_geometric_is_memoryless(self):
         p = Fraction(2, 7)
         m = GeometricLength(p)
-        assert hazard(m, 0) == 0
+        assert m.hazard(0) == 0
         for d in range(1, 40):
-            assert hazard(m, d) == p
+            assert m.hazard(d) == p
 
-    def test_geometric_shortcut_matches_generic_formula(self):
-        m = GeometricLength(Fraction(3, 11))
-        for d in range(1, 12):
-            assert m.hazard(d) == m.pmf(d) / (1 - m.cdf_below(d))
-        with pytest.raises(ValueError):
-            GeometricLength(Fraction(1)).hazard(2)
-
-    def test_uniform_shortcut_matches_generic_formula(self):
-        # every depth of every small model: 0 below lo, 1 / (hi - d + 1) on
-        # [lo, hi], and past hi the ValueError of a model with no mass left
-        for hi in range(12):
-            for lo in range(hi + 1):
-                m = UniformLength(lo, hi)
-                for d in range(hi + 3):
-                    residual = 1 - m.cdf_below(d)
-                    if residual:
-                        assert m.hazard(d) == m.pmf(d) / residual
-                    else:
-                        with pytest.raises(ValueError):
-                            m.hazard(d)
+    @pytest.mark.parametrize(
+        "m",
+        list(
+            dict.fromkeys(
+                SHIPPED_MODELS
+                + [PointLength(length) for length in range(8)]
+                + [UniformLength(lo, hi) for hi in range(12) for lo in range(hi + 1)]
+                + [GeometricLength(Fraction(3, 11))]
+            )
+        ),
+        ids=repr,
+    )
+    def test_closed_form_matches_the_definition(self, m):
+        # every depth up to two past the longest length (40 for an
+        # unbounded model): the definition's value, and past the longest
+        # length the ValueError of a model with no mass left
+        longest = m.max_length()
+        for d in range((40 if longest is None else longest) + 3):
+            try:
+                want = reference_hazard(m, d)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    m.hazard(d)
+            else:
+                assert m.hazard(d) == want
 
     def test_hazards_reconstruct_pmf(self):
         # survival * hazard telescopes back to L(k)
         m = UniformLength(2, 6)
         survival = Fraction(1)
         for d in range(0, 7):
-            th = hazard(m, d)
+            th = m.hazard(d)
             assert survival * th == m.pmf(d)
             survival *= 1 - th
         assert survival == 0
@@ -121,9 +172,9 @@ class TestSameHazardUntil:
         top = d + 300 if until is None else min(until, d + 300)
         if model.max_length() is not None:
             top = min(top, model.max_length() + 1)
-        h = hazard(model, d)
+        h = model.hazard(d)
         for e in range(d, top):
-            assert hazard(model, e) == h
+            assert model.hazard(e) == h
 
     def test_shipped_stretches(self):
         assert [PointLength(5).same_hazard_until(d) for d in (0, 4, 5)] == [5, 5, 6]
@@ -132,19 +183,30 @@ class TestSameHazardUntil:
         assert [geometric.same_hazard_until(d) for d in (0, 1, 500)] == [1, None, None]
         assert [GeometricLength(Fraction(1)).same_hazard_until(d) for d in (0, 1)] == [1, 2]
 
-    def test_a_model_that_does_not_say_has_stretches_of_one_depth(self):
-        class Bare:
-            def pmf(self, k):
-                return Fraction(1) if k == 3 else Fraction(0)
 
-            def cdf_below(self, d):
-                return Fraction(1) if d > 3 else Fraction(0)
-
-            def max_length(self):
-                return 3
-
-        assert [same_hazard_until(Bare(), d) for d in range(4)] == [1, 2, 3, 4]
-        assert same_hazard_until(PointLength(3), 0) == 3
+class TestMissingMethods:
+    @pytest.mark.parametrize(
+        "regime, method",
+        [
+            (GeneralRegime(Bare()), "hazard"),
+            (GeneralRegime(HazardOnly()), "same_hazard_until"),
+            (SelfDelimitingRegime(IsCompleteOnly()), "first_complete"),
+        ],
+        ids=["model-without-hazard", "model-without-stretches", "detector-without-first_complete"],
+    )
+    def test_fails_naming_the_method_before_coding(self, regime, method):
+        # the codec has no fallback for a protocol method: the call fails
+        # where it binds the method, before the first symbol, on every side
+        params = CodecParams(regime)
+        members = ["010", "010", "111"]
+        enc = RangeEncoder()
+        with pytest.raises(AttributeError, match=f"'{method}'"):
+            encode_members(members, params, enc)
+        assert enc.symbols_coded == 0
+        with pytest.raises(AttributeError, match=f"'{method}'"):
+            ideal_codelength(members, params)
+        with pytest.raises(AttributeError, match=f"'{method}'"):
+            decode_members(params, 3, RangeDecoder.from_bytes(bytes(8)))
 
 
 class TestLengthModels:
@@ -183,6 +245,8 @@ class TestLengthModels:
     def test_protocol_conformance(self):
         for m in (PointLength(1), UniformLength(1, 2), GeometricLength(Fraction(1, 2))):
             assert isinstance(m, LengthModel)
+        assert not isinstance(Bare(), LengthModel)
+        assert not isinstance(HazardOnly(), LengthModel)
 
 
 class TestDetectors:
@@ -206,6 +270,7 @@ class TestDetectors:
     def test_protocol_conformance(self):
         assert isinstance(FibTerminatorDetector(), EndDetector)
         assert isinstance(FixedLengthDetector(2), EndDetector)
+        assert not isinstance(IsCompleteOnly(), EndDetector)
 
     @given(
         st.just(FibTerminatorDetector()) | st.builds(FixedLengthDetector, st.integers(1, 40)),

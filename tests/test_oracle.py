@@ -3,12 +3,15 @@
 The oracle builds the count-annotated trie with MultisetTree and walks it
 in preorder, child 0 before child 1.  At each node it codes one count with
 one encode_interval call: in the general regime the termination count
-first, under termination_table(n, hazard(model, d)), then, unless the node
-is complete, how many of the other members go on with a 1, under
-split_table(n).  Its decoder mirrors that with one decode_target call per
-decision.  The codec's sorted-member walk, its runs, chains and byte steps
-must give the same payload, and decode the same members, on random
-multisets; and decode the same members from random payload bytes.
+first, under termination_table(n, theta_T(d)), then, unless the node is
+complete, how many of the other members go on with a 1, under
+split_table(n).  theta_T(d) is test_models.reference_hazard, the hazard's
+definition from the model's pmf and cdf_below, so the oracle shares no
+code with the models' closed-form hazards that the codec reads.  Its
+decoder mirrors that with one decode_target call per decision.  The
+codec's sorted-member walk, its chains and byte steps must give the same
+payload, and decode the same members, on random multisets; and decode the
+same members from random payload bytes.
 """
 
 import random
@@ -29,7 +32,6 @@ from msetzip.models import (
     GeometricLength,
     PointLength,
     UniformLength,
-    hazard,
 )
 from msetzip.msettree import MultisetTree
 from msetzip.rangecoder import RangeDecoder, RangeEncoder
@@ -43,6 +45,7 @@ from msetzip.treecodec import (
     decode_members,
     encode_members,
 )
+from test_models import reference_hazard
 
 FAMILIES = [
     BinomialFamily(Fraction(1, 3)),
@@ -52,7 +55,7 @@ FAMILIES = [
 
 
 def _termination_table(params: CodecParams, n: int, d: int):
-    return params.family.termination_table(n, hazard(params.regime.length_model, d))
+    return params.family.termination_table(n, reference_hazard(params.regime.length_model, d))
 
 
 def _complete(regime, prefix: list) -> bool:
@@ -225,7 +228,7 @@ def test_random_payloads_decode_as_the_trie_walk(data, n_members, model):
                 want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), cap)
             except AssertionError:
                 want = None
-            if want is None or not all(hazard(model, len(m)) > 0 for m in want):
+            if want is None or not all(reference_hazard(model, len(m)) > 0 for m in want):
                 with pytest.raises(CorruptStreamError):
                     decode_members(params, n_members, RangeDecoder.from_bytes(data))
             else:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import msetzip
 import msetzip.treecodec as treecodec
-from msetzip.bits import BitString, as_bitstring
+from msetzip.bits import BitString, as_bitstring, marked_bits
 from msetzip.errors import CorruptStreamError, ModelMismatchError
 from msetzip.fibcode import fib_encode
 from msetzip.models import (
@@ -38,7 +38,6 @@ from msetzip.models import (
     GeometricLength,
     PointLength,
     UniformLength,
-    hazard,
 )
 from msetzip.msettree import MultisetTree
 from msetzip.rangecoder import RangeDecoder, RangeEncoder
@@ -53,6 +52,7 @@ from msetzip.treecodec import (
     encode_members,
     ideal_codelength,
 )
+from test_models import reference_hazard
 
 HALF = Fraction(1, 2)
 
@@ -137,7 +137,7 @@ def exact_tree_prob(tree: MultisetTree, params: CodecParams) -> Fraction:
                 return
             term = None
         else:
-            term = hazard(regime.length_model, depth)
+            term = reference_hazard(regime.length_model, depth)
         rem = n
         if term is not None:
             prob *= exact_family_pmf(fam, n, node.slack, theta_t=term)
@@ -200,6 +200,9 @@ class TestRoundTrip:
         class Instant:
             def is_complete(self, prefix):
                 return True
+
+            def first_complete(self, value, nbits):
+                return 0
 
         params = CodecParams(SelfDelimitingRegime(Instant()), BinomialFamily())
         payload, enc = round_trip(["", "", ""], params)
@@ -522,7 +525,7 @@ class TestChains:
             length = None
 
             def coded(d, n):
-                return fam.termination_table(n, hazard(model, d))[-1] > 1
+                return fam.termination_table(n, reference_hazard(model, d))[-1] > 1
 
         else:
             length, coded = params.regime.length, None
@@ -543,9 +546,9 @@ class TestChains:
         members, params = CASES[name]
         model = params.regime.length_model
         asked = []
-        ask = treecodec.same_hazard_until
+        ask = type(model).same_hazard_until
         monkeypatch.setattr(
-            treecodec, "same_hazard_until", lambda model, d: asked.append(d) or ask(model, d)
+            type(model), "same_hazard_until", lambda self, d: asked.append(d) or ask(self, d)
         )
         encoded, decoded, _ = _record_coder_items(monkeypatch)
         enc = RangeEncoder()
@@ -646,6 +649,36 @@ def _members_near(valid):
     return st.lists(valid, max_size=12) | st.lists(near, max_size=12)
 
 
+def prefix_free(complete):
+    """The check that complete holds at every member's end and at no
+    shorter prefix, on sorted distinct (data, nbits) pairs as _sort lists
+    them: the reference that a detector's first_complete is checked
+    against.  The detector is a pure predicate, so it is asked once per
+    trie node, in the decoder's preorder: each member starts at the prefix
+    it shares with the member before, which is that member, complete, or a
+    shorter prefix of it that was not."""
+
+    def check(distinct: list) -> None:
+        prefix = bytearray()  # 0/1 values, as the decoder's detector sees them
+        done = bool(distinct) and complete(prefix)
+        before = before_nbits = 0
+        for data, nbits in distinct:
+            value = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
+            m = min(nbits, before_nbits)
+            del prefix[m - ((value >> (nbits - m)) ^ (before >> (before_nbits - m))).bit_length() :]
+            done = done and len(prefix) == before_nbits
+            for bit in marked_bits(value | 1 << nbits)[len(prefix) :]:
+                if done:
+                    raise ModelMismatchError(f"member extends a complete {len(prefix)}-bit prefix")
+                prefix.append(bit)
+                done = complete(prefix)
+            if not done:
+                raise ModelMismatchError(f"member of {nbits} bits does not end complete")
+            before, before_nbits = value, nbits
+
+    return check
+
+
 # (detector, members) for both shipped detectors
 DETECTED_MEMBERS = st.tuples(
     st.just(FibTerminatorDetector()), _members_near(st.integers(1, 300).map(fib_encode))
@@ -683,7 +716,7 @@ class TestValidation:
             assert enc.symbols_coded == 0
 
     def test_detector_sees_the_same_prefixes_on_both_sides(self):
-        # the member check before encoding and the decoder ask about the
+        # the decoder and the reference walk over the trie ask about the
         # same prefixes, in the same order and of the same type
         class Recording:
             def __init__(self):
@@ -693,18 +726,24 @@ class TestValidation:
                 self.calls.append((type(prefix), bytes(prefix)))
                 return self.inner.is_complete(prefix)
 
+            def first_complete(self, value, nbits):
+                return self.inner.first_complete(value, nbits)
+
         rng = random.Random(11)
         members = [fib_encode(rng.randint(1, 300)) for _ in range(200)]
         detector = Recording()
         params = CodecParams(SelfDelimitingRegime(detector), BetaBinomialFamily())
         enc = RangeEncoder()
         encode_members(members, params, enc)
-        encoded, detector.calls = detector.calls, []
+        assert not detector.calls  # the encoder's check asks first_complete
         dec = RangeDecoder.from_bytes(enc.finish().data)
         assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
-        assert encoded == detector.calls
-        assert {kind for kind, _ in encoded} == {bytearray}
-        assert len(encoded) == len(set(encoded))  # once per trie node
+        decoded, detector.calls = detector.calls, []
+        distinct = sorted({(b.data, b.nbits) for b in map(as_bitstring, members)})
+        prefix_free(detector.is_complete)(distinct)
+        assert decoded == detector.calls
+        assert {kind for kind, _ in decoded} == {bytearray}
+        assert len(decoded) == len(set(decoded))  # once per trie node
 
     def test_shipped_detectors_check_members_without_is_complete(self, monkeypatch):
         # the check before encoding asks first_complete once per member;
@@ -748,7 +787,7 @@ class TestValidation:
             return True
 
         closed = treecodec._ends_complete(detector.first_complete)
-        walk = treecodec._prefix_free(detector.is_complete)
+        walk = prefix_free(detector.is_complete)
         for listed in (sorted(set(pairs)), pairs):
             assert accepts(closed, listed) == accepts(walk, listed)
 
@@ -853,8 +892,8 @@ class TestTableMemory:
         # depth has its own termination tables; each depth's hazard is
         # computed once per call, whatever counts its tables are for.
         calls = Counter()
-        exact = treecodec.hazard
-        monkeypatch.setattr(treecodec, "hazard", lambda m, d: calls.update((d,)) or exact(m, d))
+        exact = UniformLength.hazard
+        monkeypatch.setattr(UniformLength, "hazard", lambda m, d: calls.update((d,)) or exact(m, d))
         members = ["0110", "0110", "0111", "01", "1" * 300]
         for family in (BinomialFamily(), BetaBinomialFamily()):
             params = CodecParams(GeneralRegime(UniformLength(1, 400)), family)
@@ -975,6 +1014,9 @@ class TestCorruptStreams:
         class NeverEnds:
             def is_complete(self, prefix):
                 return False
+
+            def first_complete(self, value, nbits):
+                return None
 
         monkeypatch.setattr(treecodec, "DECODE_DEPTH_CAP", 40)
         params = CodecParams(SelfDelimitingRegime(NeverEnds()), BinomialFamily())
