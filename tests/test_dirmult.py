@@ -302,8 +302,21 @@ class TestGolden:
              "959ce5f2a3ae70ee65fcc51db252db8479c7a51d1ab1892f1819d35b51182f05"),
             (uniform_draws(7, 1000), DEFAULT_ALPHA, 4868,
              "6328479c3f817bd81a6fd192afece66af566c773c9ff7978258469d16848f6cd"),
+            # alpha as a float and as an int, which the walk keys by their
+            # exact ratios
+            (GOLDEN[-1][0], 0.3, 25,
+             "d0815a8335257ef83a13650aff1e84cc4cc25179a360307d173a6e715baa93ef"),
+            (uniform_draws(2025, 200), 0.3, 1420,
+             "a8ec95ab209ad6ffe2d00a993c42e0c7738895dd1d30240df5f5411629bf1d3a"),
+            (uniform_draws(2025, 200), 1e-3, 2035,
+             "e226750fb0bbac07e6423a18946439402525a5b691ccbe4d8eb754e4d2d116c7"),
+            (GOLDEN[-1][0], 2, 29,
+             "8d38db4951e6dcfa835c1112d14a2f0410cc870ceb0f923caff54cf34c2a512a"),
         ],
-        ids=["third-k17", "third-sparse", "two-k17", "two-sparse", "bench-shape"],
+        ids=[
+            "third-k17", "third-sparse", "two-k17", "two-sparse", "bench-shape",
+            "float-k17", "float-sparse", "tiny-float-sparse", "int-k17",
+        ],
     )
     def test_pinned_payloads(self, ms, alpha, nbits, digest):
         payload, _ = round_trip(ms, alpha)

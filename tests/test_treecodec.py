@@ -14,6 +14,7 @@ match -log2 P; the coder's output must land within its guaranteed slack
 of the ideal.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -260,6 +261,36 @@ class TestDeterminism:
             out.append(enc.finish())
         assert out[0] == out[1]
         assert isinstance(out[0], BitString)
+
+
+    # (nbits, sha256) of in-memory payloads whose parameters are floats and
+    # ints, not Fractions: the tables are keyed by their exact ratios
+    @pytest.mark.parametrize(
+        "general, family, nbits, digest",
+        [
+            (False, BinomialFamily(0.3), 613,
+             "5148ffce4d8333785d5f9b74219f0db24aa31c1a2918a80a38c01017b3059096"),
+            (False, BetaBinomialFamily(0.5, 2), 658,
+             "db1ec6d17e59b310c616d7bba8fec0e0d7d320da042c9c8596ba66f948ea0b20"),
+            (True, BinomialFamily(0.3), 478,
+             "753c17cd4a55eb81fee03ee93c04e5c0c3b7e89a50f250e8b0a609864fbeb1a1"),
+            (True, BetaBinomialFamily(0.5, 2), 482,
+             "cf803135a8135d9825fa1dbc16cd2de66a0f6437b8e9d8527dc3647e3c855c42"),
+        ],
+        ids=["fixed-binomial", "fixed-betabin", "geometric-binomial", "geometric-betabin"],
+    )
+    def test_pinned_payloads_under_float_and_int_parameters(self, general, family, nbits, digest):
+        rng = random.Random(11)
+        fixed = [format(rng.getrandbits(12), "012b") for _ in range(60)]
+        fixed += fixed[:7]
+        varied = ["".join(rng.choice("01") for _ in range(rng.randint(1, 14))) for _ in range(50)]
+        varied += varied[:9]
+        if general:
+            members, regime = varied, GeneralRegime(GeometricLength(0.25))
+        else:
+            members, regime = fixed, FixedRegime(12)
+        payload, _ = round_trip(members, CodecParams(regime, family))
+        assert (payload.nbits, hashlib.sha256(payload.data).hexdigest()) == (nbits, digest)
 
 
 # --- ideal codelength against the exact oracles ----------------------------
