@@ -108,7 +108,7 @@ def _write_fields(out: bytearray, fields: list, obj) -> None:
                 raise ValueError(f"{attr} {value} does not fit in u16")
             out += struct.pack(">H", value)
         elif wire == "u32/u32":
-            num, den = value.numerator, value.denominator
+            num, den = value.as_integer_ratio()
             if not (0 <= num < 1 << 32 and 1 <= den < 1 << 32):
                 raise ValueError(f"rational {value} does not fit in u32/u32")
             out += struct.pack(">II", num, den)

@@ -18,8 +18,13 @@ single draw BetaBin(N, alpha, alpha).
 Within one call alpha is fixed and mid - lo = (hi - lo) // 2, so a
 node's table depends only on its count n and its width hi - lo.  The
 walk caches tables under those two ints for the call, at most
-TABLES_PER_CALL of them, so a Fraction is built and hashed once per
-distinct table, not once per decision.
+TABLES_PER_CALL of them.  Alpha's exact ratio num/den is taken once per
+call, and a miss keys the module cache by the ints (half num, den,
+(width - half) num, den), so no Fraction is built or hashed.
+
+The walk follows each node's left half without the stack, down to one
+slot, and pushes the right half only if it holds members, so no empty
+node is ever popped.
 """
 
 from __future__ import annotations
@@ -75,19 +80,18 @@ def _walk(k: int, n: int, alpha: Fraction, below=None):
     runs it.  Returns the count vector."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    num, den = alpha.as_integer_ratio()
 
     @lru_cache(maxsize=TABLES_PER_CALL)
     def table(n: int, width: int):
         half = width // 2
-        return quantized_betabin(n, half * alpha, (width - half) * alpha)
+        return quantized_betabin(n, half * num, den, (width - half) * num, den)
 
     counts = [0] * k
-    stack = [(0, k, n)]
+    stack = [(0, k, n)] if n else []
     while stack:
         lo, hi, n = stack.pop()
-        if hi - lo == 1:
-            counts[lo] = n
-        elif n:
+        while hi - lo > 1:
             mid = (lo + hi) // 2
             cum = table(n, hi - lo)
             if below is None:
@@ -95,8 +99,13 @@ def _walk(k: int, n: int, alpha: Fraction, below=None):
             else:
                 left = below[mid] - below[lo]
                 yield cum, left
-            stack.append((mid, hi, n - left))
-            stack.append((lo, mid, left))
+            if left < n:
+                stack.append((mid, hi, n - left))
+            if not left:
+                break
+            hi, n = mid, left
+        else:
+            counts[lo] = n
     return counts
 
 

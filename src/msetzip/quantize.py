@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
 
-from .distributions import Rational, betabin_log2pmf_table, binomial_log2pmf_table
+from .distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from .rangecoder import TOTAL_MAX
 
 
@@ -96,12 +96,14 @@ def quantize(log2pmf: Sequence[float]) -> array:
 
 # Table construction dominates codec time on trees full of small-count
 # nodes, and identical (n, params) pairs recur constantly along trie
-# chains, so cache the quantized tables.  Keys hash by value; Fraction
-# and float params that compare equal share an entry, which is fine
-# because they produce the same table.  Both codecs reach these through
-# per-call caches keyed by ints (treecodec by count and depth, dirmult by
-# count and slot width), so hashing a Fraction key is paid once per
-# distinct table in a call, not once per decision.
+# chains, so cache the quantized tables.  Each parameter is keyed by its
+# exact ratio, two ints (as_integer_ratio() of a Fraction, float or int),
+# and the table is built from num / den, int true division, which rounds
+# correctly: that is float(Fraction(num, den)) and a float parameter's own
+# value, the one float the log2-pmf builders read.  Both codecs reach these
+# through per-call caches keyed by ints (treecodec by count and depth,
+# dirmult by count and slot width), so no key here builds, hashes or
+# compares a Fraction.
 
 # Entries each per-call cache keeps: bounded, so neither a deep chain's
 # distinct counts (~N^2/2 table entries in all) nor a long member's depths
@@ -110,10 +112,12 @@ TABLES_PER_CALL = 1024
 
 
 @lru_cache(maxsize=1024)
-def quantized_binomial(n: int, theta: Rational) -> array:
-    return quantize(binomial_log2pmf_table(n, theta))
+def quantized_binomial(n: int, num: int, den: int) -> array:
+    """Binomial(n, num/den)."""
+    return quantize(binomial_log2pmf_table(n, num / den))
 
 
 @lru_cache(maxsize=1024)
-def quantized_betabin(n: int, alpha: Rational, beta: Rational) -> array:
-    return quantize(betabin_log2pmf_table(n, alpha, beta))
+def quantized_betabin(n: int, a: int, ad: int, b: int, bd: int) -> array:
+    """BetaBin(n, a/ad, b/bd)."""
+    return quantize(betabin_log2pmf_table(n, a / ad, b / bd))

@@ -110,10 +110,10 @@ class BinomialFamily(Frozen):
         self._set(theta)
 
     def split_table(self, n: int) -> array:
-        return quantized_binomial(n, self.theta)
+        return quantized_binomial(n, *self.theta.as_integer_ratio())
 
     def termination_table(self, n: int, theta_t: Fraction) -> array:
-        return quantized_binomial(n, theta_t)
+        return quantized_binomial(n, *theta_t.as_integer_ratio())
 
     def split_log2pmf(self, n: int) -> array:
         return binomial_log2pmf_table(n, self.theta)
@@ -131,12 +131,12 @@ class BetaBinomialFamily(Frozen):
         self._set(alpha, beta)
 
     def split_table(self, n: int) -> array:
-        return quantized_betabin(n, self.alpha, self.beta)
+        return quantized_betabin(n, *self.alpha.as_integer_ratio(), *self.beta.as_integer_ratio())
 
     def termination_table(self, n: int, theta_t: Fraction) -> array:
         # theta_t intentionally unused: the termination rate is coded as
         # unknown, same prior as the splits.
-        return quantized_betabin(n, self.alpha, self.beta)
+        return quantized_betabin(n, *self.alpha.as_integer_ratio(), *self.beta.as_integer_ratio())
 
     def split_log2pmf(self, n: int) -> array:
         return betabin_log2pmf_table(n, self.alpha, self.beta)
@@ -232,9 +232,11 @@ class _Hazards:
     """A length model's hazards by depth, each computed once per call.
     first(d) is the first depth asked about whose hazard is d's, so depths
     with equal hazards share tables keyed by it, and at[first(d)] is that
-    hazard; until is the model's same_hazard_until.  The maps start afresh
-    at TABLES_PER_CALL depths, which costs sharing but no bytes, as a
-    table depends on the hazard's value alone."""
+    hazard; until is the model's same_hazard_until.  Hazards are matched
+    by their exact ratios, as_integer_ratio(), two ints whatever the
+    hazard's type, so no Fraction is hashed.  The maps start afresh at
+    TABLES_PER_CALL depths, which costs sharing but no bytes, as a table
+    depends on the hazard's value alone."""
 
     __slots__ = ("theta_t", "until", "first_depth", "by_hazard", "at")
 
@@ -242,7 +244,7 @@ class _Hazards:
         self.theta_t = model.hazard
         self.until = model.same_hazard_until
         self.first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
-        self.by_hazard: dict[Fraction, int] = {}  # hazard -> first depth with it
+        self.by_hazard: dict[tuple, int] = {}  # hazard's ratio -> first depth with it
         self.at: dict[int, Fraction] = {}  # first depth -> its hazard
 
     def first(self, d: int) -> int:
@@ -253,7 +255,7 @@ class _Hazards:
                 self.by_hazard.clear()
                 self.at.clear()
             h = hazard(self.theta_t, d)
-            d0 = self.first_depth[d] = self.by_hazard.setdefault(h, d)
+            d0 = self.first_depth[d] = self.by_hazard.setdefault(h.as_integer_ratio(), d)
             self.at.setdefault(d0, h)
         return d0
 
@@ -314,10 +316,11 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
     same_hazard_until gives it, or None.  Every depth in [d, end) takes the
     same table, so a chain looks one up only at the depths where a stretch
     starts.  Where no termination counts are coded, termination is None
-    and stretch gives the point mass.  Keys are ints, which keeps the
-    module-level caches' Fraction hashing off the per-node path; depths
-    with equal hazards share tables through the first depth that has that
-    hazard.  Each cache keeps at most TABLES_PER_CALL entries."""
+    and stretch gives the point mass.  Keys are ints; depths with equal
+    hazards share tables through the first depth that has that hazard.  A
+    miss asks the family, which keys the module-level caches by its
+    parameters' exact ratios, so no call hashes a Fraction.  Each cache
+    keeps at most TABLES_PER_CALL entries."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     if hazards is None:
         return split, None, _point_mass

@@ -125,6 +125,30 @@ class TestHeader:
             )
 
     @pytest.mark.parametrize(
+        "params, exact",
+        [
+            (CodecParams(FixedRegime(4), BinomialFamily(0.5)),
+             CodecParams(FixedRegime(4), BinomialFamily(Fraction(1, 2)))),
+            (CodecParams(GeneralRegime(GeometricLength(0.25)), BetaBinomialFamily(2, 0.75)),
+             CodecParams(GeneralRegime(GeometricLength(Fraction(1, 4))),
+                         BetaBinomialFamily(Fraction(2), Fraction(3, 4)))),
+        ],
+        ids=["binomial", "geometric-betabin"],
+    )
+    def test_float_and_int_rationals_round_trip(self, params, exact):
+        # written by their exact ratios: the same bytes as the Fractions
+        members = ["0101", "0101", "1100", "0011"]
+        data = compress(members, params)
+        assert data == compress(members, exact)
+        assert decompress(data) == sorted(map(BitString.from_str, members))
+        assert parse_header(data)[0] == exact
+
+    def test_float_rational_that_does_not_fit_rejected(self):
+        # 0.3's exact ratio has a 2**54 denominator
+        with pytest.raises(ValueError, match="does not fit in u32/u32"):
+            serialize_header(CodecParams(FixedRegime(3), BinomialFamily(0.3)))
+
+    @pytest.mark.parametrize(
         "regime",
         [
             FixedRegime(70000),

@@ -137,7 +137,7 @@ class TestCoding:
         ms = IntMultiset(2, (3, 5))
         payload, _ = round_trip(ms)
         enc = RangeEncoder()
-        enc.encode_interval(quantized_betabin(8, HALF, HALF), 3)
+        enc.encode_interval(quantized_betabin(8, 1, 2, 1, 2), 3)
         assert enc.finish() == payload
 
     def test_round_trips(self):
@@ -221,9 +221,9 @@ class TestTableCache:
         # once per decision
         calls = Counter()
 
-        def counted(n, a, b):
-            calls[n, a, b] += 1
-            return quantized_betabin(n, a, b)
+        def counted(*key):
+            calls[key] += 1
+            return quantized_betabin(*key)
 
         monkeypatch.setattr(dirmult, "quantized_betabin", counted)
         ms = random_multiset(random.Random(5), 3000, 400)
@@ -242,9 +242,9 @@ class TestTableCache:
             nonlocal live
             live -= 1
 
-        def tracked(n, a, b):
+        def tracked(*key):
             nonlocal live, peak
-            table = quantized_betabin(n, a, b)[:]
+            table = quantized_betabin(*key)[:]
             weakref.finalize(table, release)
             live += 1
             peak = max(peak, live)

@@ -2,14 +2,25 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import msetzip
+from msetzip.dirmult import IntMultiset, decode_dirmult, encode_dirmult
 from msetzip.distributions import betabin_log2pmf_table, binomial_log2pmf_table
 from msetzip.errors import ModelMismatchError
+from msetzip.models import GeometricLength
 from msetzip.quantize import quantize, quantized_betabin, quantized_binomial
 from msetzip.rangecoder import TOTAL_MAX, RangeDecoder, RangeEncoder
+from msetzip.treecodec import (
+    BetaBinomialFamily,
+    BinomialFamily,
+    CodecParams,
+    FixedRegime,
+    GeneralRegime,
+)
 
 
 def freqs(cum) -> list[int]:
@@ -25,7 +36,7 @@ def log2prob(cum, k: int) -> float:
 
 def test_dyadic_binomial_is_exact():
     # After gcd reduction Binomial(7, 1/2) is literally C(7, k) / 128
-    q = quantized_binomial(7, Fraction(1, 2))
+    q = quantized_binomial(7, 1, 2)
     assert q[-1] == 128
     assert freqs(q) == [math.comb(7, k) for k in range(8)]
     # the worked example: k=3 costs -log2(35/128) = 1.8707 bits
@@ -34,14 +45,14 @@ def test_dyadic_binomial_is_exact():
 
 def test_small_dyadic_binomials_all_exact():
     for n in range(0, 24):
-        q = quantized_binomial(n, Fraction(1, 2))
+        q = quantized_binomial(n, 1, 2)
         assert q[-1] == 2**n
         assert freqs(q) == [math.comb(n, k) for k in range(n + 1)]
 
 
 def test_every_live_outcome_gets_mass():
     for n in (1, 10, 100, 2000):
-        q = quantized_binomial(n, Fraction(1, 2))
+        q = quantized_binomial(n, 1, 2)
         assert min(freqs(q)) >= 1  # theta=1/2 has full support
         assert q[-1] <= TOTAL_MAX
 
@@ -61,7 +72,7 @@ def test_point_mass_is_free():
 
 
 def test_sum_abs_error_binomial_100():
-    q = quantized_binomial(100, Fraction(1, 2))
+    q = quantized_binomial(100, 1, 2)
     pmf = map(math.exp2, binomial_log2pmf_table(100, Fraction(1, 2)))
     err = sum(abs(f / q[-1] - p) for f, p in zip(freqs(q), pmf))
     assert err <= 1e-4, err
@@ -96,7 +107,7 @@ def test_deterministic():
 
 
 def test_every_outcome_round_trips():
-    q = quantized_betabin(40, Fraction(1, 2), Fraction(1, 2))
+    q = quantized_betabin(40, 1, 2, 1, 2)
     for k in range(41):
         enc = RangeEncoder()
         enc.encode_interval(q, k)
@@ -148,7 +159,7 @@ def test_support_larger_than_budget_rejected():
 
 
 def test_interval_out_of_support_rejected():
-    q = quantized_binomial(4, Fraction(1, 2))
+    q = quantized_binomial(4, 1, 2)
     with pytest.raises(ModelMismatchError):
         RangeEncoder().encode_interval(q, 5)
 
@@ -174,5 +185,89 @@ def test_tables_pinned_where_simd_paths_disagreed(n, digest):
     # numpy's AVX512 exp2/log2 kernels built other tables at these n than
     # its libm path did; the decoder must rebuild the encoder's tables
     # exactly, so pin the libm ones.
-    cum = quantized_betabin(n, Fraction(1, 2), Fraction(1, 2))
+    cum = quantized_betabin(n, 1, 2, 1, 2)
     assert hashlib.sha256(",".join(map(str, cum)).encode()).hexdigest() == digest
+
+
+# Each parameter as a Fraction, a float and an int, the point masses at
+# theta = 0 and 1 among them
+THETAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(9, 10), 0.0, 1.0, 0.3, 0.5, 1e-3, 0, 1]
+BETAS = [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(2), Fraction(5)),
+    (Fraction(1, 3), 0.75),
+    (0.5, 2),
+    (0.3, 7.25),
+    (1e-3, 1),
+    (2, 5),
+]
+SIZES = [*range(65), 100, 257, 1000]
+
+
+@pytest.mark.parametrize("theta", THETAS, ids=repr)
+def test_binomial_keyed_by_exact_ratio_is_the_parameters_table(theta):
+    for n in SIZES:
+        want = quantize(binomial_log2pmf_table(n, theta))
+        assert quantized_binomial(n, *theta.as_integer_ratio()) == want
+
+
+@pytest.mark.parametrize("alpha, beta", BETAS, ids=repr)
+def test_betabin_keyed_by_exact_ratios_is_the_parameters_table(alpha, beta):
+    for n in SIZES:
+        want = quantize(betabin_log2pmf_table(n, alpha, beta))
+        assert quantized_betabin(n, *alpha.as_integer_ratio(), *beta.as_integer_ratio()) == want
+
+
+def _tree_round_trip(members, params):
+    def run():
+        assert msetzip.decompress(msetzip.compress(members, params)) == sorted(
+            map(msetzip.BitString.from_str, members)
+        )
+
+    return run
+
+
+def _dirmult_round_trip(ms):
+    def run():
+        enc = RangeEncoder()
+        encode_dirmult(ms, enc)
+        dec = RangeDecoder.from_bytes(enc.finish().data)
+        assert decode_dirmult(ms.k, ms.n, dec) == ms
+
+    return run
+
+
+_rng = random.Random(8)
+_varied = ["".join(_rng.choice("01") for _ in range(_rng.randint(1, 40))) for _ in range(60)]
+_fixed = [format(_rng.getrandbits(16), "016b") for _ in range(300)]
+_uniform = [_rng.randint(1, 10_000) for _ in range(1000)]
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [
+        _tree_round_trip(
+            _varied + _varied[:20] * 3,
+            CodecParams(GeneralRegime(GeometricLength(Fraction(1, 8))), BetaBinomialFamily()),
+        ),
+        _tree_round_trip(_fixed, CodecParams(FixedRegime(16), BinomialFamily())),
+        _dirmult_round_trip(IntMultiset.from_values(_uniform, 10_000)),
+    ],
+    ids=["general-betabin", "fixed-binomial", "dirmult"],
+)
+def test_a_warm_round_trip_hashes_no_fraction(monkeypatch, round_trip):
+    # Tables are keyed by exact integer ratios, per call and module-wide,
+    # so once the module caches are warm a call builds no table and hashes
+    # no Fraction, though the parameters are Fractions.
+    round_trip()
+    hashed = 0
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        nonlocal hashed
+        hashed += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    round_trip()
+    assert hashed == 0
