@@ -97,13 +97,13 @@ def quantize(log2pmf: Sequence[float]) -> array:
 # Table construction dominates codec time on trees full of small-count
 # nodes, and identical (n, params) pairs recur constantly along trie
 # chains, so cache the quantized tables.  Each parameter is keyed by its
-# exact ratio, two ints (as_integer_ratio() of a Fraction, float or int),
-# and the table is built from num / den, int true division, which rounds
-# correctly: that is float(Fraction(num, den)) and a float parameter's own
-# value, the one float the log2-pmf builders read.  Both codecs reach these
-# through per-call caches keyed by ints (treecodec by count and depth,
-# dirmult by count and slot width), so no key here builds, hashes or
-# compares a Fraction.
+# exact ratio num, den, the as_integer_ratio() of a Fraction, float or int,
+# so no key builds, hashes or compares a Fraction.  The table is built from
+# num / den, int true division, which rounds correctly: it is
+# float(Fraction(num, den)), and a float parameter's own value, the one
+# float the log2-pmf builders read.  Both codecs reach these through
+# per-call caches keyed by ints (treecodec by count and depth, dirmult by
+# count and slot width).
 
 # Entries each per-call cache keeps: bounded, so neither a deep chain's
 # distinct counts (~N^2/2 table entries in all) nor a long member's depths
