@@ -41,7 +41,13 @@ table.  Both sides refuse a chain whose n is not its split table's top
 outcome, whose split total is out of range or whose count is below 0 with
 ValueError, before any of its depths.  The encoder reads the bits of a
 chain as bytes of 0/1 values, one small int per depth rather than a shift
-of the whole int.
+of the whole int.  It finds a stretch's dead split outcomes by one scan of
+those bytes in C, the first 1 where outcome n has no mass and the first 0
+where outcome 0 has none, and settles once per stretch whether its
+termination table and outcome 0 narrow the range and how many symbols it
+codes, so each depth runs only its arithmetic.  The depth a scan finds
+codes its termination count and then raises ModelMismatchError, as one
+decision at a time would.
 
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
@@ -141,10 +147,15 @@ class RangeEncoder:
         of split for a 1 bit, 0 for a 0 bit, exactly as those decisions one
         by one would.  Its termination(e, n) gives (table, end), the table
         shared by the depths [e, end), end None for every later depth; it
-        is called at d and then only at each end the chain reaches.
+        is called at d and then only at each end the chain reaches.  A
+        stretch's first bit whose split outcome has no mass is found before
+        any of its depths is coded, by one scan of its bits, and the depths
+        before it run without a test of the tables.
 
-        An error leaves the decisions before the failing one coded.  A
-        malformed chain raises ValueError before any of its decisions.
+        An error leaves the decisions before the failing one coded, and
+        symbols_coded counts them: a chain's refused depth codes its
+        termination count first.  A malformed chain raises ValueError
+        before any of its decisions.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -218,40 +229,55 @@ class RangeEncoder:
                             continue
                         if bits is None:
                             bits = marked_bits(k | 1 << count)
-                        for b in bits[count - left - m : count - left]:
-                            if total > 1:
-                                if hi != total:
-                                    rng = rng // total * hi
-                                    while rng < TOP:
-                                        if not rng:
-                                            raise RuntimeError(_ZERO_RANGE)
-                                        emit(low >> shift)
-                                        low = (low << 8) & MASK
-                                        rng <<= 8
-                                coded += 1
-                            if b:
-                                if sn == stotal:
-                                    raise ModelMismatchError(
-                                        f"outcome {n} has zero probability under the model"
-                                    )
-                                x = rng // stotal * sn
-                                low += x
-                                rng -= x
-                                if low > MASK:
-                                    self._carry()
-                                    low &= MASK
-                            elif not s1:
-                                raise ModelMismatchError("outcome 0 has zero probability under the model")
-                            elif s1 != stotal:
-                                rng = rng // stotal * s1
-                            if stotal > 1:
+                        # the stretch's bits [a, b), and in stop the first
+                        # that takes a dead split outcome: one scan in C
+                        a, b = count - left - m, count - left
+                        stop = b
+                        if sn == stotal:  # the first 1 bit; -1, none, wraps to b
+                            stop = bits.find(1, a, b) % (b + 1)
+                        if not s1:  # the first 0 bit before it
+                            stop = bits.find(0, a, stop) % (stop + 1)
+                        narrow, narrow0 = total > 1 and hi != total, s1 != stotal
+                        coded += (stop - a) * ((total > 1) + (stotal > 1))
+                        for bit in bits[a:stop]:
+                            if narrow:
+                                rng = rng // total * hi
                                 while rng < TOP:
                                     if not rng:
                                         raise RuntimeError(_ZERO_RANGE)
                                     emit(low >> shift)
                                     low = (low << 8) & MASK
                                     rng <<= 8
-                                coded += 1
+                            if bit:
+                                x = rng // stotal * sn
+                                low += x
+                                rng -= x
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
+                            elif narrow0:
+                                rng = rng // stotal * s1
+                            while rng < TOP:
+                                if not rng:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                emit(low >> shift)
+                                low = (low << 8) & MASK
+                                rng <<= 8
+                        if stop < b:
+                            # the refused depth codes its termination count
+                            # first, as one decision at a time would
+                            if narrow:
+                                rng = rng // total * hi
+                                while rng < TOP:
+                                    if not rng:
+                                        raise RuntimeError(_ZERO_RANGE)
+                                    emit(low >> shift)
+                                    low = (low << 8) & MASK
+                                    rng <<= 8
+                            coded += total > 1
+                            raise ModelMismatchError(
+                                f"outcome {n if bits[stop] else 0} has zero probability under the model"
+                            )
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:

@@ -346,10 +346,16 @@ def _sort(members: Iterable, regime: Regime):
     lexicographic order, datas[i] holding member i's bytes and lengths[i]
     its bit length, with cum[i + 1] - cum[i] its multiplicity; and the
     call's hazards of the length model whose termination counts are coded.
+    Members that are all BitStrings are counted by their (data, nbits) in
+    C; any other member sends them all through as_bitstring first, which
+    reads text and raises TypeError for anything else.
 
     Raises ModelMismatchError unless the regime can code every distinct
     member, so before anything is coded."""
-    counts = Counter((b.data, b.nbits) for b in map(as_bitstring, members))
+    members = list(members)
+    if not set(map(type, members)) <= {BitString}:
+        members = map(as_bitstring, members)  # text coerced, other types refused
+    counts = Counter(map(BitString._astuple, members))
     # (data, nbits) is BitString's order: pad bits are zero
     distinct = sorted(counts)
     _, _, hazards, cap, check = _schedule(regime)

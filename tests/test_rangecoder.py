@@ -927,6 +927,24 @@ def test_chain_carries_through_ff_bytes(monkeypatch):
     assert got == _one_by_one(RangeEncoder(), _chain_decisions(case, 0, bits))
 
 
+@pytest.mark.parametrize("d", [0, 3])
+@pytest.mark.parametrize("width", [2, 3, 8, 20])
+@pytest.mark.parametrize("bits", ["1" * 25 + "0", "0" * 25 + "1"])
+@pytest.mark.parametrize("case", [CHAIN_CASES[3], CHAIN_CASES[4]], ids=["dead-0", "dead-top"])
+def test_chain_refuses_a_dead_outcome_deep_inside(case, bits, width, d):
+    # the encoder finds a stretch's first dead split outcome before coding
+    # it; where that depth lies in a later stretch, after several
+    # renormalisations, the error still leaves what one decision at a time
+    # leaves: the depths before it and its termination count coded; the
+    # error names the dead outcome
+    tail = [([0, 2, 5], 1)]
+    got = _coded([_chain(case, d, bits, width)] + tail)
+    assert got == _one_by_one(RangeEncoder(), _chain_decisions(case, d, bits, width) + tail)
+    dead = 0 if case is CHAIN_CASES[3] else case[1]
+    with pytest.raises(ModelMismatchError, match=f"^outcome {dead} has zero probability"):
+        RangeEncoder().encode_intervals([_chain(case, d, bits, width)])
+
+
 def test_chain_of_no_depths_codes_nothing():
     for case in CHAIN_CASES:
         enc, ref = RangeEncoder(), RangeEncoder()

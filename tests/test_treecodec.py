@@ -367,6 +367,67 @@ class TestIdealCodelength:
         assert ideal_codelength([], CodecParams(FixedRegime(8))) == 0.0
 
 
+# --- member types: text, BitString, its subclasses, a mix ------------------
+
+
+class _OwnBitString(BitString):
+    """A caller's own BitString subclass, equal to no BitString."""
+
+    __slots__ = ()
+
+
+_TYPED_TEXT = ["0110", "1", "0110", "0", "001", "1", "0110", "0111010", "001", "10"]
+_TYPED_PARAMS = [
+    CodecParams(GeneralRegime(GeometricLength(Fraction(1, 4))), BetaBinomialFamily()),
+    CodecParams(GeneralRegime(UniformLength(0, 7)), BinomialFamily(Fraction(1, 3))),
+]
+
+
+def _typed_members() -> dict:
+    """The same multiset as each kind of input the codec takes."""
+    makers = (str, BitString.from_str, _OwnBitString.from_str)
+    return {
+        "str": list(_TYPED_TEXT),
+        "BitString": [BitString.from_str(s) for s in _TYPED_TEXT],
+        "subclass": [_OwnBitString.from_str(s) for s in _TYPED_TEXT],
+        "mixed": [makers[i % 3](s) for i, s in enumerate(_TYPED_TEXT)],
+    }
+
+
+class TestMemberTypes:
+    # _sort counts BitStrings in C and coerces other members first; which
+    # way a member came in must not reach the payload
+    @pytest.mark.parametrize("params", _TYPED_PARAMS)
+    def test_payload_is_the_same_for_every_member_type(self, params):
+        coded = {}
+        for name, members in _typed_members().items():
+            enc = RangeEncoder()
+            encode_members(members, params, enc)
+            coded[name] = enc.symbols_coded, enc.finish()
+        assert len(set(coded.values())) == 1, coded
+        assert coded["str"][0] > 0
+
+    @pytest.mark.parametrize("params", _TYPED_PARAMS)
+    def test_ideal_codelength_is_the_same_for_every_member_type(self, params):
+        want = ideal_codelength(_TYPED_TEXT, params)
+        assert want > 0
+        for name, members in _typed_members().items():
+            assert ideal_codelength(members, params) == want, name
+            assert ideal_codelength(iter(members), params) == want, name
+            assert ideal_codelength(MultisetTree.build(members), params) == want, name
+
+    @pytest.mark.parametrize("bad", [b"01", 1])
+    @pytest.mark.parametrize("first", [str, BitString.from_str])
+    def test_a_member_that_is_no_bit_string_codes_nothing(self, bad, first):
+        enc = RangeEncoder()
+        members = [first("0110"), BitString.from_str("1"), bad, "001"]
+        with pytest.raises(TypeError):
+            encode_members(members, _TYPED_PARAMS[0], enc)
+        assert enc.symbols_coded == 0
+        with pytest.raises(TypeError):
+            ideal_codelength(members, _TYPED_PARAMS[0])
+
+
 # --- coder optimality -------------------------------------------------------
 
 
