@@ -61,7 +61,7 @@ def quantize(log2pmf: Sequence[float]) -> array:
     big = [k for k, r in enumerate(raw) if r >= 1.0]
 
     if big:
-        budget = max(TOTAL_MAX - (n_live - len(big)), len(big))
+        budget = TOTAL_MAX - (n_live - len(big))  # >= len(big), as n_live <= TOTAL_MAX
         # fsum rounds correctly, so the factor is the same on every Python
         # (from 3.12 on, sum() compensates its float additions)
         factor = budget / math.fsum(raw[k] for k in big)
@@ -75,17 +75,15 @@ def quantize(log2pmf: Sequence[float]) -> array:
             j = base.index(max(base))
             if base[j] > 1:
                 base[j] -= 1
+        # The deficit is never negative.  The scaled values sum to
+        # budget * (1 + O(n * 2**-53)), less than budget + 1 for budget <=
+        # 2**24, so their floors sum to at most the budget.  A lift moves
+        # one unit, or, where no entry is left above 1, leaves a sum of at
+        # most len(big) <= budget.
         deficit = budget - sum(base)
-        if deficit > 0:
+        if deficit:
             for i in sorted(range(len(base)), key=rem.__getitem__, reverse=True)[:deficit]:
                 base[i] += 1
-        elif deficit < 0:
-            for i in sorted(range(len(base)), key=base.__getitem__, reverse=True):
-                if deficit == 0:
-                    break
-                take = min(base[i] - 1, -deficit)
-                base[i] -= take
-                deficit += take
         for k, b in zip(big, base):
             freqs[k] = b
 
@@ -102,8 +100,8 @@ def quantize(log2pmf: Sequence[float]) -> array:
 # num / den, int true division, which rounds correctly: it is
 # float(Fraction(num, den)), and a float parameter's own value, the one
 # float the log2-pmf builders read.  Both codecs reach these through
-# per-call caches keyed by ints (treecodec by count and depth, dirmult by
-# count and slot width).
+# per-call caches keyed by ints (treecodec by count and, for a termination
+# table, its hazard's exact ratio; dirmult by count and slot width).
 
 # Entries each per-call cache keeps: bounded, so neither a deep chain's
 # distinct counts (~N^2/2 table entries in all) nor a long member's depths

@@ -21,13 +21,15 @@ node of depth d, which is one chain item, its remaining count bits as one
 int: ((split(m), m, stretch, d, count), bits), a termination count of 0
 and a split of 0 or m at each depth, followed in the general regime by
 the final termination count m as a decision of its own.  stretch(e, m)
-gives the termination table of depth e and the end of its stretch, the
-first depth after e whose hazard may differ (the length model's
-same_hazard_until), so a chain looks a table up once per stretch of equal
+gives the termination table of depth e and the end of its stretch: the
+length model's same_hazard_until(e), the depth from which the hazard may
+differ from e's.  So a chain looks a table up once per stretch of equal
 hazards, not once per depth: at most twice per chain under a geometric
-length.  Where no termination counts are coded, in the fixed and
-self-delimiting regimes, the termination is a point mass in one stretch,
-which the coder codes nothing for.
+length.  A termination table is keyed by its hazard's exact ratio and
+its count, so depths with equal hazards share it, adjacent or not.
+Where no termination counts are coded, in the fixed and self-delimiting
+regimes, the termination is a point mass in one stretch, which the coder
+codes nothing for.
 
 The range coder codes that stream in one call, a chain under a point-mass
 termination and the equiprobable split(1) a whole stretch of bytes at a
@@ -196,7 +198,8 @@ def _schedule(
     regime never ends one early, so only the self-delimiting regime has a
     completion, its detector's is_complete.  Its member check asks the
     detector's first_complete once per distinct member; the general
-    regime's asks the hazards, as the tables do.  Each protocol method is
+    regime's asks whether each length's hazard is nonzero, through the
+    exact ratios that the tables are keyed by.  Each protocol method is
     bound here, once per call, so a regime whose model or detector lacks
     one fails with an AttributeError naming it before anything is coded.
     DECODE_DEPTH_CAP is read per call, so lowering it takes effect at
@@ -229,42 +232,28 @@ def hazard(theta_t: Callable[[int], Fraction], d: int) -> Fraction:
 
 
 class _Hazards:
-    """A length model's hazards by depth, each computed once per call.
-    first(d) is the first depth asked about whose hazard is d's, so depths
-    with equal hazards share tables keyed by it, and at[first(d)] is that
-    hazard; until is the model's same_hazard_until.  Hazards are matched
-    by their exact ratios, as_integer_ratio(), two ints whatever the
-    hazard's type, so no Fraction is hashed.  The maps start afresh at
-    TABLES_PER_CALL depths, which costs sharing but no bytes, as a table
-    depends on the hazard's value alone."""
+    """A length model's hazards, as one call reads them.  ratio(d) is d's
+    hazard as its exact ratio, as_integer_ratio(): two ints whatever the
+    hazard's type, so depths with equal hazards share tables keyed by it
+    and no Fraction is hashed.  It keeps the last TABLES_PER_CALL depths
+    asked, which costs recomputing a hazard but no bytes, as a table
+    depends on the hazard's value alone.  until is the model's
+    same_hazard_until."""
 
-    __slots__ = ("theta_t", "until", "first_depth", "by_hazard", "at")
+    __slots__ = ("ratio", "until")
 
     def __init__(self, model: LengthModel):
-        self.theta_t = model.hazard
+        theta_t = model.hazard
+        self.ratio = lru_cache(maxsize=TABLES_PER_CALL)(
+            lambda d: hazard(theta_t, d).as_integer_ratio()
+        )
         self.until = model.same_hazard_until
-        self.first_depth: dict[int, int] = {}  # depth -> first depth with its hazard
-        self.by_hazard: dict[tuple, int] = {}  # hazard's ratio -> first depth with it
-        self.at: dict[int, Fraction] = {}  # first depth -> its hazard
-
-    def first(self, d: int) -> int:
-        d0 = self.first_depth.get(d)
-        if d0 is None:
-            if len(self.first_depth) >= TABLES_PER_CALL:
-                self.first_depth.clear()
-                self.by_hazard.clear()
-                self.at.clear()
-            h = hazard(self.theta_t, d)
-            d0 = self.first_depth[d] = self.by_hazard.setdefault(h.as_integer_ratio(), d)
-            self.at.setdefault(d0, h)
-        return d0
 
     def possible(self, d: int) -> bool:
         """Whether a member can have length d, for d at most the depth
         cap: whether d's hazard, in [0, 1], is not 0, which decides the
-        model's support without its pmf (a Fraction's truth is one test of
-        its numerator, where > 0 is a Python-level comparison)."""
-        return bool(self.at[self.first(d)])
+        model's support without its pmf."""
+        return self.ratio(d)[0] != 0
 
 
 def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
@@ -311,29 +300,28 @@ def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards])
     """Per-call caches over a family's table factories: (split, termination,
     stretch).  split(n) is the split table of n members; termination(d, n)
     the termination table of depth d, for a single decision; stretch(d, n),
-    for a chain, is (table, end), that table and the end of its stretch:
-    the first depth after d whose hazard may differ, as the length model's
-    same_hazard_until gives it, or None.  Every depth in [d, end) takes the
+    for a chain, is (table, end), that table and the end of its stretch,
+    the length model's same_hazard_until(d): the depth from which the
+    hazard may differ from d's, or None.  Every depth in [d, end) takes the
     same table, so a chain looks one up only at the depths where a stretch
     starts.  Where no termination counts are coded, termination is None
-    and stretch gives the point mass.  Keys are ints; depths with equal
-    hazards share tables through the first depth that has that hazard.  A
-    miss asks the family, which keys the module-level caches by its
-    parameters' exact ratios, so no call hashes a Fraction.  Each cache
-    keeps at most TABLES_PER_CALL entries."""
+    and stretch gives the point mass.  Termination tables are keyed by the
+    hazard's exact ratio and n, so depths with equal hazards share them; a
+    miss hands the family the hazard as Fraction(num, den), which is exact
+    for a Fraction, float or int hazard.  The family keys the module-level
+    caches by its parameters' exact ratios, so no call hashes a Fraction.
+    Each cache keeps at most TABLES_PER_CALL entries."""
     split = lru_cache(maxsize=TABLES_PER_CALL)(split)
     if hazards is None:
         return split, None, _point_mass
-    first_depth, hazard_at, first = hazards.first_depth, hazards.at, hazards.first
-    until = hazards.until
+    ratio, until = hazards.ratio, hazards.until
 
     @lru_cache(maxsize=TABLES_PER_CALL)
-    def shared(d0: int, n: int):
-        return termination(n, hazard_at[d0])
+    def shared(h: tuple, n: int):
+        return termination(n, Fraction(*h))
 
     def termination_at(d: int, n: int):
-        d0 = first_depth.get(d)
-        return shared(first(d) if d0 is None else d0, n)
+        return shared(ratio(d), n)
 
     def stretch(d: int, n: int):
         return termination_at(d, n), until(d)

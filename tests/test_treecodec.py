@@ -1001,6 +1001,95 @@ class TestTableMemory:
             assert calls == Counter(range(301))
             calls.clear()
 
+    @pytest.mark.parametrize("family", [BinomialFamily(), BetaBinomialFamily()], ids=repr)
+    @pytest.mark.parametrize(
+        "model", [GeometricLength(Fraction(1, 4)), UniformLength(1, 24), PointLength(12)], ids=repr
+    )
+    def test_the_bound_changes_sharing_never_bytes(self, monkeypatch, model, family):
+        # a table depends on its parameters' values alone, so a cache that
+        # evicts it rebuilds the same table, and the bytes never change
+        rng = random.Random(6)
+        lengths = [12] if isinstance(model, PointLength) else range(1, 25)
+        distinct = [
+            BitString.from_bits([rng.randrange(2) for _ in range(rng.choice(lengths))])
+            for _ in range(60)
+        ]
+        members = rng.choices(distinct, k=200)
+        params = CodecParams(GeneralRegime(model), family)
+
+        def code():
+            enc = RangeEncoder()
+            encode_members(members, params, enc)
+            data = enc.finish().data
+            dec = RangeDecoder.from_bytes(data)
+            assert decode_members(params, len(members), dec) == sorted(members)
+            return data, enc.symbols_coded, ideal_codelength(members, params)
+
+        default = code()
+        for bound in (1, 2):
+            monkeypatch.setattr(treecodec, "TABLES_PER_CALL", bound)
+            assert code() == default
+
+    def test_equal_hazards_share_tables_at_depths_apart(self, monkeypatch):
+        # equal hazards two depths apart, never adjacent, share a table:
+        # each (hazard, n) is built at most once per call
+        class Periodic:
+            def hazard(self, d):
+                return Fraction(0) if d == 0 else Fraction(1, 2 if d % 2 else 3)
+
+            def same_hazard_until(self, d):
+                return d + 1
+
+            def max_length(self):
+                return None
+
+        built = Counter()
+
+        class Counted(BinomialFamily):
+            def termination_table(self, n, theta_t):
+                built[theta_t, n] += 1
+                return super().termination_table(n, theta_t)
+
+            def termination_log2pmf(self, n, theta_t):
+                built[theta_t, n] += 1
+                return super().termination_log2pmf(n, theta_t)
+
+        looked_up = set()
+        tables = treecodec._tables
+
+        def recorded(split, termination, hazards):
+            split, termination, stretch = tables(split, termination, hazards)
+            return (
+                split,
+                lambda d, n: looked_up.add((d, n)) or termination(d, n),
+                lambda d, n: looked_up.add((d, n)) or stretch(d, n),
+            )
+
+        monkeypatch.setattr(treecodec, "_tables", recorded)
+        rng = random.Random(7)
+        distinct = [
+            BitString.from_bits([rng.randrange(2) for _ in range(rng.randint(1, 12))])
+            for _ in range(120)
+        ]
+        members = rng.choices(distinct, k=340)
+        params = CodecParams(GeneralRegime(Periodic()), Counted())
+        enc = RangeEncoder()
+        decoded = []
+        calls = (
+            lambda: encode_members(members, params, enc),
+            lambda: decoded.extend(
+                decode_members(params, len(members), RangeDecoder.from_bytes(enc.finish().data))
+            ),
+            lambda: ideal_codelength(members, params),
+        )
+        for call in calls:
+            built.clear()
+            looked_up.clear()
+            call()
+            assert max(built.values()) == 1
+            assert len(built) < len(looked_up)
+        assert decoded == sorted(members)
+
 
 class TestMemberMemory:
     def test_one_long_member_costs_only_its_own_bits(self):
