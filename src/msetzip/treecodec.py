@@ -50,7 +50,9 @@ depth L.  The self-delimiting regime decodes one decision at a time, its
 detector asked at each depth.  Every distinct member is checked against
 the regime before the first symbol is coded.
 
-The regime sets the walk's schedule, resolved once per call:
+Each call reads its CodecParams once, into one _Call object: the
+family's tables behind per-call caches, the depth cap, the member check,
+and where the regime ends members.  The regime decides only that:
 
   * fixed(L): every member has length exactly L.  Depth-L nodes are
     complete; every other node codes n1 given n (n0 = n - n1 is
@@ -79,13 +81,14 @@ validate members, not to code.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ._frozen import Frozen
 from .bits import BitString, as_bitstring, marked_bits
@@ -114,36 +117,36 @@ class BinomialFamily(Frozen):
     def split_table(self, n: int) -> array:
         return quantized_binomial(n, *self.theta.as_integer_ratio())
 
-    def termination_table(self, n: int, theta_t: Fraction) -> array:
-        return quantized_binomial(n, *theta_t.as_integer_ratio())
+    def termination_table(self, n: int, num: int, den: int) -> array:
+        return quantized_binomial(n, num, den)
 
     def split_log2pmf(self, n: int) -> array:
         return binomial_log2pmf_table(n, self.theta)
 
-    def termination_log2pmf(self, n: int, theta_t: Fraction) -> array:
-        return binomial_log2pmf_table(n, theta_t)
+    def termination_log2pmf(self, n: int, num: int, den: int) -> array:
+        return binomial_log2pmf_table(n, num / den)
 
 
 class BetaBinomialFamily(Frozen):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Fraction = Fraction(1, 2), beta: Fraction = Fraction(1, 2)):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
         self._set(alpha, beta)
 
     def split_table(self, n: int) -> array:
         return quantized_betabin(n, *self.alpha.as_integer_ratio(), *self.beta.as_integer_ratio())
 
-    def termination_table(self, n: int, theta_t: Fraction) -> array:
-        # theta_t intentionally unused: the termination rate is coded as
-        # unknown, same prior as the splits.
+    def termination_table(self, n: int, num: int, den: int) -> array:
+        # the hazard num/den intentionally unused: the termination rate is
+        # coded as unknown, same prior as the splits.
         return quantized_betabin(n, *self.alpha.as_integer_ratio(), *self.beta.as_integer_ratio())
 
     def split_log2pmf(self, n: int) -> array:
         return betabin_log2pmf_table(n, self.alpha, self.beta)
 
-    def termination_log2pmf(self, n: int, theta_t: Fraction) -> array:
+    def termination_log2pmf(self, n: int, num: int, den: int) -> array:
         return betabin_log2pmf_table(n, self.alpha, self.beta)
 
 
@@ -175,8 +178,6 @@ class GeneralRegime(Frozen):
 
 Regime = Union[FixedRegime, SelfDelimitingRegime, GeneralRegime]
 
-# Whether a prefix ends every member that reaches it.
-Completion = Callable[[Sequence[int]], bool]
 # Raises ModelMismatchError unless the regime can code every member of a
 # lexicographically sorted list of distinct (data, nbits) pairs.
 MemberCheck = Callable[[list], None]
@@ -189,41 +190,6 @@ class CodecParams(Frozen):
         self._set(regime, family)
 
 
-def _schedule(
-    regime: Regime,
-) -> tuple[Optional[int], Optional[Completion], Optional[_Hazards], int, MemberCheck]:
-    """(depth at which every member ends, completion, the call's hazards of
-    the length model whose termination counts are coded, depth cap, member
-    check).  The fixed regime ends members by depth alone and the general
-    regime never ends one early, so only the self-delimiting regime has a
-    completion, its detector's is_complete.  Its member check asks the
-    detector's first_complete once per distinct member; the general
-    regime's asks whether each length's hazard is nonzero, through the
-    exact ratios that the tables are keyed by.  Each protocol method is
-    bound here, once per call, so a regime whose model or detector lacks
-    one fails with an AttributeError naming it before anything is coded.
-    DECODE_DEPTH_CAP is read per call, so lowering it takes effect at
-    once."""
-    if isinstance(regime, FixedRegime):
-        length = regime.length
-        return length, None, None, length, _lengths(lambda n: n == length)
-    if isinstance(regime, SelfDelimitingRegime):
-        detector = regime.detector
-        check = _ends_complete(detector.first_complete)
-        return None, detector.is_complete, None, DECODE_DEPTH_CAP, check
-    if isinstance(regime, GeneralRegime):
-        cap = regime.length_model.max_length()
-        hazards = _Hazards(regime.length_model)
-        return (
-            None,
-            None,
-            hazards,
-            DECODE_DEPTH_CAP if cap is None else cap,
-            _lengths(hazards.possible),
-        )
-    raise TypeError(f"unknown regime {regime!r}")
-
-
 def hazard(theta_t: Callable[[int], Fraction], d: int) -> Fraction:
     """theta_t(d), a length model's bound hazard method at depth d.  Every
     hazard the codec computes is computed here, the one name that the
@@ -231,29 +197,80 @@ def hazard(theta_t: Callable[[int], Fraction], d: int) -> Fraction:
     return theta_t(d)
 
 
-class _Hazards:
-    """A length model's hazards, as one call reads them.  ratio(d) is d's
-    hazard as its exact ratio, as_integer_ratio(): two ints whatever the
-    hazard's type, so depths with equal hazards share tables keyed by it
-    and no Fraction is hashed.  It keeps the last TABLES_PER_CALL depths
-    asked, which costs recomputing a hazard but no bytes, as a table
-    depends on the hazard's value alone.  until is the model's
-    same_hazard_until."""
+# The termination of a chain where no termination counts are coded: a
+# point mass on outcome 0 in one stretch of every depth.  (0, 1) is that
+# table's cumulative counts, total 1, so the coder codes nothing for it,
+# and its entry 0 is that outcome's log2 pmf, 0, for ideal_codelength.
+_POINT_MASS = (0, 1), None
 
-    __slots__ = ("ratio", "until")
 
-    def __init__(self, model: LengthModel):
-        theta_t = model.hazard
-        self.ratio = lru_cache(maxsize=TABLES_PER_CALL)(
-            lambda d: hazard(theta_t, d).as_integer_ratio()
-        )
-        self.until = model.same_hazard_until
+class _Call:
+    """Everything one codec call reads from its CodecParams, resolved once.
+    Each protocol method is bound here, so a regime whose model or detector
+    lacks one fails with an AttributeError naming it before anything is
+    coded.  DECODE_DEPTH_CAP is read here, so lowering it takes effect at
+    the next call.
 
-    def possible(self, d: int) -> bool:
-        """Whether a member can have length d, for d at most the depth
-        cap: whether d's hazard, in [0, 1], is not 0, which decides the
-        model's support without its pmf."""
-        return self.ratio(d)[0] != 0
+    end is the depth at which every member ends, the fixed regime's length,
+    else None.  complete is the self-delimiting regime's detector's
+    is_complete, else None: the fixed regime ends members by depth alone and
+    the general regime never ends one early.  cap is the depth cap and check
+    the member check.  possible(d), in the fixed and general regimes, is
+    whether a member can have length d, for d at most the cap; the general
+    regime's asks whether d's hazard, in [0, 1], is not 0, which decides
+    the model's support without its pmf.  The self-delimiting regime's
+    check asks the detector's first_complete once per distinct member.
+
+    The tables are the family's coding tables, or with log2pmf the exact
+    log2 pmfs that ideal_codelength sums.  split(n) is the split table of n
+    members.  termination(d, n) is the termination table of depth d, for a
+    single decision, and None where no termination counts are coded.
+    stretch(d, n), for a chain, is (table, end), that table and the end of
+    its stretch, the length model's same_hazard_until(d): the depth from
+    which the hazard may differ from d's, or None.  Every depth in [d, end)
+    takes the same table, so a chain looks one up only at the depths where
+    a stretch starts; where no termination counts are coded, stretch gives
+    the point mass.  A termination table is keyed by n and its hazard's
+    exact ratio, as_integer_ratio(): two ints whatever the hazard's type,
+    which the family is handed as (n, num, den).  So depths with equal
+    hazards share a table, adjacent or not, and no Fraction is built or
+    hashed.  Each cache, the hazards' included, keeps at most
+    TABLES_PER_CALL entries, which costs a rebuild but no bytes, as a
+    table depends on its parameters' values alone."""
+
+    __slots__ = ("end", "complete", "cap", "check", "possible", "split", "termination", "stretch")
+
+    def __init__(self, params: CodecParams, log2pmf: bool = False):
+        regime, fam = params.regime, params.family
+        split = fam.split_log2pmf if log2pmf else fam.split_table
+        self.split = lru_cache(maxsize=TABLES_PER_CALL)(split)
+        self.end = self.complete = self.possible = self.termination = None
+        self.cap = DECODE_DEPTH_CAP
+        self.stretch = lambda d, n: _POINT_MASS
+        if isinstance(regime, FixedRegime):
+            length = self.end = self.cap = regime.length
+            self.possible = lambda d: d == length
+            self.check = _lengths(self.possible)
+        elif isinstance(regime, SelfDelimitingRegime):
+            self.complete = regime.detector.is_complete
+            self.check = _ends_complete(regime.detector.first_complete)
+        elif isinstance(regime, GeneralRegime):
+            model = regime.length_model
+            theta_t, until = model.hazard, model.same_hazard_until
+            cap = model.max_length()
+            if cap is not None:
+                self.cap = cap
+            ratio = lru_cache(maxsize=TABLES_PER_CALL)(
+                lambda d: hazard(theta_t, d).as_integer_ratio()
+            )
+            termination = fam.termination_log2pmf if log2pmf else fam.termination_table
+            shared = lru_cache(maxsize=TABLES_PER_CALL)(termination)
+            self.termination = lambda d, n: shared(n, *ratio(d))
+            self.stretch = lambda d, n: (shared(n, *ratio(d)), until(d))
+            self.possible = lambda d: ratio(d)[0] != 0
+            self.check = _lengths(self.possible)
+        else:
+            raise TypeError(f"unknown regime {regime!r}")
 
 
 def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
@@ -285,91 +302,43 @@ def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> Membe
     return check
 
 
-# The termination of a chain where no termination counts are coded: a
-# point mass on outcome 0 in one stretch of every depth.  (0, 1) is that
-# table's cumulative counts, total 1, so the coder codes nothing for it,
-# and its entry 0 is that outcome's log2 pmf, 0, for ideal_codelength.
-_POINT_MASS = (0, 1), None
+def _sort(members: Iterable, call: _Call) -> tuple:
+    """(datas, lengths, cum): the distinct members in lexicographic order,
+    datas[i] holding member i's bytes and lengths[i] its bit length, with
+    cum[i + 1] - cum[i] its multiplicity.  Members that are all BitStrings
+    are counted by their (data, nbits) in C; any other member sends them
+    all through as_bitstring first, which reads text and raises TypeError
+    for anything else.
 
-
-def _point_mass(d: int, n: int):
-    return _POINT_MASS
-
-
-def _tables(split: Callable, termination: Callable, hazards: Optional[_Hazards]):
-    """Per-call caches over a family's table factories: (split, termination,
-    stretch).  split(n) is the split table of n members; termination(d, n)
-    the termination table of depth d, for a single decision; stretch(d, n),
-    for a chain, is (table, end), that table and the end of its stretch,
-    the length model's same_hazard_until(d): the depth from which the
-    hazard may differ from d's, or None.  Every depth in [d, end) takes the
-    same table, so a chain looks one up only at the depths where a stretch
-    starts.  Where no termination counts are coded, termination is None
-    and stretch gives the point mass.  Termination tables are keyed by the
-    hazard's exact ratio and n, so depths with equal hazards share them; a
-    miss hands the family the hazard as Fraction(num, den), which is exact
-    for a Fraction, float or int hazard.  The family keys the module-level
-    caches by its parameters' exact ratios, so no call hashes a Fraction.
-    Each cache keeps at most TABLES_PER_CALL entries."""
-    split = lru_cache(maxsize=TABLES_PER_CALL)(split)
-    if hazards is None:
-        return split, None, _point_mass
-    ratio, until = hazards.ratio, hazards.until
-
-    @lru_cache(maxsize=TABLES_PER_CALL)
-    def shared(h: tuple, n: int):
-        return termination(n, Fraction(*h))
-
-    def termination_at(d: int, n: int):
-        return shared(ratio(d), n)
-
-    def stretch(d: int, n: int):
-        return termination_at(d, n), until(d)
-
-    return split, termination_at, stretch
-
-
-def _sort(members: Iterable, regime: Regime):
-    """((datas, lengths, cum), hazards): the distinct members in
-    lexicographic order, datas[i] holding member i's bytes and lengths[i]
-    its bit length, with cum[i + 1] - cum[i] its multiplicity; and the
-    call's hazards of the length model whose termination counts are coded.
-    Members that are all BitStrings are counted by their (data, nbits) in
-    C; any other member sends them all through as_bitstring first, which
-    reads text and raises TypeError for anything else.
-
-    Raises ModelMismatchError unless the regime can code every distinct
-    member, so before anything is coded."""
+    Raises ModelMismatchError unless the call's regime can code every
+    distinct member, so before anything is coded."""
     members = list(members)
     if not set(map(type, members)) <= {BitString}:
         members = map(as_bitstring, members)  # text coerced, other types refused
     counts = Counter(map(BitString._astuple, members))
     # (data, nbits) is BitString's order: pad bits are zero
     distinct = sorted(counts)
-    _, _, hazards, cap, check = _schedule(regime)
     longest = max((nbits for _, nbits in distinct), default=0)
-    if longest > cap:
-        raise ModelMismatchError(f"member longer than the depth cap of {cap} bits")
-    check(distinct)
+    if longest > call.cap:
+        raise ModelMismatchError(f"member longer than the depth cap of {call.cap} bits")
+    call.check(distinct)
     datas = [data for data, _ in distinct]
     lengths = [nbits for _, nbits in distinct]
     cum = list(accumulate(map(counts.__getitem__, distinct), initial=0))
-    return (datas, lengths, cum), hazards
+    return datas, lengths, cum
 
 
-def _decisions(
-    sorted_members: tuple, split: Callable, termination: Optional[Callable], stretch: Callable
-):
+def _decisions(sorted_members: tuple, call: _Call):
     """Yield (table, outcome) for every decision the encoder codes, in
-    coding order, from _sort's members and _tables' caches, termination
-    None where no termination counts are coded.  A trie node is a range
-    [lo, hi) of the sorted members at a depth d; a range of one distinct
-    member, of m copies, is coded from the member's bits to its end
-    without the stack, as one chain ((split(m), m, stretch, d, count),
+    coding order, from _sort's members and the call's tables.  A trie node
+    is a range [lo, hi) of the sorted members at a depth d; a range of one
+    distinct member, of m copies, is coded from the member's bits to its
+    end without the stack, as one chain ((split(m), m, stretch, d, count),
     bits), bits the member's remaining count bits as one int, as
     RangeEncoder.encode_intervals reads them; in the general regime the
     final termination count m follows it."""
     datas, lengths, cum = sorted_members
+    split, termination, stretch = call.split, call.termination, call.stretch
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
         lo, hi, d = stack.pop()
@@ -401,7 +370,7 @@ def _decisions(
             stack.append((lo, mid, d + 1))
 
 
-def _decode_walk(n_members: int, params: CodecParams, out: list):
+def _decode_walk(n_members: int, call: _Call, out: list):
     """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
     yield each decision's table, receive its outcome.  Appends the members
     to out in lexicographic order, one BitString per copy.  A node's path
@@ -416,9 +385,8 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
     mass codes nothing, so the walk takes that table's one live outcome
     without the range decoder.  The prefix is a bytearray of 0/1 values,
     which a chain extends in one step and BitString.from_bits packs in C."""
-    end, complete, hazards, cap, _ = _schedule(params.regime)
-    fam = params.family
-    split, termination, stretch = _tables(fam.split_table, fam.termination_table, hazards)
+    end, complete, cap = call.end, call.complete, call.cap
+    split, termination, stretch = call.split, call.termination, call.stretch
     prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
@@ -450,7 +418,7 @@ def _decode_walk(n_members: int, params: CodecParams, out: list):
                     n_t = bisect_right(term, 0) - 1
                 else:
                     n_t = yield term
-                    if n_t and not hazards.possible(d):
+                    if n_t and not call.possible(d):
                         # reachable only with full-support termination tables on a
                         # corrupt stream; no encoder output decodes to this state
                         raise CorruptStreamError(f"decoded a member of impossible length {d}")
@@ -484,17 +452,15 @@ def encode_members(members: Iterable, params: CodecParams, enc: RangeEncoder) ->
     Raises ModelMismatchError before coding anything for a member the
     regime cannot code, and mid-stream for a decision whose outcome the
     family gives zero probability."""
-    sorted_members, hazards = _sort(members, params.regime)
-    fam = params.family
-    tables = _tables(fam.split_table, fam.termination_table, hazards)
-    enc.encode_intervals(_decisions(sorted_members, *tables))
+    call = _Call(params)
+    enc.encode_intervals(_decisions(_sort(members, call), call))
 
 
 def decode_members(params: CodecParams, n_members: int, dec: RangeDecoder) -> list[BitString]:
     """The n_members members encode_members coded, in lexicographic order."""
     out: list[BitString] = []
     if n_members:
-        dec.decode_walk(_decode_walk(n_members, params, out))
+        dec.decode_walk(_decode_walk(n_members, _Call(params), out))
     return out
 
 
@@ -502,11 +468,9 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     """Sum of -log2 pmf over the exact (unquantized) distributions of the
     decisions the encoder codes: the optimality yardstick.  In fixed mode
     with theta = 1/2 it equals N*L - log2(N!/prod m_j!)."""
-    sorted_members, hazards = _sort(members, params.regime)
-    fam = params.family
-    tables = _tables(fam.split_log2pmf, fam.termination_log2pmf, hazards)
+    call = _Call(params, log2pmf=True)
     total = 0.0
-    for table, k in _decisions(sorted_members, *tables):
+    for table, k in _decisions(_sort(members, call), call):
         if table.__class__ is not tuple:
             total -= table[k]
             continue

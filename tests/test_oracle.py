@@ -3,9 +3,9 @@
 The oracle builds the count-annotated trie with MultisetTree and walks it
 in preorder, child 0 before child 1.  At each node it codes one count with
 one encode_interval call: in the general regime the termination count
-first, under termination_table(n, theta_T(d)), then, unless the node is
-complete, how many of the other members go on with a 1, under
-split_table(n).  theta_T(d) is test_models.reference_hazard, the hazard's
+first, under termination_table(n, num, den) for theta_T(d) = num/den,
+then, unless the node is complete, how many of the other members go on
+with a 1, under split_table(n).  theta_T(d) is test_models.reference_hazard, the hazard's
 definition from the model's pmf and cdf_below, so the oracle shares no
 code with the models' closed-form hazards that the codec reads.  Its
 decoder mirrors that with one decode_target call per decision.  The
@@ -55,7 +55,8 @@ FAMILIES = [
 
 
 def _termination_table(params: CodecParams, n: int, d: int):
-    return params.family.termination_table(n, reference_hazard(params.regime.length_model, d))
+    theta_t = reference_hazard(params.regime.length_model, d)
+    return params.family.termination_table(n, *theta_t.as_integer_ratio())
 
 
 def _complete(regime, prefix: list) -> bool:

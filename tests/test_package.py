@@ -1,8 +1,9 @@
 """The package's public surface: everything __all__ names exists, once,
-importing it leaves numpy and dataclasses unloaded, and the codec does
-not import the trie."""
+its docstring's example runs as written, importing it leaves numpy and
+dataclasses unloaded, and the codec does not import the trie."""
 
 import ast
+import doctest
 import os
 import subprocess
 import sys
@@ -16,6 +17,14 @@ def test_all_names_resolve_once():
     missing = [name for name in msetzip.__all__ if not hasattr(msetzip, name)]
     assert missing == []
     assert len(set(msetzip.__all__)) == len(msetzip.__all__)
+
+
+def test_docstring_example_runs():
+    # testmod prints each failing example of the package docstring; an
+    # empty run would pass vacuously, so at least one example must run
+    failed, attempted = doctest.testmod(msetzip)
+    assert attempted > 0
+    assert failed == 0
 
 
 def test_import_leaves_numpy_unloaded():

@@ -617,7 +617,8 @@ class TestChains:
             length = None
 
             def coded(d, n):
-                return fam.termination_table(n, reference_hazard(model, d))[-1] > 1
+                theta_t = reference_hazard(model, d)
+                return fam.termination_table(n, *theta_t.as_integer_ratio())[-1] > 1
 
         else:
             length, coded = params.regime.length, None
@@ -914,6 +915,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             BetaBinomialFamily(Fraction(0), Fraction(1))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_beta_binomial_refuses_non_finite_parameters(self, bad):
+        # an infinite or NaN prior has no pmf: refused here, not as an
+        # OverflowError from the container or a nan ideal codelength
+        with pytest.raises(ValueError, match="finite"):
+            BetaBinomialFamily(bad, HALF)
+        with pytest.raises(ValueError, match="finite"):
+            BetaBinomialFamily(HALF, bad)
+
 
 class TestDepthCap:
     # (regime, member of n bits) for the two regimes capped at DECODE_DEPTH_CAP
@@ -932,6 +942,22 @@ class TestDepthCap:
             encode_members(["011", member(41)], params, enc)
         assert enc.symbols_coded == 0  # rejected before anything was coded
         round_trip(["011", member(40), member(40)], params)
+
+
+def _record_termination_lookups(monkeypatch, record) -> None:
+    """Have every codec call report each termination lookup, a single
+    decision's or a chain stretch's, as record(d, n) before it is made."""
+
+    class Recorded(treecodec._Call):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            termination, stretch = self.termination, self.stretch
+            self.termination = lambda d, n: record(d, n) or termination(d, n)
+            self.stretch = lambda d, n: record(d, n) or stretch(d, n)
+
+    monkeypatch.setattr(treecodec, "_Call", Recorded)
 
 
 class TestTableMemory:
@@ -963,14 +989,14 @@ class TestTableMemory:
             def split_table(self, n):
                 return tracked(super().split_table(n))
 
-            def termination_table(self, n, theta_t):
-                return tracked(super().termination_table(n, theta_t))
+            def termination_table(self, n, num, den):
+                return tracked(super().termination_table(n, num, den))
 
             def split_log2pmf(self, n):
                 return tracked(super().split_log2pmf(n))
 
-            def termination_log2pmf(self, n, theta_t):
-                return tracked(super().termination_log2pmf(n, theta_t))
+            def termination_log2pmf(self, n, num, den):
+                return tracked(super().termination_log2pmf(n, num, den))
 
         params = CodecParams(GeneralRegime(model), Tracked())
         members = ["0" * k for k in range(1, self.K + 1)]
@@ -1046,26 +1072,16 @@ class TestTableMemory:
         built = Counter()
 
         class Counted(BinomialFamily):
-            def termination_table(self, n, theta_t):
-                built[theta_t, n] += 1
-                return super().termination_table(n, theta_t)
+            def termination_table(self, n, num, den):
+                built[num, den, n] += 1
+                return super().termination_table(n, num, den)
 
-            def termination_log2pmf(self, n, theta_t):
-                built[theta_t, n] += 1
-                return super().termination_log2pmf(n, theta_t)
+            def termination_log2pmf(self, n, num, den):
+                built[num, den, n] += 1
+                return super().termination_log2pmf(n, num, den)
 
         looked_up = set()
-        tables = treecodec._tables
-
-        def recorded(split, termination, hazards):
-            split, termination, stretch = tables(split, termination, hazards)
-            return (
-                split,
-                lambda d, n: looked_up.add((d, n)) or termination(d, n),
-                lambda d, n: looked_up.add((d, n)) or stretch(d, n),
-            )
-
-        monkeypatch.setattr(treecodec, "_tables", recorded)
+        _record_termination_lookups(monkeypatch, lambda d, n: looked_up.add((d, n)))
         rng = random.Random(7)
         distinct = [
             BitString.from_bits([rng.randrange(2) for _ in range(rng.randint(1, 12))])
@@ -1141,17 +1157,7 @@ class TestMemberMemory:
         # takes one termination table for all of a member's depths; looked
         # up once per depth, this member cost 60,000 lookups each way.
         lookups = []
-        tables = treecodec._tables
-
-        def counted(split, termination, hazards):
-            split, termination, stretch = tables(split, termination, hazards)
-            return (
-                split,
-                lambda d, n: lookups.append(d) or termination(d, n),
-                lambda d, n: lookups.append(d) or stretch(d, n),
-            )
-
-        monkeypatch.setattr(treecodec, "_tables", counted)
+        _record_termination_lookups(monkeypatch, lambda d, n: lookups.append(d))
         member = BitString.from_bits(bytes(random.Random(4).randrange(2) for _ in range(60000)))
         params = CodecParams(GeneralRegime(GeometricLength(HALF)), BinomialFamily())
         enc = RangeEncoder()
