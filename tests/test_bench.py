@@ -101,6 +101,50 @@ class TestAccounting:
             bench_fib([-3])
 
 
+class TestPinnedRows:
+    """Every value of a few rows, so a change to the harness cannot move one unseen.
+
+    Each row is (n, family, bits_total, bits_for_N_header, bits_per_element,
+    ideal_bits_per_element); ints compare exactly, floats to rel 1e-12.
+    """
+
+    RSHA1 = [
+        (1, "binomial", 299, 3, 299.0, 160.0),
+        (1, "beta_binomial", 363, 3, 363.0, 160.0),
+        (1, "concat", 160, 0, 160.0, 160.0),
+        (16, "binomial", 2658, 7, 166.125, 157.23436622063232),
+        (16, "beta_binomial", 2725, 7, 170.3125, 157.23436622063232),
+        (16, "concat", 2560, 0, 160.0, 160.0),
+        (64, "binomial", 10090, 10, 157.65625, 155.37507587591057),
+        (64, "beta_binomial", 10194, 10, 159.28125, 155.37507587591057),
+        (64, "concat", 10240, 0, 160.0, 160.0),
+    ]
+    FIB = [
+        (16, "binomial", 311, 7, 19.4375, 11.046866220632335),
+        (16, "beta_binomial", 369, 7, 23.0625, 10.791532125739415),
+        (16, "dirichlet_multinomial", 123, 7, 7.6875, 7.22157071263203),
+        (16, "concat", 221, 0, 13.8125, 13.8125),
+        (64, "binomial", 695, 10, 10.859375, 8.703200875910564),
+        (64, "beta_binomial", 714, 10, 11.15625, 7.993669110068595),
+        (64, "dirichlet_multinomial", 355, 10, 5.546875, 5.418989383495271),
+        (64, "concat", 852, 0, 13.3125, 13.3125),
+    ]
+
+    @staticmethod
+    def check(records, pinned):
+        assert len(records) == len(pinned)
+        for r, (n, family, total, header, per_elem, ideal) in zip(records, pinned):
+            assert (r.n, r.family, r.bits_total, r.bits_for_N_header) == (n, family, total, header)
+            assert r.bits_per_element == pytest.approx(per_elem, rel=1e-12)
+            assert r.ideal_bits_per_element == pytest.approx(ideal, rel=1e-12)
+
+    def test_rsha1(self):
+        self.check(bench_rsha1([1, 16, 64], seed=3), self.RSHA1)
+
+    def test_fib(self):
+        self.check(bench_fib([16, 64], seed=3, k=1000), self.FIB)
+
+
 class TestCsv:
     def test_shape_and_formats(self):
         records = bench_fib([16], seed=1, k=500)
