@@ -54,6 +54,7 @@ from .treecodec import (
 
 SHA1_BITS = 160
 DEFAULT_N_GRID = [2**k for k in range(4, 15)]
+FAMILIES = (("binomial", BinomialFamily(Fraction(1, 2))), ("beta_binomial", BetaBinomialFamily()))
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,13 @@ class BenchRecord:
     family: str
     bits_total: float
     bits_for_N_header: int
-    bits_per_element: float
     ideal_bits_per_element: float
-    wall_time: float  # to compress
-    decode_time: float  # to decompress; 0 for the concatenation rows
+    wall_time: float = 0.0  # to compress
+    decode_time: float = 0.0  # to decompress; 0 for the concatenation rows
+
+    @property
+    def bits_per_element(self) -> float:
+        return self.bits_total / self.n
 
 
 def log2_factorial(n: int) -> float:
@@ -92,28 +96,32 @@ def sha1_members(rng: random.Random, n: int) -> list[BitString]:
     ]
 
 
-def _tree_record(
-    members: list[BitString], params: CodecParams, family_label: str, ideal_per_elem: float
-) -> BenchRecord:
-    n = len(members)
+def _coded(family: str, n: int, ideal_per_elem: float, encode, decode, expected) -> BenchRecord:
+    """The row of one coder: times encode(), which returns (data, bits_total,
+    bits_for_N_header), and decode(data), and checks the decode against expected."""
     t0 = time.perf_counter()
-    result = compress_tree_detail(members, params)
-    wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    decoded = decompress(result.data)
-    decode_wall = time.perf_counter() - t0
-    if decoded != sorted(members):
-        raise RuntimeError(f"the {family_label} container does not decode to its input")
-    return BenchRecord(
-        n=n,
-        family=family_label,
-        bits_total=result.total_bits,
-        bits_for_N_header=result.n_header_bits,
-        bits_per_element=result.total_bits / n,
-        ideal_bits_per_element=ideal_per_elem,
-        wall_time=wall,
-        decode_time=decode_wall,
-    )
+    data, bits_total, n_header_bits = encode()
+    t1 = time.perf_counter()
+    decoded = decode(data)
+    t2 = time.perf_counter()
+    if decoded != expected:
+        raise RuntimeError(f"the {family} row does not decode to its input")
+    return BenchRecord(n, family, bits_total, n_header_bits, ideal_per_elem, t1 - t0, t2 - t1)
+
+
+def _tree_rows(members: list[BitString], regime, ideal_per_elem) -> list[BenchRecord]:
+    """One tree-codec row per family; ideal_per_elem(params) is its limit."""
+    rows = []
+    for label, family in FAMILIES:
+        params = CodecParams(regime=regime, family=family)
+
+        def encode():
+            result = compress_tree_detail(members, params)
+            return result.data, result.total_bits, result.n_header_bits
+
+        ideal = ideal_per_elem(params)
+        rows.append(_coded(label, len(members), ideal, encode, decompress, sorted(members)))
+    return rows
 
 
 def bench_rsha1(
@@ -125,24 +133,8 @@ def bench_rsha1(
             raise ValueError("benchmark points need N >= 1")
         members = sha1_members(_rng_for(seed, n), n)
         limit = SHA1_BITS - log2_factorial(n) / n
-        for label, family in (
-            ("binomial", BinomialFamily(Fraction(1, 2))),
-            ("beta_binomial", BetaBinomialFamily()),
-        ):
-            params = CodecParams(regime=FixedRegime(SHA1_BITS), family=family)
-            records.append(_tree_record(members, params, label, limit))
-        records.append(
-            BenchRecord(
-                n=n,
-                family="concat",
-                bits_total=SHA1_BITS * n,
-                bits_for_N_header=0,
-                bits_per_element=float(SHA1_BITS),
-                ideal_bits_per_element=float(SHA1_BITS),
-                wall_time=0.0,
-                decode_time=0.0,
-            )
-        )
+        records += _tree_rows(members, FixedRegime(SHA1_BITS), lambda params: limit)
+        records.append(BenchRecord(n, "concat", SHA1_BITS * n, 0, float(SHA1_BITS)))
     return records
 
 
@@ -156,55 +148,25 @@ def bench_fib(
         rng = _rng_for(seed, n)
         values = [rng.randint(1, k) for _ in range(n)]
         members = [BitString.from_str(fib_encode(v)) for v in values]
-
-        for label, family in (
-            ("binomial", BinomialFamily(Fraction(1, 2))),
-            ("beta_binomial", BetaBinomialFamily()),
-        ):
-            params = CodecParams(
-                regime=SelfDelimitingRegime(FibTerminatorDetector()), family=family
-            )
-            ideal = ideal_codelength(members, params) / n
-            records.append(_tree_record(members, params, label, ideal))
+        regime = SelfDelimitingRegime(FibTerminatorDetector())
+        records += _tree_rows(members, regime, lambda params: ideal_codelength(members, params) / n)
 
         ms = IntMultiset.from_values(values, k)
-        t0 = time.perf_counter()
-        enc = RangeEncoder()
-        encode_dirmult(ms, enc, DEFAULT_ALPHA)
-        payload = enc.finish()
-        wall = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        decoded = decode_dirmult(k, n, RangeDecoder.from_bytes(payload.data), DEFAULT_ALPHA)
-        decode_wall = time.perf_counter() - t0
-        if decoded != ms:
-            raise RuntimeError("the dirichlet_multinomial payload does not decode to its input")
-        total = fib_length(n + 1) + payload.nbits
-        records.append(
-            BenchRecord(
-                n=n,
-                family="dirichlet_multinomial",
-                bits_total=total,
-                bits_for_N_header=fib_length(n + 1),
-                bits_per_element=total / n,
-                ideal_bits_per_element=ideal_codelength_dirmult(ms, DEFAULT_ALPHA) / n,
-                wall_time=wall,
-                decode_time=decode_wall,
-            )
-        )
+        header = fib_length(n + 1)
 
+        def encode():
+            enc = RangeEncoder()
+            encode_dirmult(ms, enc, DEFAULT_ALPHA)
+            payload = enc.finish()
+            return payload.data, header + payload.nbits, header
+
+        def decode(data):
+            return decode_dirmult(k, n, RangeDecoder.from_bytes(data), DEFAULT_ALPHA)
+
+        ideal = ideal_codelength_dirmult(ms, DEFAULT_ALPHA) / n
+        records.append(_coded("dirichlet_multinomial", n, ideal, encode, decode, ms))
         flat = sum(fib_length(v) for v in values)
-        records.append(
-            BenchRecord(
-                n=n,
-                family="concat",
-                bits_total=flat,
-                bits_for_N_header=0,
-                bits_per_element=flat / n,
-                ideal_bits_per_element=flat / n,
-                wall_time=0.0,
-                decode_time=0.0,
-            )
-        )
+        records.append(BenchRecord(n, "concat", flat, 0, flat / n))
     return records
 
 

@@ -61,11 +61,18 @@ def _length_model(text: str):
     )
 
 
-def _n_values(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
     try:
-        return [int(t) for t in text.split(",") if t]
+        value = int(text)
     except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad N list {text!r}: {e}")
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _n_values(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",") if t]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="-", help="output container file, - for stdout")
     c.add_argument("--regime", choices=["fixed", "selfdelim", "general"], default="fixed")
     c.add_argument("--family", choices=["binomial", "betabin"], default="binomial")
-    c.add_argument("--length", type=int, help="member length for the fixed regime")
-    c.add_argument("--theta", type=_fraction, default=Fraction(1, 2), metavar="A/B")
-    c.add_argument("--alpha", type=_fraction, default=Fraction(1, 2), metavar="A/B")
-    c.add_argument("--beta", type=_fraction, default=Fraction(1, 2), metavar="A/B")
+    c.add_argument("--length", type=int, help="member length: fixed regime or raw input")
+    c.add_argument("--theta", type=_fraction, metavar="A/B", help="binomial (default 1/2)")
+    c.add_argument("--alpha", type=_fraction, metavar="A/B", help="betabin (default 1/2)")
+    c.add_argument("--beta", type=_fraction, metavar="A/B", help="betabin (default 1/2)")
     c.add_argument(
         "--length-model",
         type=_length_model,
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--output-format", choices=["hex", "bits", "raw"])
     d.set_defaults(func=cmd_decompress)
 
-    for name, fn in (("bench-rsha1", cmd_bench_rsha1), ("bench-fib", cmd_bench_fib)):
+    for name in ("bench-rsha1", "bench-fib"):
         b = sub.add_parser(name, help=f"run the {name[6:]} experiment")
         b.add_argument("--seed", type=int, default=0)
         b.add_argument("--csv", default="-", help="CSV output path, - for stdout")
@@ -112,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="benchmark points (default: powers of two, 16..16384)",
         )
         if name == "bench-fib":
-            b.add_argument("--k", type=int, default=100_000, help="alphabet bound")
-        b.set_defaults(func=fn)
+            b.add_argument("--k", type=_positive_int, default=100_000, help="alphabet bound")
+        b.set_defaults(func=cmd_bench)
     return p
 
 
@@ -160,10 +167,12 @@ def _parse_members(data: bytes, fmt: str, length: int | None) -> list[BitString]
 
 
 def _codec_params(args, members: list[BitString]) -> CodecParams:
+    half = Fraction(1, 2)
     if args.family == "binomial":
-        family = BinomialFamily(args.theta)
+        family = BinomialFamily(half if args.theta is None else args.theta)
     else:
-        family = BetaBinomialFamily(args.alpha, args.beta)
+        alpha, beta = (half if v is None else v for v in (args.alpha, args.beta))
+        family = BetaBinomialFamily(alpha, beta)
     if args.regime == "fixed":
         length = args.length
         if length is None:
@@ -182,6 +191,18 @@ def _codec_params(args, members: list[BitString]) -> CodecParams:
 
 def cmd_compress(args) -> int:
     fmt = args.input_format or ("hex" if args.regime == "fixed" else "bits")
+    # a flag the chosen family, regime or input format does not read is refused
+    binomial = args.family == "binomial"
+    for flag, value, reads, read_with in (
+        ("--theta", args.theta, binomial, "--family binomial"),
+        ("--alpha", args.alpha, not binomial, "--family betabin"),
+        ("--beta", args.beta, not binomial, "--family betabin"),
+        ("--length-model", args.length_model, args.regime == "general", "--regime general"),
+        ("--length", args.length, args.regime == "fixed" or fmt == "raw",
+         "--regime fixed or raw input"),
+    ):
+        if value is not None and not reads:
+            raise MsetzipError(f"{flag} is read only with {read_with}")
     members = _parse_members(_read_bytes(args.input), fmt, args.length)
     try:
         params = _codec_params(args, members)
@@ -229,31 +250,21 @@ def cmd_decompress(args) -> int:
     return 0
 
 
-# The bench commands import bench when they run: its records are a
-# dataclass, and compress and decompress start without dataclasses.
-def _emit_csv(records, path: str) -> None:
-    from .bench import write_csv
+def cmd_bench(args) -> int:
+    # bench loads here: its records are a dataclass, and compress and
+    # decompress start without dataclasses
+    from . import bench
 
-    if path == "-":
-        write_csv(records, sys.stdout)
+    n_values = bench.DEFAULT_N_GRID if args.n_values is None else args.n_values
+    if args.command == "bench-fib":
+        records = bench.bench_fib(n_values, args.seed, args.k)
     else:
-        with open(path, "w", newline="") as f:
-            write_csv(records, f)
-
-
-def cmd_bench_rsha1(args) -> int:
-    from .bench import DEFAULT_N_GRID, bench_rsha1
-
-    n_values = DEFAULT_N_GRID if args.n_values is None else args.n_values
-    _emit_csv(bench_rsha1(n_values, args.seed), args.csv)
-    return 0
-
-
-def cmd_bench_fib(args) -> int:
-    from .bench import DEFAULT_N_GRID, bench_fib
-
-    n_values = DEFAULT_N_GRID if args.n_values is None else args.n_values
-    _emit_csv(bench_fib(n_values, args.seed, args.k), args.csv)
+        records = bench.bench_rsha1(n_values, args.seed)
+    if args.csv == "-":
+        bench.write_csv(records, sys.stdout)
+    else:
+        with open(args.csv, "w", newline="") as f:
+            bench.write_csv(records, f)
     return 0
 
 

@@ -81,7 +81,6 @@ validate members, not to code.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -131,8 +130,10 @@ class BetaBinomialFamily(Frozen):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Fraction = Fraction(1, 2), beta: Fraction = Fraction(1, 2)):
-        if not (0 < alpha < math.inf and 0 < beta < math.inf):
-            raise ValueError("alpha and beta must be positive and finite")
+        # the container holds each as a u32/u32 ratio, and far beyond that
+        # the float pmf sweep no longer sums to 1
+        if not (0 < alpha < 2**32 and 0 < beta < 2**32):
+            raise ValueError("alpha and beta must be positive and finite, below 2**32")
         self._set(alpha, beta)
 
     def split_table(self, n: int) -> array:

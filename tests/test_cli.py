@@ -217,6 +217,48 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("msetzip:")
         assert not box.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--family", "binomial", "--alpha", "3", "--beta", "7"],
+            ["--family", "betabin", "--theta", "1/3"],
+            ["--regime", "fixed", "--length-model", "uniform:1:9"],
+            ["--regime", "selfdelim", "--length-model", "point:3"],
+            ["--regime", "general", "--length-model", "geometric:1/2", "--length", "9"],
+        ],
+        ids=" ".join,
+    )
+    def test_flags_the_codec_would_not_read_rejected(self, tmp_path, capsys, flags):
+        # each used to write the container of the same run without the flag
+        src = tmp_path / "in.bits"
+        src.write_text("011\n11\n")
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), "--input-format", "bits", *flags, "--out", str(box)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("msetzip:") and "is read only with" in err
+        assert not box.exists()
+
+    def test_length_is_read_with_raw_input_in_any_regime(self, tmp_path):
+        src = tmp_path / "in.raw"
+        src.write_bytes(bytes([0b10110011]))
+        box = tmp_path / "out.msz"
+        assert run("compress", str(src), "--regime", "general", "--length-model", "point:4",
+                   "--input-format", "raw", "--length", "4", "--out", str(box)) == 0
+        assert [m.to_str() for m in container.decompress(box.read_bytes())] == ["0011", "1011"]
+
+    @pytest.mark.parametrize(
+        "family, defaults",
+        [([], ["--theta", "1/2"]), (["--family", "betabin"], ["--alpha", "1/2", "--beta", "1/2"])],
+        ids=["binomial", "betabin"],
+    )
+    def test_defaults_are_one_half(self, tmp_path, family, defaults):
+        src = tmp_path / "in.hex"
+        src.write_text("a0\nb1\n")
+        bare, spelled = tmp_path / "bare.msz", tmp_path / "spelled.msz"
+        assert run("compress", str(src), *family, "--out", str(bare)) == 0
+        assert run("compress", str(src), *family, *defaults, "--out", str(spelled)) == 0
+        assert bare.read_bytes() == spelled.read_bytes()
+
     def test_too_many_members_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(container, "MAX_MEMBERS", 3)
         src = tmp_path / "in.bits"
@@ -293,6 +335,23 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exit_:
             run("compress", "-", "--regime", "general", "--length-model", spec)
         assert exit_.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bench-fib", "--n-values", "0"], "--n-values"),
+            (["bench-rsha1", "--n-values", "-3"], "--n-values"),
+            (["bench-rsha1", "--n-values", "16,x"], "--n-values"),
+            (["bench-fib", "--k", "0"], "--k"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_bad_bench_grid(self, capsys, argv, flag):
+        # these used to end in a traceback from the benchmark itself
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_bad_theta(self):
         with pytest.raises(SystemExit):

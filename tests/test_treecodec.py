@@ -924,6 +924,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             BetaBinomialFamily(HALF, bad)
 
+    @pytest.mark.parametrize("big", [2**32, 1e16, 1e300, 1e308])
+    def test_beta_binomial_refuses_parameters_the_container_cannot_hold(self, big):
+        # the header holds u32/u32 ratios; at 1e16 the float pmf sweep sums
+        # to about 21,384, and at 1e300 the ideal codelength went negative
+        with pytest.raises(ValueError, match=r"below 2\*\*32"):
+            BetaBinomialFamily(big, HALF)
+        with pytest.raises(ValueError, match=r"below 2\*\*32"):
+            BetaBinomialFamily(HALF, big)
+
+    @pytest.mark.parametrize("slot", ["alpha", "beta"])
+    def test_beta_binomial_largest_parameter_round_trips(self, slot):
+        family = BetaBinomialFamily(**{slot: 2**32 - 1})
+        params = CodecParams(FixedRegime(4), family)
+        members = ["0101", "0011", "0101", "1110"]
+        data = msetzip.compress(members, params)
+        assert [m.to_str() for m in msetzip.decompress(data)] == sorted(members)
+        assert msetzip.container.parse_header(data)[0] == params
+
 
 class TestDepthCap:
     # (regime, member of n bits) for the two regimes capped at DECODE_DEPTH_CAP
