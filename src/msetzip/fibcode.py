@@ -23,13 +23,23 @@ from .errors import CorruptStreamError
 _FIBS = [1, 2]
 while _FIBS[-1] < 1 << 64:
     _FIBS.append(_FIBS[-1] + _FIBS[-2])
+# F(95): the codeword of any n from here needs a digit past _FIBS, which
+# read_fib refuses
+_LIMIT = _FIBS[-1] + _FIBS[-2]
+
+
+def _top(n: int) -> int:
+    """The index in _FIBS of the largest Fibonacci number at most n."""
+    if n < 1:
+        raise ValueError("Fibonacci code is defined for n >= 1")
+    if n >= _LIMIT:
+        raise ValueError(f"Fibonacci code is supported for n < {_LIMIT}")
+    return bisect_right(_FIBS, n) - 1
 
 
 def fib_encode(n: int) -> str:
-    """Codeword for n >= 1 as a string of '0'/'1'."""
-    if n < 1:
-        raise ValueError("Fibonacci code is defined for n >= 1")
-    top = bisect_right(_FIBS, n) - 1
+    """Codeword for 1 <= n < F(95) as a string of '0'/'1'."""
+    top = _top(n)
     digits = ["0"] * (top + 1)
     rem = n
     for i in range(top, -1, -1):
@@ -41,9 +51,7 @@ def fib_encode(n: int) -> str:
 
 def fib_length(n: int) -> int:
     """Codeword length in bits, without building the codeword."""
-    if n < 1:
-        raise ValueError("Fibonacci code is defined for n >= 1")
-    return bisect_right(_FIBS, n) + 1
+    return _top(n) + 2
 
 
 def fib_decode(bits: str) -> tuple[int, int]:

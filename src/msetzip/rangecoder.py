@@ -49,6 +49,20 @@ codes, so each depth runs only its arithmetic.  The depth a scan finds
 codes its termination count and then raises ModelMismatchError, as one
 decision at a time would.
 
+The decoder also takes a tail: the rest of one member below its node in
+the self-delimiting regime, where only the member's bits tell where it
+ends.  Its item is (split, prefix, complete, count), split a two-outcome
+table whose outcome 1 has mass.  At each of at most count depths it takes
+x = (range // T) cum[1], or range >> 1 for [0, 1, 2], decodes outcome 1,
+with the remainder, if value >= x and 0 otherwise, exactly as
+decode_target(split) would, appends the outcome to the bytearray prefix
+and stops at the first depth where complete(prefix) holds.  It answers
+the number of depths it took.  A tail never decodes past the member's
+end, so it needs no copies of the registers and no byte step.  The
+encoder codes the same depths as a chain at n = 1.  A tail whose split
+has other than two outcomes, a dead outcome 1 or a total out of range, or
+whose count is below 0, raises ValueError before any of its depths.
+
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
 added straight into the output, turning its trailing 0xFF bytes to 0x00
@@ -376,8 +390,12 @@ class RangeDecoder:
         whose termination outcome is 0 and split outcome 0 or n (a 1 bit),
         the first depth's in the top bit below the leading 1, exactly as
         those decisions one by one would have decoded them, and the next
-        depth is left undecoded.  A malformed chain raises ValueError
-        before any of its depths.
+        depth is left undecoded.  A walk may also yield a tail (split,
+        prefix, complete, count), split a two-outcome table: it is sent the
+        number c <= count of depths decoded under split, one by one, each
+        outcome appended to the bytearray prefix, c the first at which
+        complete(prefix) holds, else count.  A malformed chain or tail
+        raises ValueError before any of its depths.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -390,6 +408,36 @@ class RangeDecoder:
             cum = next(walk)
             while True:
                 if cum.__class__ is tuple:
+                    if len(cum) == 4:
+                        # a tail: a depth at a time under the two-outcome split,
+                        # each bit appended to prefix, up to the first prefix
+                        # complete holds for; outcome 1 takes the remainder
+                        split, prefix, complete, count = cum
+                        s1, _, total = _chain(split, 1, count)
+                        if s1 == total:
+                            raise ValueError("a tail needs a split whose outcome 1 has mass")
+                        half = total == 2 and s1 == 1
+                        append = prefix.append
+                        c = 0
+                        for c in range(1, count + 1):
+                            x = rng >> 1 if half else rng // total * s1
+                            if value >= x:
+                                value -= x
+                                rng -= x
+                                append(1)
+                            else:
+                                rng = x
+                                append(0)
+                            while rng < TOP:
+                                if not rng:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
+                                pos += 1
+                                rng <<= 8
+                            if complete(prefix):
+                                break
+                        cum = walk.send(c)
+                        continue
                     # a chain: decode a depth's termination count, then its
                     # split, into v, r, p, and commit the depth only if
                     # they are 0, and 0 or n; k takes at most 30 bits, the
@@ -533,9 +581,9 @@ def _single(cum: Sequence[int]) -> Generator[Sequence[int], int, int]:
 
 def _chain(split: Sequence[int], n: int, count: int) -> tuple[int, int, int]:
     """(cum[1], cum[n], total) of a chain's split table cum, the bounds of
-    its outcomes 0 and n.  Raises ValueError, for the encoder and the
-    decoder alike, unless n >= 1 is the table's top outcome, total is in
-    [1, TOTAL_MAX] and count >= 0."""
+    its outcomes 0 and n, or at n = 1 of a tail's.  Raises ValueError, for
+    the encoder and the decoder alike, unless n >= 1 is the table's top
+    outcome, total is in [1, TOTAL_MAX] and count >= 0."""
     if n < 1 or len(split) != n + 2:
         raise ValueError(f"a chain at n = {n} needs a split table of {n + 1} outcomes")
     total = split[-1]
@@ -544,4 +592,3 @@ def _chain(split: Sequence[int], n: int, count: int) -> tuple[int, int, int]:
     if count < 0:
         raise ValueError(f"a chain needs count >= 0, got {count}")
     return split[1], split[n], total
-

@@ -46,9 +46,14 @@ count is not 0 or whose split is not 0 or n, and stops before it; the
 walk then decodes that depth one decision at a time, and takes a
 termination count under a point mass, which codes nothing, without the
 range decoder.  A fixed-length member is complete when its path reaches
-depth L.  The self-delimiting regime decodes one decision at a time, its
-detector asked at each depth.  Every distinct member is checked against
-the regime before the first symbol is coded.
+depth L.  The self-delimiting regime decodes a node of n > 1 one decision
+at a time, its detector asked at each depth.  At a node of n = 1 it hands
+the range decoder the rest of the member as one tail (split(1), prefix,
+is_complete, cap - d + 1): the range decoder appends each depth's bit to
+prefix, asks the detector after each, and sends back the depths it took,
+up to the first complete prefix or past the depth cap.  A split(1) whose
+outcome 1 has no mass decodes one decision at a time.  Every distinct
+member is checked against the regime before the first symbol is coded.
 
 Each call reads its CodecParams once, into one _Call object: the
 family's tables behind per-call caches, the depth cap, the member check,
@@ -381,11 +386,16 @@ def _decode_walk(n_members: int, call: _Call, out: list):
     not branch, and receives 1 << c | bits for the c depths the range
     decoder could take whole; the depth after them goes one decision at a
     time.  A fixed-length member is complete when its path reaches depth
-    L, by a chain or by a split.  The self-delimiting regime takes every
-    decision one at a time.  A termination count whose table is a point
-    mass codes nothing, so the walk takes that table's one live outcome
-    without the range decoder.  The prefix is a bytearray of 0/1 values,
-    which a chain extends in one step and BitString.from_bits packs in C."""
+    L, by a chain or by a split.  The self-delimiting regime offers a tail
+    (split(1), prefix, complete, cap - d + 1) at a node of n = 1 that is
+    not complete, unless outcome 1 of split(1) has no mass, and receives
+    the c depths the range decoder took, their bits appended to prefix:
+    the member ends at depth d + c unless that passes the cap.  It takes
+    every other decision one at a time.  A termination count whose table
+    is a point mass codes nothing, so the walk takes that table's one live
+    outcome without the range decoder.  The prefix is a bytearray of 0/1
+    values, which a chain extends in one step, a tail a bit at a time, and
+    BitString.from_bits packs in C."""
     end, complete, cap = call.end, call.complete, call.cap
     split, termination, stretch = call.split, call.termination, call.stretch
     prefix = bytearray()
@@ -404,6 +414,14 @@ def _decode_walk(n_members: int, call: _Call, out: list):
                 break
             if table is None:
                 table = split(n)
+                if n == 1 and complete is not None and table[1] != table[2]:
+                    # the rest of the member, up to its first complete prefix
+                    # or past the depth cap, each depth's bit appended to prefix
+                    d += yield table, prefix, complete, cap - d + 1
+                    if d > cap:
+                        continue
+                    _copies(out, prefix, n)
+                    break
             if chain:
                 # the depths from here whose termination count is 0 and whose
                 # members all take one branch, up to the depth cap

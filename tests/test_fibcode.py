@@ -86,6 +86,32 @@ def test_invalid_inputs():
         fib_decode("")
 
 
+F95 = 31940434634990099905
+
+
+def test_largest_supported_value_round_trips():
+    # F(95) - 1 = F(94) + F(92) + ... + F(2), the longest codeword read_fib
+    # reads back: 93 digits and the terminator
+    code = fib_encode(F95 - 1)
+    assert fib_decode(code) == (F95 - 1, 94)
+    assert fib_length(F95 - 1) == len(code) == 94
+    w = BitWriter()
+    write_fib(w, F95 - 1)
+    assert read_fib(BitReader(w.getvalue())) == F95 - 1
+
+
+@pytest.mark.parametrize("n", [F95, F95 + 1, 2**70, 10**40])
+def test_values_past_the_table_rejected(n):
+    # each used to give a wrong codeword: fib_decode(fib_encode(2**70))
+    # was (1, 2)
+    with pytest.raises(ValueError):
+        fib_encode(n)
+    with pytest.raises(ValueError):
+        fib_length(n)
+    with pytest.raises(ValueError):
+        write_fib(BitWriter(), n)
+
+
 def test_stream_io():
     w = BitWriter()
     values = [1, 2, 3, 100, 12345, 1, 999999]

@@ -29,6 +29,7 @@ from msetzip.errors import CorruptStreamError
 from msetzip.fibcode import fib_encode, read_fib
 from msetzip.models import (
     FibTerminatorDetector,
+    FixedLengthDetector,
     GeometricLength,
     PointLength,
     UniformLength,
@@ -51,6 +52,14 @@ FAMILIES = [
     BinomialFamily(Fraction(1, 3)),
     BinomialFamily(Fraction(1, 2)),
     BetaBinomialFamily(Fraction(2), Fraction(5)),
+]
+# the equiprobable split at n = 1, two lopsided ones, and one whose
+# outcome 0 has no mass
+SELF_DELIMITING_FAMILIES = [
+    BetaBinomialFamily(Fraction(1, 2), Fraction(1, 2)),
+    BetaBinomialFamily(Fraction(2), Fraction(5)),
+    BinomialFamily(Fraction(1, 3)),
+    BinomialFamily(Fraction(1)),
 ]
 
 
@@ -230,6 +239,37 @@ def test_random_payloads_decode_as_the_trie_walk(data, n_members, model):
             except AssertionError:
                 want = None
             if want is None or not all(reference_hazard(model, len(m)) > 0 for m in want):
+                with pytest.raises(CorruptStreamError):
+                    decode_members(params, n_members, RangeDecoder.from_bytes(data))
+            else:
+                assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, 2**32).map(lambda seed: random.Random(seed).randbytes(64)),
+    ),
+    n_members=st.integers(0, 40),
+    detector=st.sampled_from([FibTerminatorDetector(), FixedLengthDetector(7)]),
+)
+# value >= range: the equiprobable split's shift path on a payload that
+# opens with eight 0xFF bytes
+@example(data=b"\xff" * 8 + b"\x5a" * 8, n_members=1, detector=FibTerminatorDetector())
+@example(data=b"\xff" * 8, n_members=7, detector=FibTerminatorDetector())
+def test_random_payloads_decode_as_the_trie_walk_self_delimiting(data, n_members, detector):
+    # payloads that no encoder wrote: a member's tail, decoded inside the
+    # range decoder up to its first complete prefix, must decode as one
+    # decision at a time does, and stop at the depth cap where the trie
+    # walk does.  Binomial(1) gives outcome 0 of every split no mass.
+    regime = SelfDelimitingRegime(detector)
+    with mock.patch.object(treecodec, "DECODE_DEPTH_CAP", 40):
+        for family in SELF_DELIMITING_FAMILIES:
+            params = CodecParams(regime, family)
+            try:
+                want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), 40)
+            except AssertionError:
                 with pytest.raises(CorruptStreamError):
                     decode_members(params, n_members, RangeDecoder.from_bytes(data))
             else:

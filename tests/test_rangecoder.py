@@ -1042,3 +1042,115 @@ def test_chain_checks_a_stretch_table_at_the_stretch_start(bad, error):
         assert dec.decode_walk(walk()) == 0b110
     assert asked == [0, 2]
     assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+# --- tails: a member's depths under a two-outcome split, to its end -------
+
+# two-outcome split tables whose outcome 1 has mass: the equiprobable one
+# the decoder shifts for, lopsided ones, slivers, and a dead outcome 0
+TAIL_TABLES = [
+    [0, 1, 2],
+    [0, 11184811, 16777216],
+    [0, 2, 5],
+    [0, 1, TOTAL_MAX],
+    [0, TOTAL_MAX - 1, TOTAL_MAX],
+    [0, 0, 1],
+    [0, 0, 5],
+]
+# where a tail ends: at a Fibonacci terminator 11, at 9 bits, or never
+TAIL_ENDS = [
+    lambda p: len(p) >= 2 and p[-1] == p[-2] == 1,
+    lambda p: len(p) == 9,
+    lambda p: False,
+]
+
+
+def _tail_walk(split, complete, count, prefix):
+    return (yield split, prefix, complete, count)
+
+
+def _tail_by_targets(dec: RangeDecoder, split, complete, count, prefix) -> int:
+    """What a tail decodes, one decode_target call per depth: each bit is
+    appended to prefix, up to the first prefix complete holds for."""
+    for c in range(1, count + 1):
+        prefix.append(dec.decode_target(split))
+        if complete(prefix):
+            return c
+    return count
+
+
+def _check_decoded_tail(data: bytes, state, lead: list, split, complete, count: int) -> None:
+    """The tail decodes as _tail_by_targets, with the same prefix and the
+    same complete calls, from the registers (value, range) or, where state
+    is None, from where lead's tables leave data; and the decoders read on
+    alike after it."""
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    if state is not None:
+        dec.value, dec.range = one.value, one.range = state
+    for cum, _ in lead:
+        dec.decode_target(cum)
+        one.decode_target(cum)
+    asked, want_asked = [], []
+    prefix, want_prefix = bytearray(b"\x01"), bytearray(b"\x01")
+    got = dec.decode_walk(
+        _tail_walk(split, lambda p: asked.append(bytes(p)) or complete(p), count, prefix)
+    )
+    want = _tail_by_targets(
+        one, split, lambda p: want_asked.append(bytes(p)) or complete(p), count, want_prefix
+    )
+    assert (got, prefix, asked) == (want, want_prefix, want_asked)
+    assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+    for cum in (split, [0, 3, 8]):
+        assert dec.decode_target(cum) == one.decode_target(cum)
+        assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    split=st.sampled_from(TAIL_TABLES),
+    end=st.sampled_from(TAIL_ENDS),
+    count=st.integers(0, 300),
+    data=st.binary(max_size=80),
+)
+def test_decoded_tail_matches_its_decisions(seed, split, end, count, data):
+    # on arbitrary bytes, most of them no encoder's output
+    _check_decoded_tail(data, None, _lead(seed), split, end, count)
+
+
+@pytest.mark.parametrize("split", TAIL_TABLES)
+def test_tail_from_edge_states(split):
+    # the renormalisation threshold, ranges just below 2**64, a value on
+    # either side of the bound between the outcomes, and a value at or
+    # past the range, which a payload that opens with 0xFF bytes gives
+    data = bytes(random.Random(13).getrandbits(8) for _ in range(40))
+    for rng in (TOP, TOP + 1, 2**64 - 257, MASK):
+        bound = rng >> 1 if split == [0, 1, 2] else rng // split[2] * split[1]
+        for value in {0, rng // 3, max(bound - 1, 0), bound, rng - 1, rng}:
+            for end in TAIL_ENDS:
+                for count in (0, 1, 9, 40):
+                    _check_decoded_tail(data, (value, rng), [], split, end, count)
+    _check_decoded_tail(b"\xff" * 12, None, [], split, lambda p: False, 100)
+
+
+@pytest.mark.parametrize(
+    "split,count",
+    [
+        ([0, 3, 8, 9], 3),  # not two outcomes
+        ([0, 8], 3),
+        ([0, 3, 3], 3),  # outcome 1 dead
+        ([0, 1, 1], 3),
+        ([0, 1, TOTAL_MAX + 1], 3),
+        ([0, 0, 0], 3),
+        ([0, 3, 8], -1),
+    ],
+)
+def test_decoder_refuses_a_malformed_tail(split, count):
+    # before any of its depths: the decoder keeps its value and range, and
+    # neither extends the prefix nor asks whether it is complete
+    dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
+    state, prefix, asked = (dec.value, dec.range), bytearray(), []
+    with pytest.raises(ValueError):
+        dec.decode_walk(_tail_walk(split, asked.append, count, prefix))
+    assert (dec.value, dec.range) == state
+    assert not prefix and not asked

@@ -701,6 +701,39 @@ class TestChains:
         assert [(split, n, d, count, bits) for split, n, _, d, count, bits in chains] == want
         assert any(m > 1 for _, m, *_ in want)  # several copies of a member are one chain
 
+    @pytest.mark.parametrize(
+        "name", ["fib/binom-1/3", "fib/betabin-2,5", "fib/random-1500", "fib/N=1/long"]
+    )
+    def test_a_self_delimiting_tail_is_one_decoder_item(self, name, monkeypatch):
+        # a member alone below its node, not complete there, reaches the
+        # range decoder as (split(1), prefix, is_complete, cap - d + 1),
+        # which sends back the depths to the member's end
+        from test_golden import CASES
+
+        members, params = CASES[name]
+        _, decoded, _ = _record_coder_items(monkeypatch)
+        dec = RangeDecoder.from_bytes(_payload(members, params))
+        assert decode_members(params, len(members), dec) == sorted(map(as_bitstring, members))
+        cap = treecodec.DECODE_DEPTH_CAP
+        tails = [
+            (item, taken) for item, taken in decoded if item.__class__ is tuple and len(item) == 4
+        ]
+        for (split, prefix, complete, _), _ in tails:
+            assert list(split) == list(params.family.split_table(1))
+            assert prefix.__class__ is bytearray
+            assert complete == params.regime.detector.is_complete
+
+        counts = Counter(as_bitstring(m).to_str() for m in members)
+        distinct = sorted(counts)
+        want = []
+        for i, w in enumerate(distinct):
+            shared = [len(os.path.commonprefix([w, v])) for v in distinct[max(i - 1, 0) : i + 2]]
+            d = max(s + 1 for s in shared if s < len(w)) if len(distinct) > 1 else 0
+            if counts[w] == 1 and len(w) > d:
+                want.append((d, len(w) - d))
+        assert [(cap + 1 - count, taken) for (*_, count), taken in tails] == want
+        assert want
+
     def test_a_long_run_decodes_in_linear_time(self):
         # under a table other than [0, 1, 2] the decoder takes a run one
         # decision at a time; shifting the whole run's int once per decision
@@ -808,7 +841,14 @@ class TestValidation:
                 encode_members(members, params, enc)
             assert enc.symbols_coded == 0
 
-    def test_detector_sees_the_same_prefixes_on_both_sides(self):
+    # a member's tail is decoded inside the range decoder, by the shift
+    # under the equiprobable split at n = 1 and by the division otherwise
+    @pytest.mark.parametrize(
+        "family",
+        [BetaBinomialFamily(), BinomialFamily(Fraction(1, 3))],
+        ids=["equiprobable", "lopsided"],
+    )
+    def test_detector_sees_the_same_prefixes_on_both_sides(self, family):
         # the decoder and the reference walk over the trie ask about the
         # same prefixes, in the same order and of the same type
         class Recording:
@@ -825,7 +865,7 @@ class TestValidation:
         rng = random.Random(11)
         members = [fib_encode(rng.randint(1, 300)) for _ in range(200)]
         detector = Recording()
-        params = CodecParams(SelfDelimitingRegime(detector), BetaBinomialFamily())
+        params = CodecParams(SelfDelimitingRegime(detector), family)
         enc = RangeEncoder()
         encode_members(members, params, enc)
         assert not detector.calls  # the encoder's check asks first_complete
