@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import string
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .bits import BitString, BitWriter
@@ -124,10 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _open(path: str, mode: str, **kwargs):
+    """open(path, mode), or an MsetzipError naming the path and the reason."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise MsetzipError(f"{path}: {e.strerror or e}") from None
+
+
 def _read_bytes(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as f:
+    with _open(path, "rb") as f:
         return f.read()
 
 
@@ -135,7 +144,7 @@ def _write_bytes(path: str, data: bytes) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
     else:
-        with open(path, "wb") as f:
+        with _open(path, "wb") as f:
             f.write(data)
 
 
@@ -256,15 +265,14 @@ def cmd_bench(args) -> int:
     from . import bench
 
     n_values = bench.DEFAULT_N_GRID if args.n_values is None else args.n_values
-    if args.command == "bench-fib":
-        records = bench.bench_fib(n_values, args.seed, args.k)
-    else:
-        records = bench.bench_rsha1(n_values, args.seed)
-    if args.csv == "-":
-        bench.write_csv(records, sys.stdout)
-    else:
-        with open(args.csv, "w", newline="") as f:
-            bench.write_csv(records, f)
+    # the CSV is opened first, so a path it cannot write fails before the run
+    out = nullcontext(sys.stdout) if args.csv == "-" else _open(args.csv, "w", newline="")
+    with out as f:
+        if args.command == "bench-fib":
+            records = bench.bench_fib(n_values, args.seed, args.k)
+        else:
+            records = bench.bench_rsha1(n_values, args.seed)
+        bench.write_csv(records, f)
     return 0
 
 

@@ -9,10 +9,13 @@ distribution.
 No trie is built.  Sorted lexicographically (a prefix before its
 extensions), the members below a node are a contiguous range [lo, hi) of
 the sorted distinct members.  A node's count is a difference of prefix sums
-of their multiplicities, and the members whose next bit is 1 start where a
-bisection of the range puts the node's prefix followed by 1.  A range of one
-distinct member, of multiplicity m, never branches again, so its remaining
-decisions come straight from the member's bits: split(m) with outcome 0 or
+of their multiplicities.  The node branches where the next bits of its
+first and last members differ, and only then are the members whose next
+bit is 1 found, where a bisection of the range puts the node's prefix
+followed by 1; a node that does not branch passes the whole range on.  A
+range of one distinct member, of multiplicity m, never branches again, so
+its remaining decisions come straight from the member's bits, read from
+the int _sort builds once per distinct member: split(m) with outcome 0 or
 m per bit and, in the general regime, one termination count per depth.
 
 One walk, _decisions, yields every decision as (table, outcome) in coding
@@ -92,6 +95,7 @@ from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Union
 
 from ._frozen import Frozen
@@ -184,9 +188,10 @@ class GeneralRegime(Frozen):
 
 Regime = Union[FixedRegime, SelfDelimitingRegime, GeneralRegime]
 
-# Raises ModelMismatchError unless the regime can code every member of a
-# lexicographically sorted list of distinct (data, nbits) pairs.
-MemberCheck = Callable[[list], None]
+# check(values, lengths) raises ModelMismatchError unless the regime can
+# code every member of a lexicographically sorted list of distinct members,
+# given as their bits as ints, first bit on top, and their bit lengths.
+MemberCheck = Callable[[list, list], None]
 
 
 class CodecParams(Frozen):
@@ -282,8 +287,8 @@ class _Call:
 def _lengths(possible: Callable[[int], bool]) -> MemberCheck:
     """The check that every member's length is possible."""
 
-    def check(distinct: list) -> None:
-        for length in sorted({nbits for _, nbits in distinct}):
+    def check(values: list, lengths: list) -> None:
+        for length in sorted(set(lengths)):
             if not possible(length):
                 raise ModelMismatchError(f"member of length {length} cannot occur under the regime")
 
@@ -297,9 +302,11 @@ def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> Membe
     complete prefix of it.  It is one call per distinct member where the
     decoder asks is_complete once per trie node."""
 
-    def check(distinct: list) -> None:
-        for data, nbits in distinct:
-            first = first_complete(int.from_bytes(data, "big") >> (8 * len(data) - nbits), nbits)
+    def check(values: list, lengths: list) -> None:
+        firsts = list(map(first_complete, values, lengths))
+        if firsts == lengths:
+            return
+        for first, nbits in zip(firsts, lengths):
             if first != nbits:
                 if first is None:
                     raise ModelMismatchError(f"member of {nbits} bits does not end complete")
@@ -309,12 +316,14 @@ def _ends_complete(first_complete: Callable[[int, int], Optional[int]]) -> Membe
 
 
 def _sort(members: Iterable, call: _Call) -> tuple:
-    """(datas, lengths, cum): the distinct members in lexicographic order,
-    datas[i] holding member i's bytes and lengths[i] its bit length, with
-    cum[i + 1] - cum[i] its multiplicity.  Members that are all BitStrings
-    are counted by their (data, nbits) in C; any other member sends them
-    all through as_bitstring first, which reads text and raises TypeError
-    for anything else.
+    """(datas, values, lengths, cum): the distinct members in lexicographic
+    order, datas[i] holding member i's bytes, values[i] its bits as an int,
+    first bit on top, and lengths[i] its bit length, with cum[i + 1] -
+    cum[i] its multiplicity.  Members that are all BitStrings are counted
+    by their (data, nbits) in C; any other member sends them all through
+    as_bitstring first, which reads text and raises TypeError for anything
+    else.  Each member's int is built here once, for the member check and
+    for the chain that codes the member's last bits.
 
     Raises ModelMismatchError unless the call's regime can code every
     distinct member, so before anything is coded."""
@@ -322,58 +331,68 @@ def _sort(members: Iterable, call: _Call) -> tuple:
     if not set(map(type, members)) <= {BitString}:
         members = map(as_bitstring, members)  # text coerced, other types refused
     counts = Counter(map(BitString._astuple, members))
-    # (data, nbits) is BitString's order: pad bits are zero
-    distinct = sorted(counts)
-    longest = max((nbits for _, nbits in distinct), default=0)
-    if longest > call.cap:
+    # (data, nbits) is BitString's order, as pad bits are zero: two stable
+    # sorts on one field each give it, cheaper than one sort on the pairs
+    distinct = sorted(counts, key=itemgetter(1))
+    distinct.sort(key=itemgetter(0))
+    lengths = list(map(itemgetter(1), distinct))
+    if max(lengths, default=0) > call.cap:
         raise ModelMismatchError(f"member longer than the depth cap of {call.cap} bits")
-    call.check(distinct)
-    datas = [data for data, _ in distinct]
-    lengths = [nbits for _, nbits in distinct]
+    datas = list(map(itemgetter(0), distinct))
+    values = [int.from_bytes(data) >> (-nbits & 7) for data, nbits in distinct]
+    call.check(values, lengths)
     cum = list(accumulate(map(counts.__getitem__, distinct), initial=0))
-    return datas, lengths, cum
+    return datas, values, lengths, cum
 
 
 def _decisions(sorted_members: tuple, call: _Call):
     """Yield (table, outcome) for every decision the encoder codes, in
     coding order, from _sort's members and the call's tables.  A trie node
-    is a range [lo, hi) of the sorted members at a depth d; a range of one
-    distinct member, of m copies, is coded from the member's bits to its
-    end without the stack, as one chain ((split(m), m, stretch, d, count),
-    bits), bits the member's remaining count bits as one int, as
-    RangeEncoder.encode_intervals reads them; in the general regime the
-    final termination count m follows it."""
-    datas, lengths, cum = sorted_members
+    is a range [lo, hi) of the sorted members at a depth d, and, as in
+    _decode_walk, a node's path is followed without the stack until it
+    branches.  At a node of two or more distinct members, bit d of the
+    first and the last member says whether it branches; only a node that
+    does bisects the range for its first member whose bit d is 1, and
+    stacks the members from there.  A range of one distinct member, of m
+    copies, is coded from the member's bits to its end as one chain
+    ((split(m), m, stretch, d, count), bits), bits the member's remaining
+    count bits as one int, as RangeEncoder.encode_intervals reads them; in
+    the general regime the final termination count m follows it."""
+    datas, values, lengths, cum = sorted_members
     split, termination, stretch = call.split, call.termination, call.stretch
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
         lo, hi, d = stack.pop()
         n = cum[hi] - cum[lo]
-        if hi - lo == 1:
-            end = lengths[lo]
-            if end > d:
-                data = datas[lo]
-                value = int.from_bytes(data, "big") >> (8 * len(data) - end)
-                yield (split(n), n, stretch, d, end - d), value & ((1 << (end - d)) - 1)
+        while hi - lo > 1:
             if termination is not None:
-                yield termination(end, n), n
-            continue
+                n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
+                yield termination(d, n), n_t
+                if n_t:
+                    lo += 1
+                    n -= n_t
+            # a member that ends at d is the node's prefix and sorts first,
+            # so both members read here are longer than d; where their bit d
+            # differs, the members whose bit d is 1 sort at or after the
+            # node's prefix followed by 1, packed into bytes with zero padding
+            q, r = d >> 3, d & 7
+            head = datas[lo]
+            byte = head[q]
+            bit = 0x80 >> r
+            d += 1
+            if (byte ^ datas[hi - 1][q]) & bit:
+                mid = bisect_left(datas, head[:q] + bytes(((byte & 0xFF00 >> r) | bit,)), lo, hi)
+                yield split(n), cum[hi] - cum[mid]
+                stack.append((mid, hi, d))
+                hi = mid
+                n = cum[mid] - cum[lo]
+            else:
+                yield split(n), n if byte & bit else 0
+        end = lengths[lo]
+        if end > d:
+            yield (split(n), n, stretch, d, end - d), values[lo] & ((1 << (end - d)) - 1)
         if termination is not None:
-            n_t = cum[lo + 1] - cum[lo] if lengths[lo] == d else 0  # a prefix sorts first
-            yield termination(d, n), n_t
-            if n_t:
-                lo += 1
-                n -= n_t
-        # members whose bit d is 1 sort at or after the node's prefix
-        # followed by 1, packed into bytes with zero padding
-        q, r = divmod(d, 8)
-        head = datas[lo]
-        mid = bisect_left(datas, head[:q] + bytes(((head[q] & 0xFF00 >> r) | 0x80 >> r,)), lo, hi)
-        yield split(n), cum[hi] - cum[mid]
-        if mid < hi:
-            stack.append((mid, hi, d + 1))
-        if lo < mid:
-            stack.append((lo, mid, d + 1))
+            yield termination(end, n), n
 
 
 def _decode_walk(n_members: int, call: _Call, out: list):

@@ -329,6 +329,44 @@ class TestBench:
         assert all(r[0] == "16" for r in rows[1:])
 
 
+class TestFileErrors:
+    # a path that cannot be read or written is reported, not a traceback
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_missing_input(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        assert run(command, str(missing), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"msetzip: {missing}: No such file or directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    def test_unwritable_out(self, tmp_path, capsys, command):
+        src = tmp_path / "in.hex"
+        src.write_text("deadbeef\n")
+        if command == "decompress":
+            src, box = tmp_path / "in.msz", src
+            assert run("compress", str(box), "--out", str(src)) == 0
+        out = tmp_path / "no-such-dir" / "out"
+        assert run(command, str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["bench-fib", "bench-rsha1"])
+    def test_unwritable_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command):
+        from msetzip import bench
+
+        def unexpected(*args):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(bench, "bench_fib", unexpected)
+        monkeypatch.setattr(bench, "bench_rsha1", unexpected)
+        out = tmp_path / "no-such-dir" / "out.csv"
+        assert run(command, "--n-values", "16", "--csv", str(out)) == 1
+        assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert run("decompress", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"msetzip: {tmp_path}: Is a directory\n"
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize("spec", ["zipf:3", "uniform:3", "point:x", "geometric:1/0"])
     def test_unknown_length_model_spec(self, spec):

@@ -150,11 +150,19 @@ LENGTH_MODELS = [
 ]
 
 
+# prefixes and zero-extensions of one another: members with equal bytes,
+# and nodes where a member ends and others go on
+NESTED = ["", "0", "00", "01", "010", "0100000000"], GeneralRegime(UniformLength(0, 40))
+
+
 @st.composite
 def multisets(draw):
     """(members, regime): a few distinct members, each with up to 40 copies
-    or just one, under a fixed, a self-delimiting or a general regime."""
-    kind = draw(st.sampled_from(["fixed", "fib", "general"]))
+    or just one, under a fixed, a self-delimiting or a general regime.  The
+    "nested" general-regime members are prefixes and zero-extensions of one
+    string: members with equal bytes and different lengths, which only
+    their length orders, and nodes where a member ends and others go on."""
+    kind = draw(st.sampled_from(["fixed", "fib", "general", "nested"]))
     if kind == "fixed":
         length = draw(st.integers(1, 100))
         regime = FixedRegime(length)
@@ -165,12 +173,17 @@ def multisets(draw):
     elif kind == "fib":
         regime = SelfDelimitingRegime(FibTerminatorDetector())
         member = st.integers(1, 10**12).map(fib_encode)
-    else:
+    elif kind == "general":
         model, lengths = draw(st.one_of(LENGTH_MODELS))
         regime = GeneralRegime(model)
         member = lengths.flatmap(
             lambda n: st.one_of(st.text("01", min_size=n, max_size=n), _random_bits(n))
         )
+    else:
+        regime = NESTED[1]
+        base = draw(st.one_of(st.text("01", max_size=20), _random_bits(20)))
+        member = st.builds(lambda i, z: base[:i] + "0" * z, st.integers(0, len(base)),
+                           st.integers(0, 20))
     distinct = draw(st.lists(member, max_size=12, unique=True))
     copies = st.integers(1, 40) if draw(st.booleans()) else st.just(1)
     return [m for m in distinct for _ in range(draw(copies))], regime
@@ -178,6 +191,7 @@ def multisets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=multisets())
+@example(case=NESTED)
 def test_encoder_matches_the_trie_walk(case):
     members, regime = case
     for family in FAMILIES:
@@ -191,6 +205,7 @@ def test_encoder_matches_the_trie_walk(case):
 
 @settings(max_examples=100, deadline=None)
 @given(case=multisets())
+@example(case=NESTED)
 def test_decoder_matches_the_trie_walk(case):
     members, regime = case
     want = sorted(map(BitString.from_str, members))

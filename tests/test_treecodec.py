@@ -427,6 +427,32 @@ class TestMemberTypes:
         with pytest.raises(TypeError):
             ideal_codelength(members, _TYPED_PARAMS[0])
 
+    # prefixes and zero-extensions of a few short strings, so that many
+    # members share their bytes and differ only in their length
+    @given(
+        st.lists(
+            st.tuples(st.text("01", max_size=6), st.integers(0, 12), st.booleans()).map(
+                lambda t: (BitString.from_str if t[2] else str)(t[0] + "0" * t[1])
+            ),
+            max_size=40,
+        )
+    )
+    @example(["", "0", "00", "01", "010", "0100000000", "0", BitString.from_str("00")])
+    @settings(max_examples=200, deadline=None)
+    def test_sort_gives_the_distinct_members_in_order(self, members):
+        call = treecodec._Call(CodecParams(GeneralRegime(UniformLength(0, 20))))
+        datas, values, lengths, cum = treecodec._sort(members, call)
+        bits = list(map(as_bitstring, members))
+        assert list(zip(datas, lengths)) == sorted({(b.data, b.nbits) for b in bits})
+        assert [format(v, f"0{n}b") if n else "" for v, n in zip(values, lengths)] == [
+            BitString(data, n).to_str() for data, n in zip(datas, lengths)
+        ]
+        counts = Counter(bits)
+        assert [cum[i + 1] - cum[i] for i in range(len(datas))] == [
+            counts[BitString(data, n)] for data, n in zip(datas, lengths)
+        ]
+        assert cum[0] == 0 and cum[-1] == len(members)
+
 
 # --- coder optimality -------------------------------------------------------
 
@@ -919,7 +945,12 @@ class TestValidation:
                 return False
             return True
 
-        closed = treecodec._ends_complete(detector.first_complete)
+        def closed(listed):
+            # the check reads each member's int and length, as _sort gives them
+            lengths = [nbits for _, nbits in listed]
+            values = [int.from_bytes(data) >> (-nbits & 7) for data, nbits in listed]
+            treecodec._ends_complete(detector.first_complete)(values, lengths)
+
         walk = prefix_free(detector.is_complete)
         for listed in (sorted(set(pairs)), pairs):
             assert accepts(closed, listed) == accepts(walk, listed)
