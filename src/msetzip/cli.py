@@ -19,6 +19,7 @@ same rule.  Fixed-mode defaults to hex, the variable regimes to bits.
 from __future__ import annotations
 
 import argparse
+import os
 import string
 import sys
 from contextlib import nullcontext
@@ -218,10 +219,19 @@ def cmd_compress(args) -> int:
         serialize_header(params)  # refuses a field the container cannot hold
     except ValueError as e:
         raise MsetzipError(f"bad compression parameters: {e}") from None
+    # a path that cannot be written fails before the coding, not after it;
+    # a refused input then leaves no file that this run created
+    created = args.out != "-" and not os.path.lexists(args.out)
+    if args.out != "-":
+        _open(args.out, "ab").close()
     try:
         container = compress(members, params)
-    except ValueError as e:  # more members than the container can count
-        raise MsetzipError(str(e)) from None
+    except BaseException as e:
+        if created:
+            os.remove(args.out)
+        if isinstance(e, ValueError):  # more members than the container can count
+            raise MsetzipError(str(e)) from None
+        raise
     _write_bytes(args.out, container)
     return 0
 

@@ -54,7 +54,7 @@ class IntMultiset(Frozen):
             raise ValueError("counts must have exactly k entries")
         if min(counts) < 0:
             raise ValueError("counts must be >= 0")
-        self._set(k, counts)
+        self._set(k, tuple(counts))  # a frozen value, hashable, even from a list
 
     @classmethod
     def from_values(cls, values, k: int) -> "IntMultiset":
@@ -63,7 +63,7 @@ class IntMultiset(Frozen):
             if not 1 <= v <= k:
                 raise ValueError(f"value {v} outside alphabet 1..{k}")
             counts[v - 1] += 1
-        return cls(k=k, counts=tuple(counts))
+        return cls(k=k, counts=counts)
 
     @property
     def n(self) -> int:

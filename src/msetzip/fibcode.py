@@ -66,8 +66,8 @@ def fib_decode(bits: str) -> tuple[int, int]:
 
 
 def write_fib(writer, n: int) -> None:
-    for c in fib_encode(n):
-        writer.write_bit(c == "1")
+    code = fib_encode(n)
+    writer.write_bits(int(code, 2), len(code))
 
 
 def read_fib(reader: BitReader) -> int:

@@ -31,23 +31,24 @@ termination counts are coded the termination is a point mass, [0, 1] in
 one stretch, and a chain at n = 1 is a run of decisions under the
 two-outcome table split.  The encoder codes ((split, n, termination, d,
 count), bits), one bit per depth, first depth on top, 1 for outcome n.
-The decoder decodes at most count depths and answers 1 << c | bits for
-the c depths it took.  At each depth it works out both outcomes in copies
-of its registers and commits the depth only if the termination outcome is
-0 and the split outcome 0 or n.  Otherwise it stops there, the registers
-as that depth found them, and the caller decodes the depth one decision
-at a time, so any payload decodes exactly as it would one decision per
-table.  Both sides refuse a chain whose n is not its split table's top
-outcome, whose split total is out of range or whose count is below 0 with
-ValueError, before any of its depths.  The encoder reads the bits of a
-chain as bytes of 0/1 values, one small int per depth rather than a shift
-of the whole int.  It finds a stretch's dead split outcomes by one scan of
-those bytes in C, the first 1 where outcome n has no mass and the first 0
-where outcome 0 has none, and settles once per stretch whether its
-termination table and outcome 0 narrow the range and how many symbols it
-codes, so each depth runs only its arithmetic.  The depth a scan finds
-codes its termination count and then raises ModelMismatchError, as one
-decision at a time would.
+The decoder takes (split, n, termination, d, count, prefix), decodes at
+most count depths, appends each depth's bit to the bytearray prefix and
+answers the number c of depths it took, as it does for a tail.  At each
+depth it works out both outcomes in copies of its registers and commits
+the depth only if the termination outcome is 0 and the split outcome 0 or
+n.  Otherwise it stops there, the registers as that depth found them, and
+the caller decodes the depth one decision at a time, so any payload
+decodes exactly as it would one decision per table.  Both sides refuse a
+chain whose n is not its split table's top outcome, whose split total is
+out of range or whose count is below 0 with ValueError, before any of its
+depths.  The encoder reads the bits of a chain as bytes of 0/1 values, one
+small int per depth rather than a shift of the whole int.  It finds a
+stretch's dead split outcomes by one scan of those bytes in C, the first 1
+where outcome n has no mass and the first 0 where outcome 0 has none, and
+settles once per stretch whether its termination table and outcome 0
+narrow the range and how many symbols it codes, so each depth runs only
+its arithmetic.  The depth a scan finds codes its termination count and
+then raises ModelMismatchError, as one decision at a time would.
 
 The decoder also takes a tail: the rest of one member below its node in
 the self-delimiting regime, where only the member's bits tell where it
@@ -86,10 +87,10 @@ decoder slices the next m bytes B from its buffer and divides
 (value << 8 (m - 1)) | B >> 8 by q: the quotient is J, and the remainder
 followed by B's last byte is value.  A tail of t < 8 decisions j adds
 (R >> t) j to low, or takes j = value // (R >> t), and leaves
-range = R >> t.  The decoder steps bytes only while value < range, which
-holds unless the payload opens with eight 0xFF bytes; there
-value == range, and the stretch decodes one depth at a time as the
-per-decision decoder would.
+range = R >> t.  The decoder appends the bits of J and j to prefix in one
+step, and steps bytes only while value < range, which holds unless the
+payload opens with eight 0xFF bytes; there value == range, and the
+stretch decodes one depth at a time as the per-decision decoder would.
 
 With a 64-bit range register and table totals capped at TOTAL_MAX =
 2**24, the quotient range // T is at least 2**32, which bounds the
@@ -384,18 +385,18 @@ class RangeDecoder:
         whose tables depend on earlier outcomes decodes in one call.
 
         A table is a list or array.  A walk may also yield a chain (split,
-        n, termination, d, count), termination(e, n) giving (table, end) as
-        for RangeEncoder.encode_intervals and called only where a stretch
-        starts; it is sent 1 << c | bits for the c <= count depths from d
-        whose termination outcome is 0 and split outcome 0 or n (a 1 bit),
-        the first depth's in the top bit below the leading 1, exactly as
-        those decisions one by one would have decoded them, and the next
-        depth is left undecoded.  A walk may also yield a tail (split,
+        n, termination, d, count, prefix), termination(e, n) giving (table,
+        end) as for RangeEncoder.encode_intervals and called only where a
+        stretch starts: it is sent the number c <= count of depths from d
+        whose termination outcome is 0 and split outcome 0 or n, exactly as
+        those decisions one by one would have decoded them, each depth's
+        bit, 1 for outcome n, appended to the bytearray prefix, and the
+        next depth is left undecoded.  A walk may also yield a tail (split,
         prefix, complete, count), split a two-outcome table: it is sent the
         number c <= count of depths decoded under split, one by one, each
-        outcome appended to the bytearray prefix, c the first at which
-        complete(prefix) holds, else count.  A malformed chain or tail
-        raises ValueError before any of its depths.
+        outcome appended to prefix, c the first at which complete(prefix)
+        holds, else count.  A malformed chain or tail raises ValueError
+        before any of its depths.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -439,14 +440,13 @@ class RangeDecoder:
                         cum = walk.send(c)
                         continue
                     # a chain: decode a depth's termination count, then its
-                    # split, into v, r, p, and commit the depth only if
-                    # they are 0, and 0 or n; k takes at most 30 bits, the
-                    # older ones wait in top under the leading 1
-                    split, n, termination, d, count = cum
+                    # split, into v, r, p, and commit the depth only if they
+                    # are 0, and 0 or n: its bit appended to prefix
+                    split, n, termination, d, count, prefix = cum
                     s1, sn, stotal = _chain(split, n, count)
                     half = stotal == 2 and s1 == 1
-                    top, k, j = 1, 0, 0
-                    stop = d + count
+                    append = prefix.append
+                    first, stop = d, d + count
                     while d < stop:
                         # a stretch starts: its table, checked once
                         term, end = termination(d, n)
@@ -460,17 +460,15 @@ class RangeDecoder:
                             end = stop
                         if total == 1 and half:
                             # equiprobable: bit by bit up to the first
-                            # renormalisation, then bytes; k holds j + m - i
-                            # bits after bit i of the stretch's m
-                            j += end - d
+                            # renormalisation, then the last i bits in bytes
                             for i in range(end - d - 1, -1, -1):
                                 x = rng >> 1
                                 if value >= x:
-                                    k += k + 1
+                                    append(1)
                                     value -= x
                                     rng -= x
                                 else:
-                                    k += k
+                                    append(0)
                                     rng = x
                                 if rng < TOP:
                                     while rng < TOP:
@@ -483,29 +481,24 @@ class RangeDecoder:
                                     # with eight 0xFF bytes; it stays bit by bit
                                     if value < rng:
                                         break
-                                    if j - i >= 30:
-                                        top = top << j - i | k
-                                        k, j = 0, i
-                            j -= i
                             d = end
                             if i:  # left only where the loop broke off
                                 # the mirror of the encoder's byte steps: q8
                                 # bytes B of input give q8 bytes of bits at
-                                # one division
-                                top = top << j | k
-                                k = j = 0
+                                # one division, then t bits at another
                                 q8, t = divmod(i, 8)
+                                x = 0
                                 if q8:
                                     b = data[pos : pos + q8]
                                     b = int.from_bytes(b, "big") << 8 * (q8 - len(b))
                                     pos += q8
                                     x, r = divmod((value << 8 * q8 - 8) | b >> 8, rng >> 8)
                                     value = r << 8 | b & 0xFF
-                                    top = top << 8 * q8 | x
                                 if t:
                                     rng >>= t
-                                    x, value = divmod(value, rng)
-                                    top = top << t | x
+                                    y, value = divmod(value, rng)
+                                    x = x << t | y
+                                prefix += marked_bits(x | 1 << i)
                             continue
                         for d in range(d, end):
                             v, r, p = value, rng, pos
@@ -523,12 +516,12 @@ class RangeDecoder:
                             if s1 and (s1 == stotal or v < q * s1):
                                 if s1 != stotal:
                                     r = q * s1
-                                k += k
+                                append(0)
                             elif sn < stotal and v >= q * sn:  # the remainder zone too
                                 x = q * sn
                                 v -= x
                                 r -= x
-                                k += k + 1
+                                append(1)
                             else:
                                 break
                             while r < TOP:
@@ -538,15 +531,11 @@ class RangeDecoder:
                                 p += 1
                                 r <<= 8
                             value, rng, pos = v, r, p
-                            j += 1
-                            if j == 30:
-                                top = top << 30 | k
-                                k = j = 0
                         else:
                             d = end
                             continue
                         break  # the depth d stopped the chain
-                    cum = walk.send(top << j | k)
+                    cum = walk.send(d - first)
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:

@@ -39,24 +39,25 @@ termination and the equiprobable split(1) a whole stretch of bytes at a
 time, and the ideal codelength sums it over the exact log2 pmf, a chain
 one decision at a time.  The decoder runs the walk's mirror, _decode_walk:
 it hands each table to the range decoder, takes back the count, and
-follows a node's path without the stack until it branches, which at
-n = 1 is the whole rest of a member.  In the fixed and general regimes
-the walk offers a chain (split(n), n, stretch, d, cap - d) at a node of
-n = 1 and at each node after a split that did not branch, but not on
-entering a node of n > 1, whose first split may branch at once.  The
-range decoder takes depths up to the first one whose termination
-count is not 0 or whose split is not 0 or n, and stops before it; the
-walk then decodes that depth one decision at a time, and takes a
-termination count under a point mass, which codes nothing, without the
-range decoder.  A fixed-length member is complete when its path reaches
-depth L.  The self-delimiting regime decodes a node of n > 1 one decision
-at a time, its detector asked at each depth.  At a node of n = 1 it hands
-the range decoder the rest of the member as one tail (split(1), prefix,
-is_complete, cap - d + 1): the range decoder appends each depth's bit to
-prefix, asks the detector after each, and sends back the depths it took,
-up to the first complete prefix or past the depth cap.  A split(1) whose
-outcome 1 has no mass decodes one decision at a time.  Every distinct
-member is checked against the regime before the first symbol is coded.
+follows a node's path, a bytearray prefix of 0/1 values, without the stack
+until it branches, which at n = 1 is the whole rest of a member.  In the
+fixed and general regimes the walk offers a chain (split(n), n, stretch,
+d, cap - d, prefix) at a node of n = 1 and at each node after a split that
+did not branch, but not on entering a node of n > 1, whose first split may
+branch at once.  The range decoder takes depths up to the first one whose
+termination count is not 0 or whose split is not 0 or n, appends their
+bits to prefix and sends back how many it took; the walk then decodes the
+next depth one decision at a time, and takes a termination count under a
+point mass, which codes nothing, without the range decoder.  A
+fixed-length member is complete when its path reaches depth L.  The
+self-delimiting regime decodes a node of n > 1 one decision at a time, its
+detector asked at each depth.  At a node of n = 1 it hands the range
+decoder the rest of the member as one tail (split(1), prefix, is_complete,
+cap - d + 1): the range decoder appends each depth's bit to prefix, asks
+the detector after each, and sends back the depths it took, up to the
+first complete prefix or past the depth cap.  A split(1) whose outcome 1
+has no mass decodes one decision at a time.  Every distinct member is
+checked against the regime before the first symbol is coded.
 
 Each call reads its CodecParams once, into one _Call object: the
 family's tables behind per-call caches, the depth cap, the member check,
@@ -398,22 +399,22 @@ def _decisions(sorted_members: tuple, call: _Call):
 def _decode_walk(n_members: int, call: _Call, out: list):
     """The decoder's mirror of _decisions, run by RangeDecoder.decode_walk:
     yield each decision's table, receive its outcome.  Appends the members
-    to out in lexicographic order, one BitString per copy.  A node's path
-    is followed without the stack until it branches.  In the fixed and
-    general regimes the walk offers a chain (split(n), n, stretch, d,
-    cap - d) at a node of n = 1 and at each node after a split that did
-    not branch, and receives 1 << c | bits for the c depths the range
-    decoder could take whole; the depth after them goes one decision at a
-    time.  A fixed-length member is complete when its path reaches depth
+    to out in lexicographic order, one BitString per copy.  A node's path is
+    followed without the stack until it branches.  In the fixed and general
+    regimes the walk offers a chain (split(n), n, stretch, d, cap - d,
+    prefix) at a node of n = 1 and at each node after a split that did not
+    branch, and receives the c depths the range decoder could take whole,
+    their bits appended to prefix; the depth after them goes one decision at
+    a time.  A fixed-length member is complete when its path reaches depth
     L, by a chain or by a split.  The self-delimiting regime offers a tail
-    (split(1), prefix, complete, cap - d + 1) at a node of n = 1 that is
-    not complete, unless outcome 1 of split(1) has no mass, and receives
-    the c depths the range decoder took, their bits appended to prefix:
-    the member ends at depth d + c unless that passes the cap.  It takes
-    every other decision one at a time.  A termination count whose table
-    is a point mass codes nothing, so the walk takes that table's one live
-    outcome without the range decoder.  The prefix is a bytearray of 0/1
-    values, which a chain extends in one step, a tail a bit at a time, and
+    (split(1), prefix, complete, cap - d + 1) at a node of n = 1 that is not
+    complete, unless outcome 1 of split(1) has no mass, and receives the c
+    depths the range decoder took, their bits appended to prefix: the member
+    ends at depth d + c unless that passes the cap.  It takes every other
+    decision one at a time.  A termination count whose table is a point mass
+    codes nothing, so the walk takes that table's one live outcome without
+    the range decoder.  The prefix is a bytearray of 0/1 values, which the
+    range decoder extends for a chain and a tail alike, and
     BitString.from_bits packs in C."""
     end, complete, cap = call.end, call.complete, call.cap
     split, termination, stretch = call.split, call.termination, call.stretch
@@ -443,13 +444,11 @@ def _decode_walk(n_members: int, call: _Call, out: list):
                     break
             if chain:
                 # the depths from here whose termination count is 0 and whose
-                # members all take one branch, up to the depth cap
+                # members all take one branch, up to the depth cap, their
+                # bits appended to prefix
                 chain = False
-                taken = yield table, n, stretch, d, cap - d
-                if taken > 1:
-                    prefix += marked_bits(taken)
-                    d += taken.bit_length() - 1
-                    continue
+                d += yield table, n, stretch, d, cap - d, prefix
+                continue
             if termination is not None:
                 term = termination(d, n)
                 if term[-1] == 1:  # a point mass codes nothing: its live outcome

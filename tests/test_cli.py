@@ -349,6 +349,45 @@ class TestFileErrors:
         assert run(command, str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
 
+    def test_unwritable_out_fails_before_the_coding(self, tmp_path, capsys, monkeypatch):
+        from msetzip import cli
+
+        def unexpected(*args):
+            raise AssertionError("the input was coded")
+
+        monkeypatch.setattr(cli, "compress", unexpected)
+        src = tmp_path / "in.hex"
+        src.write_text("deadbeef\n")
+        out = tmp_path / "no-such-dir" / "out"
+        assert run("compress", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("existing", [None, b"", b"an earlier container"])
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("deadbeef\n00\n", ["--length", "32"]),  # a member the regime cannot code
+            ("0\n1\n1\n0\n", ["--input-format", "bits", "--length", "1"]),  # too many
+        ],
+        ids=["mismatch", "too-many"],
+    )
+    def test_refused_input_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                 existing, text, flags):
+        # --out is opened before the coding; an input refused there removes
+        # the file only if this run created it, and never changes its bytes
+        monkeypatch.setattr(container, "MAX_MEMBERS", 3)
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        out = tmp_path / "out.msz"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert run("compress", str(src), *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("msetzip:")
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
     @pytest.mark.parametrize("command", ["bench-fib", "bench-rsha1"])
     def test_unwritable_csv_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command):
         from msetzip import bench

@@ -63,6 +63,18 @@ SELF_DELIMITING_FAMILIES = [
 ]
 
 
+# the equiprobable split at n = 1 under two families, lopsided ones, and
+# two whose outcome 0 or outcome n has no mass
+FIXED_FAMILIES = [
+    BinomialFamily(Fraction(1, 2)),
+    BetaBinomialFamily(Fraction(1, 2), Fraction(1, 2)),
+    BetaBinomialFamily(Fraction(2), Fraction(5)),
+    BinomialFamily(Fraction(1, 3)),
+    BinomialFamily(Fraction(1)),
+    BinomialFamily(Fraction(0)),
+]
+
+
 def _termination_table(params: CodecParams, n: int, d: int):
     theta_t = reference_hazard(params.regime.length_model, d)
     return params.family.termination_table(n, *theta_t.as_integer_ratio())
@@ -289,3 +301,28 @@ def test_random_payloads_decode_as_the_trie_walk_self_delimiting(data, n_members
                     decode_members(params, n_members, RangeDecoder.from_bytes(data))
             else:
                 assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, 2**32).map(lambda seed: random.Random(seed).randbytes(64)),
+    ),
+    n_members=st.integers(0, 40),
+    length=st.sampled_from([1, 7, 64, 200]),
+)
+# value >= range: the equiprobable split's shift path on a payload that
+# opens with eight 0xFF bytes
+@example(data=b"\xff" * 8 + b"\x5a" * 8, n_members=1, length=200)
+@example(data=b"\xff" * 8, n_members=7, length=64)
+def test_random_payloads_decode_as_the_trie_walk_fixed(data, n_members, length):
+    # payloads that no encoder wrote: where a chain stops, and the whole
+    # bytes of depths the equiprobable split steps over at once, must not
+    # change what decodes.  Every member ends at the fixed length, so any
+    # payload decodes.
+    regime = FixedRegime(length)
+    for family in FIXED_FAMILIES:
+        params = CodecParams(regime, family)
+        want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), length)
+        assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want

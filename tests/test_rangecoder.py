@@ -386,9 +386,20 @@ def test_malformed_run_codes_nothing(count, bits, error):
     assert enc.finish() == ref.finish()
 
 
+def _marked(item):
+    """The walk of one decoder chain (split, n, termination, d, count): it
+    hands the kernel a prefix that already holds a sentinel byte, checks
+    that the kernel left that byte alone and appended one 0/1 value for
+    each of the c depths it sent back, and returns 1 << c | bits."""
+    prefix = bytearray(b"\x07")
+    c = yield (*item, prefix)
+    assert prefix[0] == 7 and len(prefix) == 1 + c and set(prefix[1:]) <= {0, 1}
+    return int("1" + "".join(map(str, prefix[1:])), 2)
+
+
 def _run_walk(cum, count):
     """The walk of one run: it returns the run's outcomes as one int."""
-    got = yield _run_chain(cum, count)
+    got = yield from _marked(_run_chain(cum, count))
     assert got >> count == 1  # a point mass never stops a chain at n = 1
     return got ^ 1 << count
 
@@ -535,8 +546,9 @@ def test_equiprobable_run_on_a_payload_that_opens_with_ff_bytes(ffs):
 @pytest.mark.parametrize("count", [29, 30, 31, 59, 60, 61, 89, 90, 91, 1000])
 @pytest.mark.parametrize("cum", RUN_TABLES[1:5])
 def test_long_runs_code_as_their_decisions_one_by_one(cum, count):
-    # both kernels take a run's bits 30 at a time under tables other than
-    # [0, 1, 2]; across those boundaries they must still match
+    # under tables other than [0, 1, 2] both kernels take a run a depth at
+    # a time, the encoder reading each bit from a 0/1 byte and the decoder
+    # appending it to the prefix; at every length they must still match
     # encode_interval and decode_target one decision per call
     for bits in _bit_patterns(count, count):
         enc, one = RangeEncoder(), RangeEncoder()
@@ -782,7 +794,7 @@ def test_chain_codes_as_its_decisions(seed, case, width, d, bits):
 
 def _chain_walk(case, d: int, count: int, width=1):
     split, n, tables = case
-    return (yield split, n, _termination(tables, width), d, count)
+    return (yield from _marked((split, n, _termination(tables, width), d, count)))
 
 
 def _chain_by_targets(dec: RangeDecoder, case, d: int, count: int, width=1) -> int:
@@ -852,11 +864,8 @@ def test_chain_looks_up_one_table_per_stretch(width):
     assert asked == starts
     asked.clear()
 
-    def walk():
-        return (yield item)
-
     dec = RangeDecoder.from_bytes(enc.finish().data)
-    assert dec.decode_walk(walk()) == 1 << 40 | bits
+    assert dec.decode_walk(_marked(item)) == 1 << 40 | bits
     assert asked == starts
 
 
@@ -986,7 +995,7 @@ def test_both_kernels_refuse_a_malformed_chain(split, n, count, bits):
     dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
     state = dec.value, dec.range
     with pytest.raises(ValueError):
-        dec.decode_walk(iter([item]))
+        dec.decode_walk(_marked(item))
     assert (dec.value, dec.range) == state
 
 
@@ -1005,7 +1014,7 @@ def test_chain_refuses_a_termination_table_at_its_depth():
     for cum in ([0, 5, 8], [0, 3, 8], [0, 6, 9], [0, 3, 8]):
         one.decode_target(cum)
     with pytest.raises(ValueError):
-        dec.decode_walk(iter([item]))
+        dec.decode_walk(_marked(item))
     assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
 
 
@@ -1031,15 +1040,12 @@ def test_chain_checks_a_stretch_table_at_the_stretch_start(bad, error):
     for cum in ([0, 5, 8], [0, 3, 8], [0, 5, 8], [0, 3, 8]):
         one.decode_target(cum)
 
-    def walk():
-        return (yield item)
-
     asked.clear()
     if error is ValueError:
         with pytest.raises(ValueError):
-            dec.decode_walk(walk())
+            dec.decode_walk(_marked(item))
     else:
-        assert dec.decode_walk(walk()) == 0b110
+        assert dec.decode_walk(_marked(item)) == 0b110
     assert asked == [0, 2]
     assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
 

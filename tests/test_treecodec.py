@@ -489,12 +489,19 @@ class TestOptimality:
 
 
 def _counted(stream, seen):
-    """stream, recording each item with what the coder sent back for it."""
+    """stream, recording each item with what the coder sent back for it.  A
+    decoder chain (split, n, termination, d, count, prefix), sent back the c
+    depths whose bits it appended to prefix, is recorded in the encoder's
+    shape: the chain without prefix, and 1 << c | bits."""
     item = next(stream)
     try:
         while True:
             reply = yield item
-            seen.append((item, reply))
+            if item.__class__ is tuple and len(item) == 6:
+                bits = item[5][len(item[5]) - reply :]
+                seen.append((item[:5], int("1" + "".join(map(str, bits)), 2)))
+            else:
+                seen.append((item, reply))
             item = stream.send(reply)
     except StopIteration as end:
         return end.value

@@ -126,3 +126,13 @@ def test_defaults():
     assert BinomialFamily() == BinomialFamily(Fraction(1, 2))
     assert BetaBinomialFamily() == BetaBinomialFamily(Fraction(1, 2), Fraction(1, 2))
     assert CodecParams(FixedRegime(8)).family == BinomialFamily()
+
+
+def test_int_multiset_from_a_list_is_a_frozen_value():
+    # the counts are stored as a tuple: the value hashes, and changing the
+    # list it was built from leaves it as it was
+    counts = [1, 0, 0]
+    value = IntMultiset(3, counts)
+    assert value == IntMultiset(3, (1, 0, 0)) and hash(value) == hash(IntMultiset(3, (1, 0, 0)))
+    counts[0] = 5
+    assert value.counts == (1, 0, 0) and value.n == 1
