@@ -22,7 +22,7 @@ import argparse
 import os
 import string
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from .bits import BitString, BitWriter
@@ -149,6 +149,23 @@ def _write_bytes(path: str, data: bytes) -> None:
             f.write(data)
 
 
+@contextmanager
+def _out_first(path: str):
+    """Open path for appending before the work in the with block, so a path
+    that cannot be written fails before the work, not after it.  If the
+    work fails, a file that this open created is removed; an existing
+    file keeps its bytes."""
+    created = path != "-" and not os.path.lexists(path)
+    if path != "-":
+        _open(path, "ab").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def _parse_members(data: bytes, fmt: str, length: int | None) -> list[BitString]:
     if fmt == "raw":
         if length is None or length < 1:
@@ -219,26 +236,24 @@ def cmd_compress(args) -> int:
         serialize_header(params)  # refuses a field the container cannot hold
     except ValueError as e:
         raise MsetzipError(f"bad compression parameters: {e}") from None
-    # a path that cannot be written fails before the coding, not after it;
-    # a refused input then leaves no file that this run created
-    created = args.out != "-" and not os.path.lexists(args.out)
-    if args.out != "-":
-        _open(args.out, "ab").close()
-    try:
-        container = compress(members, params)
-    except BaseException as e:
-        if created:
-            os.remove(args.out)
-        if isinstance(e, ValueError):  # more members than the container can count
+    with _out_first(args.out):
+        try:
+            container = compress(members, params)
+        except ValueError as e:  # more members than the container can count
             raise MsetzipError(str(e)) from None
-        raise
     _write_bytes(args.out, container)
     return 0
 
 
 def cmd_decompress(args) -> int:
-    members = decompress(_read_bytes(args.input))
-    fmt = args.output_format
+    data = _read_bytes(args.input)
+    with _out_first(args.out):
+        output = _format_members(decompress(data), args.output_format)
+    _write_bytes(args.out, output)
+    return 0
+
+
+def _format_members(members: list[BitString], fmt: str | None) -> bytes:
     if fmt is None:
         fmt = "hex" if members and all(m.nbits % 8 == 0 and m.nbits for m in members) else "bits"
     # Refuse output that compress would read back as another multiset:
@@ -256,17 +271,13 @@ def cmd_decompress(args) -> int:
     if fmt == "hex":
         if any(m.nbits % 8 for m in members):
             raise MsetzipError("hex output needs byte-multiple member lengths")
-        text = "".join(m.data.hex() + "\n" for m in members)
-        _write_bytes(args.out, text.encode("ascii"))
-    elif fmt == "bits":
-        text = "".join(m.to_str() + "\n" for m in members)
-        _write_bytes(args.out, text.encode("ascii"))
-    else:
-        w = BitWriter()
-        for m in members:
-            w.write_bitstring(m)
-        _write_bytes(args.out, w.getvalue())
-    return 0
+        return "".join(m.data.hex() + "\n" for m in members).encode("ascii")
+    if fmt == "bits":
+        return "".join(m.to_str() + "\n" for m in members).encode("ascii")
+    w = BitWriter()
+    for m in members:
+        w.write_bitstring(m)
+    return w.getvalue()
 
 
 def cmd_bench(args) -> int:

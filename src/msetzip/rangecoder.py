@@ -64,6 +64,20 @@ encoder codes the same depths as a chain at n = 1.  A tail whose split
 has other than two outcomes, a dead outcome 1 or a total out of range, or
 whose count is below 0, raises ValueError before any of its depths.
 
+Either stream may also hold a descent: the levels below a node of a
+halving walk (dirmult) that holds one member, down to its slot.  Its
+item is (table, lo, hi), table(n, width) the walk's table of a node of n
+members over width slots.  While hi - lo > 1 a level takes split =
+table(1, hi - lo) and mid = (lo + hi) // 2, and codes outcome 1, the
+remainder's owner, if the slot lies in [lo, mid), and then keeps that
+half, else outcome 0 and the half [mid, hi).  Each level is the
+per-decision step: its total is checked, symbols_coded counts it unless
+it is a point mass, and where value is at or past outcome 0's bound the
+decoder takes outcome 1 unless it is dead, as bisect_right finds it.
+No table outlives its level.  The encoder codes ((table, lo, hi), slot)
+and refuses a slot outside [lo, hi); the decoder takes (table, lo, hi),
+refuses an empty [lo, hi), and answers the slot.
+
 Whenever range drops below 2**56 the top byte of low is appended to the
 output and both registers scale up by 256.  A carry out of the window is
 added straight into the output, turning its trailing 0xFF bytes to 0x00
@@ -165,12 +179,17 @@ class RangeEncoder:
         is called at d and then only at each end the chain reaches.  A
         stretch's first bit whose split outcome has no mass is found before
         any of its depths is coded, by one scan of its bits, and the depths
-        before it run without a test of the tables.
+        before it run without a test of the tables.  A descent ((table, lo,
+        hi), slot) codes, for each level of the halving of [lo, hi) down to
+        slot, outcome 1 of table(1, hi - lo) where slot lies in the left
+        half and 0 where it lies in the right, exactly as those decisions
+        one by one would.
 
         An error leaves the decisions before the failing one coded, and
         symbols_coded counts them: a chain's refused depth codes its
-        termination count first.  A malformed chain raises ValueError
-        before any of its decisions.
+        termination count first.  A malformed chain, or a descent whose
+        slot is outside [lo, hi), raises ValueError before any of its
+        decisions.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -180,6 +199,46 @@ class RangeEncoder:
         try:
             for cum, k in decisions:
                 if cum.__class__ is tuple:
+                    if len(cum) == 3:
+                        # a descent: the member's slot k, a level at a time,
+                        # outcome 1 for the left half, which takes the remainder
+                        table, lo, hi = cum
+                        if not lo <= k < hi:
+                            raise ValueError(f"slot {k} outside the descent's slots [{lo}, {hi})")
+                        while hi - lo > 1:
+                            mid = (lo + hi) >> 1
+                            split = table(1, hi - lo)
+                            total = split[-1]
+                            if not 1 <= total <= TOTAL_MAX:
+                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                            # a point mass, [0, 0, 1] or [0, 1, 1], leaves
+                            # the registers as they are and is not counted
+                            s1 = split[1]
+                            if k < mid:
+                                if s1 == total:
+                                    raise ModelMismatchError("outcome 1 has zero probability under the model")
+                                hi = mid
+                                x = rng // total * s1
+                                low += x
+                                rng -= x
+                                if low > MASK:
+                                    self._carry()
+                                    low &= MASK
+                            else:
+                                if not s1:
+                                    raise ModelMismatchError("outcome 0 has zero probability under the model")
+                                lo = mid
+                                if s1 != total:
+                                    rng = rng // total * s1
+                            while rng < TOP:
+                                if not rng:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                emit(low >> shift)
+                                low = (low << 8) & MASK
+                                rng <<= 8
+                            coded += total > 1
+                        split = None  # no table outlives its level
+                        continue
                     # a chain: per depth, termination outcome 0, then split
                     # outcome 0 or n by the next bit of k, a stretch at a time
                     split, n, termination, d, count = cum
@@ -395,8 +454,12 @@ class RangeDecoder:
         prefix, complete, count), split a two-outcome table: it is sent the
         number c <= count of depths decoded under split, one by one, each
         outcome appended to prefix, c the first at which complete(prefix)
-        holds, else count.  A malformed chain or tail raises ValueError
-        before any of its depths.
+        holds, else count.  A walk may also yield a descent (table, lo,
+        hi): it is sent the slot in [lo, hi) that the levels of the halving
+        of [lo, hi) decode to, each level under table(1, hi - lo), outcome
+        1 for the left half, exactly as those decisions one by one would.
+        A malformed chain, tail or descent raises ValueError before any of
+        its depths.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -438,6 +501,38 @@ class RangeDecoder:
                             if complete(prefix):
                                 break
                         cum = walk.send(c)
+                        continue
+                    if len(cum) == 3:
+                        # a descent: a level at a time, outcome 1, the left
+                        # half, where value is past outcome 0's slice, as
+                        # bisect_right finds it, the remainder zone too
+                        table, lo, hi = cum
+                        if not lo < hi:
+                            raise ValueError(f"a descent needs slots, got [{lo}, {hi})")
+                        while hi - lo > 1:
+                            mid = (lo + hi) >> 1
+                            split = table(1, hi - lo)
+                            total = split[-1]
+                            if not 1 <= total <= TOTAL_MAX:
+                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+                            s1 = split[1]
+                            x = rng // total * s1
+                            if value >= x and s1 != total:
+                                value -= x
+                                rng -= x
+                                hi = mid
+                            else:
+                                if s1 != total:
+                                    rng = x
+                                lo = mid
+                            while rng < TOP:
+                                if not rng:
+                                    raise RuntimeError(_ZERO_RANGE)
+                                value = (value << 8 | (data[pos] if pos < size else 0)) & MASK
+                                pos += 1
+                                rng <<= 8
+                        split = None  # no table outlives its level
+                        cum = walk.send(lo)
                         continue
                     # a chain: decode a depth's termination count, then its
                     # split, into v, r, p, and commit the depth only if they

@@ -362,6 +362,50 @@ class TestFileErrors:
         assert run("compress", str(src), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
 
+    def test_unwritable_out_fails_before_the_decoding(self, tmp_path, capsys, monkeypatch):
+        from msetzip import cli
+
+        def unexpected(*args):
+            raise AssertionError("the container was decoded")
+
+        monkeypatch.setattr(cli, "decompress", unexpected)
+        src = tmp_path / "in.msz"
+        src.write_bytes(b"any bytes")
+        out = tmp_path / "no-such-dir" / "out"
+        assert run("decompress", str(src), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"msetzip: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("existing", [None, b"", b"an earlier output"])
+    @pytest.mark.parametrize("failure", ["decode", "format"])
+    def test_failed_decompress_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                    existing, failure):
+        # --out is opened before the decoding; a container refused there, or
+        # members that --output-format cannot hold, remove the file only if
+        # this run created it, and never change its bytes
+        from msetzip import cli
+        from msetzip.errors import MsetzipError
+
+        src, box = tmp_path / "in.bits", tmp_path / "in.msz"
+        src.write_text("101\n011\n")
+        assert run("compress", str(src), "--input-format", "bits", "--out", str(box)) == 0
+        if failure == "decode":
+            def refuse(data):
+                raise MsetzipError("a damaged container")
+
+            monkeypatch.setattr(cli, "decompress", refuse)
+        out = tmp_path / "out.hex"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert run("decompress", str(box), "--output-format", "hex", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "msetzip: a damaged container\n" if failure == "decode"
+            else "msetzip: hex output needs byte-multiple member lengths\n"
+        )
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
     @pytest.mark.parametrize("existing", [None, b"", b"an earlier container"])
     @pytest.mark.parametrize(
         "text, flags",

@@ -3,6 +3,7 @@ round-trips; golden payloads."""
 
 import gc
 import hashlib
+import itertools
 import math
 import random
 import weakref
@@ -10,6 +11,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msetzip.dirmult as dirmult
 from msetzip.dirmult import (
@@ -20,7 +23,7 @@ from msetzip.dirmult import (
     ideal_codelength_dirmult,
 )
 from msetzip.quantize import quantized_betabin
-from msetzip.rangecoder import RangeDecoder, RangeEncoder
+from msetzip.rangecoder import MASK, TOP, RangeDecoder, RangeEncoder
 
 HALF = Fraction(1, 2)
 
@@ -194,11 +197,129 @@ class TestValidation:
             IntMultiset(0, ())
 
     def test_alpha_positive(self):
-        ms = IntMultiset(2, (1, 1))
-        with pytest.raises(ValueError):
-            encode_dirmult(ms, RangeEncoder(), Fraction(0))
+        # before any work: the encoder has coded nothing
+        enc = RangeEncoder()
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            encode_dirmult(IntMultiset(4, (1, 0, 2, 1)), enc, Fraction(0))
+        assert (enc.low, enc.range, enc.symbols_coded) == (0, RangeEncoder().range, 0)
         with pytest.raises(ValueError):
             decode_dirmult(2, 2, RangeDecoder.from_bytes(b""), Fraction(-1))
+
+    def test_counts_are_integers(self):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            IntMultiset(2, (1, 1.5))
+        with pytest.raises(ValueError, match="counts must be integers"):
+            IntMultiset(3, (1, Fraction(1, 2), 0))
+
+    @pytest.mark.parametrize(
+        "k, n, alpha, match",
+        [
+            (0, 5, HALF, "alphabet bound k must be >= 1"),
+            (-3, 2, HALF, "alphabet bound k must be >= 1"),
+            (4, -1, HALF, "member count n must be >= 0"),
+            (4, 2, Fraction(0), "alpha must be positive"),
+        ],
+        ids=["k0", "k-negative", "n-negative", "alpha0"],
+    )
+    def test_decode_checks_its_arguments_first(self, k, n, alpha, match):
+        # before the walk: the decoder has read nothing
+        dec = RangeDecoder.from_bytes(bytes(range(40)))
+        state = (dec.value, dec.range, dec._pos)
+        with pytest.raises(ValueError, match=match):
+            decode_dirmult(k, n, dec, alpha)
+        assert (dec.value, dec.range, dec._pos) == state
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(-1), -0.5, float("nan")])
+    def test_ideal_codelength_checks_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            ideal_codelength_dirmult(IntMultiset(2, (1, 1)), alpha)
+
+
+def per_level_walk(k: int, n: int, alpha, below=None):
+    """The halving walk with one decision per node, a node of one member
+    included, each under its own table: the reference that the range
+    coder's descent of a lone member must match."""
+    num, den = alpha.as_integer_ratio()
+    counts = [0] * k
+    stack = [(0, k, n)] if n else []
+    while stack:
+        lo, hi, n = stack.pop()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            half = (hi - lo) // 2
+            cum = quantized_betabin(n, half * num, den, (hi - lo - half) * num, den)
+            if below is None:
+                left = yield cum
+            else:
+                left = below[mid] - below[lo]
+                yield cum, left
+            if left < n:
+                stack.append((mid, hi, n - left))
+            if not left:
+                break
+            hi, n = mid, left
+        else:
+            counts[lo] = n
+    return counts
+
+
+class TestDescent:
+    """A lone member's levels coded as one descent item code exactly what
+    the per-level decisions code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 3, 5, 64, 10**4]),
+        alpha=st.sampled_from([HALF, Fraction(1, 3), Fraction(2)]),
+        seed=st.integers(0, 2**32),
+        n=st.integers(0, 120),
+    )
+    def test_encoding_matches_per_level_decisions(self, k, alpha, seed, n):
+        ms = random_multiset(random.Random(seed), k, n)
+        enc, ref = RangeEncoder(), RangeEncoder()
+        encode_dirmult(ms, enc, alpha)
+        ref.encode_intervals(
+            per_level_walk(k, ms.n, alpha, list(itertools.accumulate(ms.counts, initial=0)))
+        )
+        assert enc.symbols_coded == ref.symbols_coded
+        assert enc.finish() == ref.finish()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 3, 5, 64, 10**4]),
+        alpha=st.sampled_from([HALF, Fraction(1, 3), Fraction(2)]),
+        # a payload of eight 0xFF bytes sends every member left; only at
+        # n = 1 does that reach a descent
+        n=st.integers(0, 3) | st.integers(0, 120),
+        data=st.one_of(
+            st.binary(max_size=60),
+            st.binary(max_size=40).map(lambda b: b"\xff" * 8 + b),
+        ),
+    )
+    def test_decoding_matches_per_level_decisions(self, k, alpha, n, data):
+        # on arbitrary bytes, and on payloads that open with eight 0xFF
+        # bytes, whose value starts in the remainder zone
+        dec, ref = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+        got = decode_dirmult(k, n, dec, alpha)
+        assert got.counts == tuple(ref.decode_walk(per_level_walk(k, n, alpha)))
+        assert (dec.value, dec.range, dec._pos) == (ref.value, ref.range, ref._pos)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 64])
+    def test_decoding_from_edge_states(self, k):
+        # the renormalisation threshold, ranges just below 2**64, a value on
+        # either side of the bound between the outcomes, in the remainder
+        # zone that the top outcome takes, and at the range itself
+        data = bytes(random.Random(k).getrandbits(8) for _ in range(30))
+        split = quantized_betabin(1, k // 2, 2, (k - k // 2), 2)
+        for rng in (TOP, TOP + 1, 2**64 - 257, MASK):
+            q = rng // split[-1]
+            for value in {0, q * split[1] - 1, q * split[1], q * split[-1], rng - 1, rng}:
+                for n in (1, 2, 3):
+                    dec, ref = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+                    dec.value, dec.range = ref.value, ref.range = value, rng
+                    got = decode_dirmult(k, n, dec)
+                    assert got.counts == tuple(ref.decode_walk(per_level_walk(k, n, HALF)))
+                    assert (dec.value, dec.range, dec._pos) == (ref.value, ref.range, ref._pos)
 
 
 def halving_nodes(counts: tuple) -> set:

@@ -1160,3 +1160,156 @@ def test_decoder_refuses_a_malformed_tail(split, count):
         dec.decode_walk(_tail_walk(split, asked.append, count, prefix))
     assert (dec.value, dec.range) == state
     assert not prefix and not asked
+
+
+# two-outcome tables for a descent's levels: live, slivers, a dead outcome
+# on either side, point masses
+DESCENT_TABLES = [
+    [0, 1, 2],
+    [0, 3, 8],
+    [0, 1, TOTAL_MAX],
+    [0, TOTAL_MAX - 1, TOTAL_MAX],
+    [0, 0, 5],
+    [0, 5, 5],
+    [0, 0, 1],
+    [0, 1, 1],
+]
+
+
+def _descent_table(seed: int, width: int, live_only=False):
+    """table(n, width) of a descent over width slots: a seed-chosen table
+    per width, as a walk's cache gives one per (1, width)."""
+    rng = random.Random(seed)
+    choices = DESCENT_TABLES[:4] if live_only else DESCENT_TABLES
+    tables = {w: rng.choice(choices) for w in range(2, width + 1)}
+    return lambda n, w: tables[w]
+
+
+def _descent_decisions(table, lo: int, hi: int, slot: int) -> list:
+    """The descent to slot as one (table, outcome) per level: outcome 1
+    for the left half."""
+    decisions = []
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        decisions.append((table(1, hi - lo), int(slot < mid)))
+        lo, hi = (lo, mid) if slot < mid else (mid, hi)
+    return decisions
+
+
+def _descent_walk(table, lo: int, hi: int):
+    return (yield table, lo, hi)
+
+
+def _descent_by_targets(dec: RangeDecoder, table, lo: int, hi: int) -> int:
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if dec.decode_target(table(1, hi - lo)) else (mid, hi)
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 3),
+    width=st.integers(1, 300),
+    pick=st.integers(0, 2**16),
+)
+def test_descent_codes_as_its_decisions(seed, lo, width, pick):
+    # a dead outcome anywhere raises where the level-by-level stream does
+    table, slot = _descent_table(seed, width), lo + pick % width
+    lead = _lead(seed)
+    tail = [([0, 2, 5], 1)]  # coded only if the descent raised nothing
+    got = _coded(lead + [((table, lo, lo + width), slot)] + tail)
+    levels = _descent_decisions(table, lo, lo + width, slot)
+    assert got == _one_by_one(RangeEncoder(), lead + levels + tail)
+
+
+def test_descent_round_trips_and_carries(monkeypatch):
+    carries = []
+    carry = RangeEncoder._carry
+    monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
+    # the left half is almost certain: a run of it carries, the right half
+    # narrows the range by 24 bits a level
+    sliver = lambda n, w: [0, 1, TOTAL_MAX]  # noqa: E731
+    stream = [((sliver, 0, 2**60), 2**60 - 1), ((sliver, 0, 2**60), 0)] * 4
+    stream += [((_descent_table(s, 500, live_only=True), 7, 507), 7 + s) for s in range(40)]
+    enc = RangeEncoder()
+    enc.encode_intervals(stream)
+    assert carries  # a carry rippled back inside a descent
+    levels = [_descent_decisions(*item, slot) for item, slot in stream]
+    assert enc.symbols_coded == sum(map(len, levels))
+    dec = RangeDecoder.from_bytes(enc.finish().data)
+    assert [dec.decode_walk(_descent_walk(*item)) for item, _ in stream] == [s for _, s in stream]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 3),
+    width=st.integers(1, 300),
+    data=st.binary(max_size=60) | st.binary(max_size=40).map(lambda b: b"\xff" * 8 + b),
+)
+def test_decoded_descent_matches_its_decisions(seed, lo, width, data):
+    # on arbitrary bytes, most of them no encoder's output, and on bytes
+    # that open in the remainder zone; dead outcomes decode as
+    # bisect_right finds them
+    table = _descent_table(seed, width)
+    dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+    for cum, _ in _lead(seed) if data[:8] != b"\xff" * 8 else ():
+        dec.decode_target(cum)
+        one.decode_target(cum)
+    got = dec.decode_walk(_descent_walk(table, lo, lo + width))
+    assert got == _descent_by_targets(one, table, lo, lo + width)
+    assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+@pytest.mark.parametrize("split", DESCENT_TABLES)
+def test_descent_from_edge_states(split):
+    # the renormalisation threshold, ranges just below 2**64, a value on
+    # either side of the bound between the outcomes, in the remainder zone
+    # and at the range, which a payload that opens with 0xFF bytes gives
+    data = bytes(random.Random(17).getrandbits(8) for _ in range(40))
+    table = lambda n, w: split  # noqa: E731
+    for rng in (TOP, TOP + 1, 2**64 - 257, MASK):
+        q = rng // split[2]
+        for value in {0, q * split[1] - 1, q * split[1], q * split[2], rng - 1, rng} - {-1}:
+            for width in (2, 3, 64, 1000):
+                dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
+                dec.value, dec.range = one.value, one.range = value, rng
+                got = dec.decode_walk(_descent_walk(table, 5, 5 + width))
+                assert got == _descent_by_targets(one, table, 5, 5 + width)
+                assert (dec.value, dec.range, dec._pos) == (one.value, one.range, one._pos)
+
+
+def test_both_kernels_refuse_a_malformed_descent():
+    table = lambda n, w: [0, 3, 8]  # noqa: E731
+    for item, slot in (((table, 4, 9), 9), ((table, 4, 9), 3), ((table, 4, 4), 4)):
+        enc = RangeEncoder()
+        with pytest.raises(ValueError):
+            enc.encode_intervals([(item, slot)])
+        assert (enc.low, enc.range, enc.symbols_coded) == (0, MASK, 0)
+    for item in ((table, 4, 4), (table, 5, 2)):
+        dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
+        state = (dec.value, dec.range, dec._pos)
+        with pytest.raises(ValueError):
+            dec.decode_walk(_descent_walk(*item))
+        assert (dec.value, dec.range, dec._pos) == state
+
+
+@pytest.mark.parametrize("bad", [[0, 1, TOTAL_MAX + 1], [0, 0, 0]])
+def test_descent_checks_each_level_table(bad):
+    # as the level-by-level stream would: the levels before are coded
+    table = lambda n, w: bad if w == 4 else [0, 3, 8]  # noqa: E731
+    enc, one = RangeEncoder(), RangeEncoder()
+    with pytest.raises(ValueError):
+        enc.encode_intervals([((table, 0, 16), 0)])
+    with pytest.raises(ValueError):
+        one.encode_intervals(_descent_decisions(table, 0, 16, 0))
+    state = (enc.low, enc.range, enc.symbols_coded)
+    assert state == (one.low, one.range, one.symbols_coded) != (0, MASK, 0)
+    dec, ref = RangeDecoder.from_bytes(b"\x01" * 9), RangeDecoder.from_bytes(b"\x01" * 9)
+    with pytest.raises(ValueError):
+        dec.decode_walk(_descent_walk(table, 0, 16))
+    with pytest.raises(ValueError):
+        _descent_by_targets(ref, table, 0, 16)
+    assert (dec.value, dec.range, dec._pos) == (ref.value, ref.range, ref._pos)
