@@ -112,10 +112,15 @@ TABLES_PER_CALL = 1024
 @lru_cache(maxsize=1024)
 def quantized_binomial(n: int, num: int, den: int) -> array:
     """Binomial(n, num/den)."""
-    return quantize(binomial_log2pmf_table(n, num / den))
+    theta = num / den
+    if n >= TOTAL_MAX and 0.0 < theta < 1.0:  # quantize's refusal, before the float table
+        raise ValueError(f"support {n + 1} exceeds total budget {TOTAL_MAX}")
+    return quantize(binomial_log2pmf_table(n, theta))
 
 
 @lru_cache(maxsize=1024)
 def quantized_betabin(n: int, a: int, ad: int, b: int, bd: int) -> array:
     """BetaBin(n, a/ad, b/bd)."""
+    if n >= TOTAL_MAX:  # quantize's refusal, before the float table
+        raise ValueError(f"support {n + 1} exceeds total budget {TOTAL_MAX}")
     return quantize(betabin_log2pmf_table(n, a / ad, b / bd))

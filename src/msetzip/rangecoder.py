@@ -21,47 +21,50 @@ nothing is coded for it.
 Either stream may also hold a chain: the depths below a node of a
 multiset's trie where no member ends and all n members take the same
 branch.  Its item is (split, n, termination, d, count), split a table
-whose top outcome is n, and at each depth e from d it codes outcome 0 of
-e's termination table and then outcome 0 or n of split.  termination(e, n)
-gives (table, end): the table of depth e, which every depth in [e, end)
-shares, end None where every later depth does.  Both sides call it at d
-and then only at each end they reach, and check the table's total and
-outcome-0 bound there, once per such stretch of depths.  Where no
-termination counts are coded the termination is a point mass, [0, 1] in
-one stretch, and a chain at n = 1 is a run of decisions under the
-two-outcome table split.  The encoder codes ((split, n, termination, d,
-count), bits), one bit per depth, first depth on top, 1 for outcome n.
-The decoder takes (split, n, termination, d, count, prefix), decodes at
-most count depths, appends each depth's bit to the bytearray prefix and
-answers the number c of depths it took, as it does for a tail.  At each
-depth it works out both outcomes in copies of its registers and commits
-the depth only if the termination outcome is 0 and the split outcome 0 or
-n.  Otherwise it stops there, the registers as that depth found them, and
-the caller decodes the depth one decision at a time, so any payload
-decodes exactly as it would one decision per table.  Both sides refuse a
-chain whose n is not its split table's top outcome, whose split total is
-out of range or whose count is below 0 with ValueError, before any of its
-depths.  The encoder reads the bits of a chain as bytes of 0/1 values, one
-small int per depth rather than a shift of the whole int.  It finds a
-stretch's dead split outcomes by one scan of those bytes in C, the first 1
-where outcome n has no mass and the first 0 where outcome 0 has none, and
-settles once per stretch whether its termination table and outcome 0
-narrow the range and how many symbols it codes, so each depth runs only
-its arithmetic.  The depth a scan finds codes its termination count and
-then raises ModelMismatchError, as one decision at a time would.
+whose top outcome is n and whose outcomes 0 and n both have mass, and at
+each depth e from d it codes outcome 0 of e's termination table and then
+outcome 0 or n of split.  termination(e, n) gives (table, end): the
+table of depth e, which every depth in [e, end) shares, end None where
+every later depth does.  Both sides call it at d and then only at each
+end they reach, and check the table's total and outcome-0 bound there,
+once per such stretch of depths.  Where no termination counts are coded
+the termination is a point mass, [0, 1] in one stretch, and a chain at
+n = 1 is a run of decisions under the two-outcome table split.  The
+encoder codes ((split, n, termination, d, count), bits), one bit per
+depth, first depth on top, 1 for outcome n.  The decoder takes (split,
+n, termination, d, count, prefix), decodes at most count depths, appends
+each depth's bit to the bytearray prefix and answers the number c of
+depths it took, as it does for a tail.  At each depth it works out both
+outcomes in copies of its registers and commits the depth only if the
+termination outcome is 0 and the split outcome 0 or n.  Otherwise it
+stops there, the registers as that depth found them, and the caller
+decodes the depth one decision at a time, so any payload decodes exactly
+as it would one decision per table.  Both sides refuse a
+chain whose n is not its split table's top outcome, whose split gives
+outcome 0 or n no mass, whose split total is out of range or whose count
+is below 0 with ValueError, before any of its depths.  So a compound item
+never meets a dead split outcome: the caller sends such decisions one at a
+time, and the per-decision step is the one place that refuses or skips
+them.  A stretch whose termination table gives outcome 0 no mass raises
+ModelMismatchError in the encoder and stops the decoder's chain, at the
+stretch's first depth, as one decision at a time would.  The encoder
+reads the bits of a chain as bytes of 0/1 values, one small int per depth
+rather than a shift of the whole int, and settles once per stretch
+whether its termination table narrows the range and how many symbols it
+codes, so each depth runs only its arithmetic.
 
 The decoder also takes a tail: the rest of one member below its node in
 the self-delimiting regime, where only the member's bits tell where it
 ends.  Its item is (split, prefix, complete, count), split a two-outcome
-table whose outcome 1 has mass.  At each of at most count depths it takes
-x = (range // T) cum[1], or range >> 1 for [0, 1, 2], decodes outcome 1,
-with the remainder, if value >= x and 0 otherwise, exactly as
+table whose outcomes both have mass.  At each of at most count depths it
+takes x = (range // T) cum[1], or range >> 1 for [0, 1, 2], decodes
+outcome 1, with the remainder, if value >= x and 0 otherwise, exactly as
 decode_target(split) would, appends the outcome to the bytearray prefix
 and stops at the first depth where complete(prefix) holds.  It answers
 the number of depths it took.  A tail never decodes past the member's
 end, so it needs no copies of the registers and no byte step.  The
 encoder codes the same depths as a chain at n = 1.  A tail whose split
-has other than two outcomes, a dead outcome 1 or a total out of range, or
+has other than two outcomes, a dead outcome or a total out of range, or
 whose count is below 0, raises ValueError before any of its depths.
 
 Either stream may also hold a descent: the levels below a node of a
@@ -71,10 +74,12 @@ members over width slots.  While hi - lo > 1 a level takes split =
 table(1, hi - lo) and mid = (lo + hi) // 2, and codes outcome 1, the
 remainder's owner, if the slot lies in [lo, mid), and then keeps that
 half, else outcome 0 and the half [mid, hi).  Each level is the
-per-decision step: its total is checked, symbols_coded counts it unless
-it is a point mass, and where value is at or past outcome 0's bound the
-decoder takes outcome 1 unless it is dead, as bisect_right finds it.
-No table outlives its level.  The encoder codes ((table, lo, hi), slot)
+per-decision step under a table whose two outcomes both have mass:
+symbols_coded counts it, and where value is at or past outcome 0's bound,
+the remainder included, the decoder takes outcome 1.  A level whose table
+gives an outcome no mass or whose total is past TOTAL_MAX raises
+ValueError there, the levels before it coded.  No table outlives its
+level.  The encoder codes ((table, lo, hi), slot)
 and refuses a slot outside [lo, hi); the decoder takes (table, lo, hi),
 refuses an empty [lo, hi), and answers the slot.
 
@@ -137,6 +142,7 @@ MASK = (1 << RANGE_BITS) - 1
 TOTAL_MAX = 1 << 24
 # renormalising a zero range would shift bytes forever
 _ZERO_RANGE = "range coder interval is empty"
+_LIVE_LEVEL = f"a descent level needs two live outcomes, total <= {TOTAL_MAX}: {{}}"
 
 T = TypeVar("T")
 
@@ -176,20 +182,18 @@ class RangeEncoder:
         of split for a 1 bit, 0 for a 0 bit, exactly as those decisions one
         by one would.  Its termination(e, n) gives (table, end), the table
         shared by the depths [e, end), end None for every later depth; it
-        is called at d and then only at each end the chain reaches.  A
-        stretch's first bit whose split outcome has no mass is found before
-        any of its depths is coded, by one scan of its bits, and the depths
-        before it run without a test of the tables.  A descent ((table, lo,
+        is called at d and then only at each end the chain reaches.  Its
+        split's outcomes 0 and n both have mass.  A descent ((table, lo,
         hi), slot) codes, for each level of the halving of [lo, hi) down to
         slot, outcome 1 of table(1, hi - lo) where slot lies in the left
         half and 0 where it lies in the right, exactly as those decisions
         one by one would.
 
         An error leaves the decisions before the failing one coded, and
-        symbols_coded counts them: a chain's refused depth codes its
-        termination count first.  A malformed chain, or a descent whose
-        slot is outside [lo, hi), raises ValueError before any of its
-        decisions.
+        symbols_coded counts them.  A malformed chain, a chain whose split
+        gives outcome 0 or n no mass, or a descent whose slot is outside
+        [lo, hi), raises ValueError before any of its decisions; a descent
+        level whose table gives an outcome no mass raises it at that level.
         """
         if self._finished:
             raise RuntimeError("encoder already finished")
@@ -208,15 +212,10 @@ class RangeEncoder:
                         while hi - lo > 1:
                             mid = (lo + hi) >> 1
                             split = table(1, hi - lo)
-                            total = split[-1]
-                            if not 1 <= total <= TOTAL_MAX:
-                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                            # a point mass, [0, 0, 1] or [0, 1, 1], leaves
-                            # the registers as they are and is not counted
-                            s1 = split[1]
+                            total, s1 = split[-1], split[1]
+                            if not 0 < s1 < total <= TOTAL_MAX:
+                                raise ValueError(_LIVE_LEVEL.format(list(split)))
                             if k < mid:
-                                if s1 == total:
-                                    raise ModelMismatchError("outcome 1 has zero probability under the model")
                                 hi = mid
                                 x = rng // total * s1
                                 low += x
@@ -225,18 +224,15 @@ class RangeEncoder:
                                     self._carry()
                                     low &= MASK
                             else:
-                                if not s1:
-                                    raise ModelMismatchError("outcome 0 has zero probability under the model")
                                 lo = mid
-                                if s1 != total:
-                                    rng = rng // total * s1
+                                rng = rng // total * s1
                             while rng < TOP:
                                 if not rng:
                                     raise RuntimeError(_ZERO_RANGE)
                                 emit(low >> shift)
                                 low = (low << 8) & MASK
                                 rng <<= 8
-                            coded += total > 1
+                            coded += 1
                         split = None  # no table outlives its level
                         continue
                     # a chain: per depth, termination outcome 0, then split
@@ -303,17 +299,9 @@ class RangeEncoder:
                             continue
                         if bits is None:
                             bits = marked_bits(k | 1 << count)
-                        # the stretch's bits [a, b), and in stop the first
-                        # that takes a dead split outcome: one scan in C
-                        a, b = count - left - m, count - left
-                        stop = b
-                        if sn == stotal:  # the first 1 bit; -1, none, wraps to b
-                            stop = bits.find(1, a, b) % (b + 1)
-                        if not s1:  # the first 0 bit before it
-                            stop = bits.find(0, a, stop) % (stop + 1)
-                        narrow, narrow0 = total > 1 and hi != total, s1 != stotal
-                        coded += (stop - a) * ((total > 1) + (stotal > 1))
-                        for bit in bits[a:stop]:
+                        narrow = total > 1 and hi != total
+                        coded += m * (1 + (total > 1))
+                        for bit in bits[count - left - m : count - left]:
                             if narrow:
                                 rng = rng // total * hi
                                 while rng < TOP:
@@ -329,7 +317,7 @@ class RangeEncoder:
                                 if low > MASK:
                                     self._carry()
                                     low &= MASK
-                            elif narrow0:
+                            else:
                                 rng = rng // stotal * s1
                             while rng < TOP:
                                 if not rng:
@@ -337,21 +325,6 @@ class RangeEncoder:
                                 emit(low >> shift)
                                 low = (low << 8) & MASK
                                 rng <<= 8
-                        if stop < b:
-                            # the refused depth codes its termination count
-                            # first, as one decision at a time would
-                            if narrow:
-                                rng = rng // total * hi
-                                while rng < TOP:
-                                    if not rng:
-                                        raise RuntimeError(_ZERO_RANGE)
-                                    emit(low >> shift)
-                                    low = (low << 8) & MASK
-                                    rng <<= 8
-                            coded += total > 1
-                            raise ModelMismatchError(
-                                f"outcome {n if bits[stop] else 0} has zero probability under the model"
-                            )
                     continue
                 total = cum[-1]
                 if not 1 <= total <= TOTAL_MAX:
@@ -458,8 +431,11 @@ class RangeDecoder:
         hi): it is sent the slot in [lo, hi) that the levels of the halving
         of [lo, hi) decode to, each level under table(1, hi - lo), outcome
         1 for the left half, exactly as those decisions one by one would.
-        A malformed chain, tail or descent raises ValueError before any of
-        its depths.
+        A malformed chain, tail or descent, or a chain or tail whose split
+        gives outcome 0 or n no mass, raises ValueError before any of its
+        depths, and a descent level whose table gives an outcome no mass
+        raises it at that level.  A walk sends a split with a dead outcome
+        as a table, one decision at a time.
         """
         value, rng, data, pos = self.value, self.range, self._data, self._pos
         if not TOP <= rng <= MASK:
@@ -478,8 +454,6 @@ class RangeDecoder:
                         # complete holds for; outcome 1 takes the remainder
                         split, prefix, complete, count = cum
                         s1, _, total = _chain(split, 1, count)
-                        if s1 == total:
-                            raise ValueError("a tail needs a split whose outcome 1 has mass")
                         half = total == 2 and s1 == 1
                         append = prefix.append
                         c = 0
@@ -504,26 +478,24 @@ class RangeDecoder:
                         continue
                     if len(cum) == 3:
                         # a descent: a level at a time, outcome 1, the left
-                        # half, where value is past outcome 0's slice, as
-                        # bisect_right finds it, the remainder zone too
+                        # half, where value is past outcome 0's slice, the
+                        # remainder zone too
                         table, lo, hi = cum
                         if not lo < hi:
                             raise ValueError(f"a descent needs slots, got [{lo}, {hi})")
                         while hi - lo > 1:
                             mid = (lo + hi) >> 1
                             split = table(1, hi - lo)
-                            total = split[-1]
-                            if not 1 <= total <= TOTAL_MAX:
-                                raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
-                            s1 = split[1]
+                            total, s1 = split[-1], split[1]
+                            if not 0 < s1 < total <= TOTAL_MAX:
+                                raise ValueError(_LIVE_LEVEL.format(list(split)))
                             x = rng // total * s1
-                            if value >= x and s1 != total:
+                            if value >= x:
                                 value -= x
                                 rng -= x
                                 hi = mid
                             else:
-                                if s1 != total:
-                                    rng = x
+                                rng = x
                                 lo = mid
                             while rng < TOP:
                                 if not rng:
@@ -608,11 +580,10 @@ class RangeDecoder:
                                     p += 1
                                     r <<= 8
                             q = r // stotal
-                            if s1 and (s1 == stotal or v < q * s1):
-                                if s1 != stotal:
-                                    r = q * s1
+                            if v < q * s1:
+                                r = q * s1
                                 append(0)
-                            elif sn < stotal and v >= q * sn:  # the remainder zone too
+                            elif v >= q * sn:  # the remainder zone too
                                 x = q * sn
                                 v -= x
                                 r -= x
@@ -667,12 +638,16 @@ def _chain(split: Sequence[int], n: int, count: int) -> tuple[int, int, int]:
     """(cum[1], cum[n], total) of a chain's split table cum, the bounds of
     its outcomes 0 and n, or at n = 1 of a tail's.  Raises ValueError, for
     the encoder and the decoder alike, unless n >= 1 is the table's top
-    outcome, total is in [1, TOTAL_MAX] and count >= 0."""
+    outcome, outcomes 0 and n both have mass, total is at most TOTAL_MAX
+    and count >= 0."""
     if n < 1 or len(split) != n + 2:
         raise ValueError(f"a chain at n = {n} needs a split table of {n + 1} outcomes")
-    total = split[-1]
-    if not 1 <= total <= TOTAL_MAX:
-        raise ValueError(f"total must be in [1, {TOTAL_MAX}], got {total}")
+    s1, sn, total = split[1], split[n], split[-1]
+    if not 0 < s1 <= sn < total <= TOTAL_MAX:
+        raise ValueError(
+            f"a chain at n = {n} needs a split whose outcomes 0 and {n} have mass and whose"
+            f" total is at most {TOTAL_MAX}, got {s1} and {total - sn} of {total}"
+        )
     if count < 0:
         raise ValueError(f"a chain needs count >= 0, got {count}")
-    return split[1], split[n], total
+    return s1, sn, total

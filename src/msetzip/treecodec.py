@@ -36,11 +36,15 @@ codes nothing for.
 
 The range coder codes that stream in one call, a chain under a point-mass
 termination and the equiprobable split(1) a whole stretch of bytes at a
-time, and the ideal codelength sums it over the exact log2 pmf, a chain
-one decision at a time.  The decoder runs the walk's mirror, _decode_walk:
-it hands each table to the range decoder, takes back the count, and
-follows a node's path, a bytearray prefix of 0/1 values, without the stack
-until it branches, which at n = 1 is the whole rest of a member.  In the
+time.  Under binomial theta 0 or 1, where split(n) gives outcome 0 or n
+no mass, as each call tells from split(1), the walk yields a chain's
+decisions one at a time and the decoder offers no chain and no tail, so
+only the range coder's per-decision step meets a dead outcome.  The ideal
+codelength sums the exact log2 pmf of the decisions, one at a time.  The
+decoder runs the walk's mirror, _decode_walk: it hands each table to the
+range decoder, takes back the count, and follows a node's path, a
+bytearray prefix of 0/1 values, without the stack until it branches,
+which at n = 1 is the whole rest of a member.  In the
 fixed and general regimes the walk offers a chain (split(n), n, stretch,
 d, cap - d, prefix) at a node of n = 1 and at each node after a split that
 did not branch, but not on entering a node of n > 1, whose first split may
@@ -55,8 +59,7 @@ detector asked at each depth.  At a node of n = 1 it hands the range
 decoder the rest of the member as one tail (split(1), prefix, is_complete,
 cap - d + 1): the range decoder appends each depth's bit to prefix, asks
 the detector after each, and sends back the depths it took, up to the
-first complete prefix or past the depth cap.  A split(1) whose outcome 1
-has no mass decodes one decision at a time.  Every distinct member is
+first complete prefix or past the depth cap.  Every distinct member is
 checked against the regime before the first symbol is coded.
 
 Each call reads its CodecParams once, into one _Call object: the
@@ -211,8 +214,7 @@ def hazard(theta_t: Callable[[int], Fraction], d: int) -> Fraction:
 
 # The termination of a chain where no termination counts are coded: a
 # point mass on outcome 0 in one stretch of every depth.  (0, 1) is that
-# table's cumulative counts, total 1, so the coder codes nothing for it,
-# and its entry 0 is that outcome's log2 pmf, 0, for ideal_codelength.
+# table's cumulative counts, total 1, so the coder codes nothing for it.
 _POINT_MASS = (0, 1), None
 
 
@@ -232,6 +234,9 @@ class _Call:
     regime's asks whether d's hazard, in [0, 1], is not 0, which decides
     the model's support without its pmf.  The self-delimiting regime's
     check asks the detector's first_complete once per distinct member.
+    compound, whether the range coder may take chains and tails, is whether
+    both outcomes of split(1) have mass: false only under binomial theta 0
+    or 1, and with log2pmf.
 
     The tables are the family's coding tables, or with log2pmf the exact
     log2 pmfs that ideal_codelength sums.  split(n) is the split table of n
@@ -250,12 +255,16 @@ class _Call:
     TABLES_PER_CALL entries, which costs a rebuild but no bytes, as a
     table depends on its parameters' values alone."""
 
-    __slots__ = ("end", "complete", "cap", "check", "possible", "split", "termination", "stretch")
+    __slots__ = (
+        "end", "complete", "cap", "check", "possible", "split", "termination", "stretch", "compound"
+    )
 
     def __init__(self, params: CodecParams, log2pmf: bool = False):
         regime, fam = params.regime, params.family
         split = fam.split_log2pmf if log2pmf else fam.split_table
         self.split = lru_cache(maxsize=TABLES_PER_CALL)(split)
+        one = None if log2pmf else self.split(1)
+        self.compound = one is not None and 0 < one[1] < one[2]
         self.end = self.complete = self.possible = self.termination = None
         self.cap = DECODE_DEPTH_CAP
         self.stretch = lambda d, n: _POINT_MASS
@@ -357,10 +366,12 @@ def _decisions(sorted_members: tuple, call: _Call):
     stacks the members from there.  A range of one distinct member, of m
     copies, is coded from the member's bits to its end as one chain
     ((split(m), m, stretch, d, count), bits), bits the member's remaining
-    count bits as one int, as RangeEncoder.encode_intervals reads them; in
-    the general regime the final termination count m follows it."""
+    count bits as one int, as RangeEncoder.encode_intervals reads them, or
+    as those decisions one at a time where call.compound is false; in the
+    general regime the final termination count m follows it."""
     datas, values, lengths, cum = sorted_members
     split, termination, stretch = call.split, call.termination, call.stretch
+    compound, terminations = call.compound, termination is not None
     stack = [(0, len(datas), 0)] if datas else []
     while stack:
         lo, hi, d = stack.pop()
@@ -390,9 +401,21 @@ def _decisions(sorted_members: tuple, call: _Call):
             else:
                 yield split(n), n if byte & bit else 0
         end = lengths[lo]
-        if end > d:
+        if end > d and compound:
             yield (split(n), n, stretch, d, end - d), values[lo] & ((1 << (end - d)) - 1)
-        if termination is not None:
+        elif end > d:
+            # the chain's decisions one at a time, a stretch's termination
+            # table looked up where it starts; the point mass where no
+            # termination counts are coded is skipped, as it codes nothing
+            # and the coder reads its tuple as a compound item
+            table, until = split(n), d
+            for e, bit in enumerate(marked_bits(values[lo] | 1 << end)[d:], d):
+                if terminations:
+                    if e == until:
+                        term, until = stretch(e, n)
+                    yield term, 0
+                yield table, n if bit else 0
+        if terminations:
             yield termination(end, n), n
 
 
@@ -408,16 +431,18 @@ def _decode_walk(n_members: int, call: _Call, out: list):
     a time.  A fixed-length member is complete when its path reaches depth
     L, by a chain or by a split.  The self-delimiting regime offers a tail
     (split(1), prefix, complete, cap - d + 1) at a node of n = 1 that is not
-    complete, unless outcome 1 of split(1) has no mass, and receives the c
-    depths the range decoder took, their bits appended to prefix: the member
-    ends at depth d + c unless that passes the cap.  It takes every other
-    decision one at a time.  A termination count whose table is a point mass
-    codes nothing, so the walk takes that table's one live outcome without
-    the range decoder.  The prefix is a bytearray of 0/1 values, which the
-    range decoder extends for a chain and a tail alike, and
-    BitString.from_bits packs in C."""
+    complete, and receives the c depths the range decoder took, their bits
+    appended to prefix: the member ends at depth d + c unless that passes
+    the cap.  Where call.compound is false the walk offers no chain and no
+    tail.  It takes every other decision one at a time.  A termination
+    count whose table is a point mass codes nothing, so the walk takes that
+    table's one live outcome without the range decoder.  The prefix is a
+    bytearray of 0/1 values, which the range decoder extends for a chain
+    and a tail alike, and BitString.from_bits packs in C."""
     end, complete, cap = call.end, call.complete, call.cap
     split, termination, stretch = call.split, call.termination, call.stretch
+    chains = call.compound and complete is None
+    tails = call.compound and complete is not None
     prefix = bytearray()
     stack = [(n_members, 0, 0)]
     while stack:
@@ -425,7 +450,7 @@ def _decode_walk(n_members: int, call: _Call, out: list):
         if d:
             prefix[d - 1 :] = (bit,)  # the parent's prefix, then this node's bit
         table = None  # fetched when first needed: a complete node codes no split
-        chain = n == 1 and complete is None
+        chain = n == 1 and chains
         while True:
             if d > cap:
                 raise CorruptStreamError(f"member longer than the depth cap of {cap} bits")
@@ -434,7 +459,7 @@ def _decode_walk(n_members: int, call: _Call, out: list):
                 break
             if table is None:
                 table = split(n)
-                if n == 1 and complete is not None and table[1] != table[2]:
+                if n == 1 and tails:
                     # the rest of the member, up to its first complete prefix
                     # or past the depth cap, each depth's bit appended to prefix
                     d += yield table, prefix, complete, cap - d + 1
@@ -472,7 +497,7 @@ def _decode_walk(n_members: int, call: _Call, out: list):
                 break
             prefix.append(1 if n1 else 0)
             d += 1
-            chain = complete is None
+            chain = chains
 
 
 def _copies(out: list, prefix: bytearray, n: int) -> None:
@@ -508,15 +533,5 @@ def ideal_codelength(members: Iterable, params: CodecParams) -> float:
     call = _Call(params, log2pmf=True)
     total = 0.0
     for table, k in _decisions(_sort(members, call), call):
-        if table.__class__ is not tuple:
-            total -= table[k]
-            continue
-        # a chain, summed one decision at a time
-        table, n, stretch, d, count = table
-        end = d
-        for e, bit in enumerate(marked_bits(k | 1 << count), d):
-            if e == end:  # a stretch starts: its termination table
-                term, end = stretch(e, n)
-            total -= term[0]
-            total -= table[n if bit else 0]
+        total -= table[k]
     return total

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import msetzip.treecodec as treecodec
 from msetzip.bits import BitReader, BitString
 from msetzip.container import compress, decompress, parse_header
-from msetzip.errors import CorruptStreamError
+from msetzip.errors import CorruptStreamError, ModelMismatchError
 from msetzip.fibcode import fib_encode, read_fib
 from msetzip.models import (
     FibTerminatorDetector,
@@ -53,6 +53,9 @@ FAMILIES = [
     BinomialFamily(Fraction(1, 2)),
     BetaBinomialFamily(Fraction(2), Fraction(5)),
 ]
+# and two whose outcome 0 or outcome n of every split has no mass, where
+# the codec takes every decision one at a time
+GENERAL_FAMILIES = [*FAMILIES, BinomialFamily(Fraction(1)), BinomialFamily(Fraction(0))]
 # the equiprobable split at n = 1, two lopsided ones, and one whose
 # outcome 0 has no mass
 SELF_DELIMITING_FAMILIES = [
@@ -88,10 +91,10 @@ def _complete(regime, prefix: list) -> bool:
     return False  # the general regime ends members by termination counts
 
 
-def oracle_encode(members, params: CodecParams) -> RangeEncoder:
-    """An encoder that has coded every count of members' trie, one call
-    per decision."""
-    enc = RangeEncoder()
+def oracle_encode(members, params: CodecParams, enc=None) -> RangeEncoder:
+    """An encoder, enc or a new one, that has coded every count of members'
+    trie, one call per decision."""
+    enc = RangeEncoder() if enc is None else enc
     regime, family = params.regime, params.family
     tree = MultisetTree.build(members)
     stack = [(tree.root, [])] if len(tree) else []
@@ -259,7 +262,7 @@ def test_random_payloads_decode_as_the_trie_walk(data, n_members, model):
     regime = GeneralRegime(model)
     cap = 40 if model.max_length() is None else model.max_length()
     with mock.patch.object(treecodec, "DECODE_DEPTH_CAP", 40):
-        for family in FAMILIES:
+        for family in GENERAL_FAMILIES:
             params = CodecParams(regime, family)
             try:
                 want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), cap)
@@ -326,3 +329,36 @@ def test_random_payloads_decode_as_the_trie_walk_fixed(data, n_members, length):
         params = CodecParams(regime, family)
         want = oracle_decode(params, n_members, RangeDecoder.from_bytes(data), length)
         assert decode_members(params, n_members, RangeDecoder.from_bytes(data)) == want
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize(
+    "regime",
+    [
+        FixedRegime(200),
+        GeneralRegime(GeometricLength(Fraction(1, 4))),
+        GeneralRegime(UniformLength(0, 255)),
+    ],
+    ids=["fixed", "geometric", "uniform"],
+)
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(1)])
+def test_a_dead_outcome_deep_inside_a_member_raises_where_the_trie_walk_does(
+    theta, regime, copies
+):
+    # under theta = 0 or 1 the rest of a member goes one decision at a
+    # time; a bit whose split outcome has no mass, at depth 150, raises
+    # ModelMismatchError with the depths before it and that depth's
+    # termination count coded, as the trie walk's one call per decision
+    # leaves the coder, and the error names the dead outcome
+    zero, one = ("0", "1") if theta == 0 else ("1", "0")
+    members = [zero * 150 + one + zero * 49] * copies
+    params = CodecParams(regime, BinomialFamily(theta))
+    enc, oracle = RangeEncoder(), RangeEncoder()
+    dead = copies if theta == 0 else 0
+    with pytest.raises(ModelMismatchError, match=f"^outcome {dead} has zero probability"):
+        encode_members(members, params, enc)
+    with pytest.raises(ModelMismatchError, match=f"^outcome {dead} has zero probability"):
+        oracle_encode(members, params, oracle)
+    assert (enc.low, enc.range, enc.symbols_coded) == (oracle.low, oracle.range, oracle.symbols_coded)
+    assert (enc.symbols_coded > 100) == isinstance(regime, GeneralRegime)
+    assert enc.finish() == oracle.finish()

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,35 @@ def test_empty_pmf_or_support_rejected(log2pmf, message):
 def test_support_larger_than_budget_rejected():
     with pytest.raises(ValueError):
         quantize([-30.0] * (TOTAL_MAX + 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: quantized_betabin(n, 1, 2, 1, 2),
+        lambda n: quantized_binomial(n, 1, 3),
+        lambda n: decode_dirmult(2, n, RangeDecoder(bytes(8))),
+    ],
+    ids=["betabin", "binomial", "dirmult"],
+)
+@pytest.mark.parametrize("n", [TOTAL_MAX, 10**9])
+def test_a_table_wider_than_the_budget_is_refused_before_it_is_built(build, n):
+    # n + 1 outcomes with mass cannot each have a count of 1: refused at
+    # once, with the error quantize gives, and no float table built first
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"^support {n + 1} exceeds total budget {TOTAL_MAX}$"):
+        build(n)
+    assert time.process_time() - start < 0.5
+
+
+def test_one_slot_of_any_count_builds_no_table():
+    # one slot holds every member, so a huge n codes nothing and stays valid
+    start = time.process_time()
+    assert decode_dirmult(1, 10**9, RangeDecoder(bytes(8))).counts == (10**9,)
+    enc = RangeEncoder()
+    encode_dirmult(IntMultiset(1, (10**9,)), enc)
+    assert enc.finish().nbits == 0
+    assert time.process_time() - start < 0.5
 
 
 def test_interval_out_of_support_rejected():

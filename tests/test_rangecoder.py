@@ -237,12 +237,18 @@ def test_stream_error_keeps_what_came_before():
 # A run is the chain of one copy, n = 1, whose termination codes nothing: a
 # point mass on outcome 0 in one stretch of every depth.
 
+# tables whose two outcomes both have mass, the only ones a run may have
 RUN_TABLES = [
     [0, 1, 2],
     [0, 11184811, 16777216],  # Binomial(1, 1/3)
     [0, 5991863, 8388608],  # BetaBin(1, 2, 5)
     [0, 1, TOTAL_MAX],  # slivers at either end; runs of outcome 1 carry through 0xFF bytes
     [0, TOTAL_MAX - 1, TOTAL_MAX],
+]
+
+# tables with a dead outcome, which both kernels refuse for a run before
+# any of its decisions: such decisions go one at a time
+DEAD_RUN_TABLES = [
     [0, 0, 1],  # point masses
     [0, 1, 1],
     [0, 0, TOTAL_MAX],  # dead outcome 0
@@ -333,18 +339,19 @@ def test_run_carries_through_ff_bytes(monkeypatch):
 
 
 def test_run_error_keeps_what_came_before():
-    # the run codes up to its first impossible outcome, then raises, and
-    # nothing after it is coded; that outcome may sit in any 30-bit
-    # stretch of the run's int
-    for cum, bits, possible in (
-        ([0, 0, 8], "11101", "111"),  # outcome 0 is dead
-        ([0, 8, 8], "00010", "000"),  # outcome 1 is dead
-        *(([0, 0, 8], "1" * n + "0" + "10" * 20, "1" * n) for n in (29, 30, 31, 60, 99)),
-        *(([0, 8, 8], "0" * n + "1" + "01" * 20, "0" * n) for n in (29, 30, 31, 60, 99)),
+    # a run under a table with a dead outcome raises ValueError before any
+    # of its decisions, whichever bits it holds and wherever the dead
+    # outcome's first bit sits: what came before stays coded, nothing after
+    for cum, bits in (
+        ([0, 0, 8], "11101"),  # outcome 0 is dead
+        ([0, 8, 8], "00010"),  # outcome 1 is dead
+        ([0, 0, 8], "1" * 40),  # no bit takes the dead outcome
+        *(([0, 0, 8], "1" * n + "0" + "10" * 20) for n in (29, 30, 31, 60, 99)),
+        *(([0, 8, 8], "0" * n + "1" + "01" * 20) for n in (29, 30, 31, 60, 99)),
     ):
         enc, ref = RangeEncoder(), RangeEncoder()
-        ref.encode_intervals([([0, 3, 8], 1)] + _decisions_of(cum, possible))
-        with pytest.raises(ModelMismatchError):
+        ref.encode_interval([0, 3, 8], 1)
+        with pytest.raises(ValueError, match="outcomes 0 and 1 have mass"):
             enc.encode_intervals([([0, 3, 8], 1), _run(cum, bits), ([0, 3, 8], 0)])
         assert (enc.low, enc.range, enc.symbols_coded) == (ref.low, ref.range, ref.symbols_coded)
         assert enc.finish() == ref.finish()
@@ -569,8 +576,7 @@ def test_long_runs_code_as_their_decisions_one_by_one(cum, count):
 @pytest.mark.parametrize("cum", RUN_TABLES)
 def test_run_round_trips(cum):
     rng = random.Random(5)
-    live = ("0" if cum[1] else "") + ("1" if cum[1] != cum[2] else "")
-    bits = "".join(rng.choice(live) for _ in range(300))
+    bits = "".join(rng.choice("01") for _ in range(300))
     enc = RangeEncoder()
     enc.encode_intervals([_run(cum, bits)])
     got = RangeDecoder.from_bytes(enc.finish().data).decode_walk(_run_walk(cum, len(bits)))
@@ -586,19 +592,23 @@ def test_decoded_run_validates_its_table():
 
 
 @pytest.mark.parametrize(
-    "cum,count", [(cum, 3) for cum in NOT_RUN_TABLES] + [([0, 1, 2], 0), ([0, 1, 2], -1)]
+    "cum,count",
+    [(cum, 3) for cum in NOT_RUN_TABLES + DEAD_RUN_TABLES]
+    + [(cum, 0) for cum in DEAD_RUN_TABLES]
+    + [([0, 1, 2], 0), ([0, 1, 2], -1)],
 )
 def test_both_kernels_refuse_a_malformed_run(cum, count):
     # before any of its decisions: the encoder keeps its registers, output
     # and symbols_coded, and the decoder its value and range; a run of no
-    # decisions is a chain of no depths, which both kernels take as nothing
+    # decisions under a live table is a chain of no depths, which both
+    # kernels take as nothing, while a dead outcome is refused at any count
     enc, ref = RangeEncoder(), RangeEncoder()
     ref.encode_interval([0, 3, 8], 1)
     stream = [([0, 3, 8], 1), _run_item(cum, count, 0), ([0, 3, 8], 0)]
     dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
     dec.decode_target([0, 3, 8])
     state = dec.value, dec.range
-    if count == 0:
+    if count == 0 and cum not in DEAD_RUN_TABLES:
         ref.encode_interval([0, 3, 8], 0)
         enc.encode_intervals(stream)
         assert dec.decode_walk(_run_walk(cum, count)) == 0
@@ -707,24 +717,31 @@ def test_decoder_refuses_to_renormalise_a_zero_range(cum):
 
 # (split table, n, termination tables cycled by depth); the kernels read a
 # termination table's first bound and total, and the split table's bounds
-# of outcomes 0 and n.  A chain's termination(d, n) gives the table of
-# depth d and the end of its stretch, the depths that share that table.
+# of outcomes 0 and n, both of which have mass.  A chain's termination(d,
+# n) gives the table of depth d and the end of its stretch, the depths that
+# share that table.
 CHAIN_CASES = [
     ([0, 1, 2], 1, [[0, 2, 3], [0, 11184811, 16777216]]),
     ([0, 11184811, 16777216], 1, [[0, 1, 1]]),  # termination total 1: a point mass on 0
     ([0, 3, 5, 11, 20], 3, [[0, 9, 12, 14, 15], [0, 15, 15, 15, 15]]),  # t1 == total
-    ([0, 0, 5, 9, 20], 3, [[0, 9, 12, 14, 15]]),  # dead outcome 0
-    ([0, 4, 9, 20, 20], 3, [[0, 9, 12, 14, 15]]),  # dead top outcome
-    ([0, 4, 9, 20, 20], 3, [[0, 1, 1, 1, 1]]),  # the split sees the remainder zone
+    ([0, 4, 9, 19, 20], 3, [[0, 1, 1, 1, 1]]),  # the remainder zone, outcome n's
     ([0, 1, 2, TOTAL_MAX - 1, TOTAL_MAX], 3, [[0, TOTAL_MAX - 1, TOTAL_MAX, TOTAL_MAX, TOTAL_MAX]]),
     ([0, TOTAL_MAX - 1, TOTAL_MAX], 1, [[0, 1, TOTAL_MAX]]),  # slivers: carries and long shifts
-    ([0, 1, 1], 1, [[0, 5, 8], [0, 1, 1]]),  # point masses on either split outcome
-    ([0, 0, 1], 1, [[0, 5, 8]]),
-    ([0, 0, 1, 1], 2, [[0, 5, 8, 9]]),  # a point mass on a middle outcome
     ([0, 5, 6, 9], 2, [[0, 0, 3, 8], [0, 4, 4, 4]]),  # a dead termination outcome 0
     ([0, 5, 6, 9], 2, [[0, 0, 1, 1], [0, 4, 4, 4]]),  # a termination point mass past 0
     ([0, 1, 2], 1, [[0, 1]]),  # equiprobable under a point mass: the byte steps
     ([0, 1, 2], 1, [[0, 1], [0, 2, 3]]),  # byte steps in every other stretch
+]
+
+# splits whose outcome 0 or n has no mass, which both kernels refuse for a
+# chain before any of its depths: such depths go one decision at a time
+DEAD_CHAIN_CASES = [
+    ([0, 0, 5, 9, 20], 3, [[0, 9, 12, 14, 15]]),  # dead outcome 0
+    ([0, 4, 9, 20, 20], 3, [[0, 9, 12, 14, 15]]),  # dead top outcome
+    ([0, 4, 9, 20, 20], 3, [[0, 1, 1, 1, 1]]),  # the remainder zone, a dead outcome's
+    ([0, 1, 1], 1, [[0, 5, 8], [0, 1, 1]]),  # point masses on either split outcome
+    ([0, 0, 1], 1, [[0, 5, 8]]),
+    ([0, 0, 1, 1], 2, [[0, 5, 8, 9]]),  # a point mass on a middle outcome
 ]
 
 
@@ -869,20 +886,12 @@ def test_chain_looks_up_one_table_per_stretch(width):
     assert asked == starts
 
 
-def _live_split_bits(case) -> str:
-    """The split outcomes a chain can code, as '0'/'1', or '' where a
-    termination table gives outcome 0 no mass."""
-    split, n, tables = case
-    if not all(t[1] for t in tables):
-        return ""
-    return ("0" if split[1] else "") + ("1" if split[n] != split[-1] else "")
-
-
-@pytest.mark.parametrize("case", [case for case in CHAIN_CASES if _live_split_bits(case)])
+@pytest.mark.parametrize("case", [case for case in CHAIN_CASES if all(t[1] for t in case[2])])
 def test_chain_round_trips(case):
-    # a chain of live outcomes, then the termination outcome that ends it
+    # a chain, then the termination outcome that ends it, where no
+    # termination table gives outcome 0 no mass
     split, n, tables = case
-    bits = "".join(random.Random(7).choice(_live_split_bits(case)) for _ in range(300))
+    bits = "".join(random.Random(7).choice("01") for _ in range(300))
     end = [0, 1, 3, 6, 10][: n + 2]
     enc = RangeEncoder()
     enc.encode_intervals([_chain(case, 0, bits), (end, 1)])
@@ -929,29 +938,11 @@ def test_chain_carries_through_ff_bytes(monkeypatch):
     carries = []
     carry = RangeEncoder._carry
     monkeypatch.setattr(RangeEncoder, "_carry", lambda self: carries.append(1) or carry(self))
-    case = CHAIN_CASES[6]  # outcome n a sliver at the top of the split table
+    case = CHAIN_CASES[4]  # outcome n a sliver at the top of the split table
     bits = "1" * 200 + "0" + "1" * 200
     got = _coded([_chain(case, 0, bits)])
     assert carries  # a carry rippled back inside the chain
     assert got == _one_by_one(RangeEncoder(), _chain_decisions(case, 0, bits))
-
-
-@pytest.mark.parametrize("d", [0, 3])
-@pytest.mark.parametrize("width", [2, 3, 8, 20])
-@pytest.mark.parametrize("bits", ["1" * 25 + "0", "0" * 25 + "1"])
-@pytest.mark.parametrize("case", [CHAIN_CASES[3], CHAIN_CASES[4]], ids=["dead-0", "dead-top"])
-def test_chain_refuses_a_dead_outcome_deep_inside(case, bits, width, d):
-    # the encoder finds a stretch's first dead split outcome before coding
-    # it; where that depth lies in a later stretch, after several
-    # renormalisations, the error still leaves what one decision at a time
-    # leaves: the depths before it and its termination count coded; the
-    # error names the dead outcome
-    tail = [([0, 2, 5], 1)]
-    got = _coded([_chain(case, d, bits, width)] + tail)
-    assert got == _one_by_one(RangeEncoder(), _chain_decisions(case, d, bits, width) + tail)
-    dead = 0 if case is CHAIN_CASES[3] else case[1]
-    with pytest.raises(ModelMismatchError, match=f"^outcome {dead} has zero probability"):
-        RangeEncoder().encode_intervals([_chain(case, d, bits, width)])
 
 
 def test_chain_of_no_depths_codes_nothing():
@@ -978,6 +969,9 @@ def test_chain_of_no_depths_codes_nothing():
         ([0, 3, 8], 1, -1, 0),
         ([0, 3, 8], 1, 3, 8),  # bits that do not fit the count (encoder only)
         ([0, 3, 8], 1, 3, -1),
+        # a dead outcome 0 or n, whether or not a bit takes it
+        *((split, n, count, 0) for split, n, _ in DEAD_CHAIN_CASES for count in (0, 3)),
+        *((split, n, 3, 0b101) for split, n, _ in DEAD_CHAIN_CASES),
     ],
 )
 def test_both_kernels_refuse_a_malformed_chain(split, n, count, bits):
@@ -1052,16 +1046,14 @@ def test_chain_checks_a_stretch_table_at_the_stretch_start(bad, error):
 
 # --- tails: a member's depths under a two-outcome split, to its end -------
 
-# two-outcome split tables whose outcome 1 has mass: the equiprobable one
-# the decoder shifts for, lopsided ones, slivers, and a dead outcome 0
+# two-outcome split tables whose outcomes both have mass: the equiprobable
+# one the decoder shifts for, lopsided ones and slivers
 TAIL_TABLES = [
     [0, 1, 2],
     [0, 11184811, 16777216],
     [0, 2, 5],
     [0, 1, TOTAL_MAX],
     [0, TOTAL_MAX - 1, TOTAL_MAX],
-    [0, 0, 1],
-    [0, 0, 5],
 ]
 # where a tail ends: at a Fibonacci terminator 11, at 9 bits, or never
 TAIL_ENDS = [
@@ -1146,6 +1138,9 @@ def test_tail_from_edge_states(split):
         ([0, 8], 3),
         ([0, 3, 3], 3),  # outcome 1 dead
         ([0, 1, 1], 3),
+        ([0, 0, 5], 3),  # outcome 0 dead
+        ([0, 0, 1], 3),
+        ([0, 0, 5], 0),  # refused even where it would decode no depth
         ([0, 1, TOTAL_MAX + 1], 3),
         ([0, 0, 0], 3),
         ([0, 3, 8], -1),
@@ -1162,13 +1157,18 @@ def test_decoder_refuses_a_malformed_tail(split, count):
     assert not prefix and not asked
 
 
-# two-outcome tables for a descent's levels: live, slivers, a dead outcome
-# on either side, point masses
+# two-outcome tables for a descent's levels, both outcomes live: even,
+# lopsided, slivers
 DESCENT_TABLES = [
     [0, 1, 2],
     [0, 3, 8],
     [0, 1, TOTAL_MAX],
     [0, TOTAL_MAX - 1, TOTAL_MAX],
+]
+
+# a dead outcome on either side, point masses: both kernels refuse a level
+# under one of these, there, with ValueError
+DEAD_DESCENT_TABLES = [
     [0, 0, 5],
     [0, 5, 5],
     [0, 0, 1],
@@ -1176,12 +1176,11 @@ DESCENT_TABLES = [
 ]
 
 
-def _descent_table(seed: int, width: int, live_only=False):
+def _descent_table(seed: int, width: int):
     """table(n, width) of a descent over width slots: a seed-chosen table
     per width, as a walk's cache gives one per (1, width)."""
     rng = random.Random(seed)
-    choices = DESCENT_TABLES[:4] if live_only else DESCENT_TABLES
-    tables = {w: rng.choice(choices) for w in range(2, width + 1)}
+    tables = {w: rng.choice(DESCENT_TABLES) for w in range(2, width + 1)}
     return lambda n, w: tables[w]
 
 
@@ -1215,7 +1214,6 @@ def _descent_by_targets(dec: RangeDecoder, table, lo: int, hi: int) -> int:
     pick=st.integers(0, 2**16),
 )
 def test_descent_codes_as_its_decisions(seed, lo, width, pick):
-    # a dead outcome anywhere raises where the level-by-level stream does
     table, slot = _descent_table(seed, width), lo + pick % width
     lead = _lead(seed)
     tail = [([0, 2, 5], 1)]  # coded only if the descent raised nothing
@@ -1232,7 +1230,7 @@ def test_descent_round_trips_and_carries(monkeypatch):
     # narrows the range by 24 bits a level
     sliver = lambda n, w: [0, 1, TOTAL_MAX]  # noqa: E731
     stream = [((sliver, 0, 2**60), 2**60 - 1), ((sliver, 0, 2**60), 0)] * 4
-    stream += [((_descent_table(s, 500, live_only=True), 7, 507), 7 + s) for s in range(40)]
+    stream += [((_descent_table(s, 500), 7, 507), 7 + s) for s in range(40)]
     enc = RangeEncoder()
     enc.encode_intervals(stream)
     assert carries  # a carry rippled back inside a descent
@@ -1251,8 +1249,7 @@ def test_descent_round_trips_and_carries(monkeypatch):
 )
 def test_decoded_descent_matches_its_decisions(seed, lo, width, data):
     # on arbitrary bytes, most of them no encoder's output, and on bytes
-    # that open in the remainder zone; dead outcomes decode as
-    # bisect_right finds them
+    # that open in the remainder zone
     table = _descent_table(seed, width)
     dec, one = RangeDecoder.from_bytes(data), RangeDecoder.from_bytes(data)
     for cum, _ in _lead(seed) if data[:8] != b"\xff" * 8 else ():
@@ -1282,13 +1279,19 @@ def test_descent_from_edge_states(split):
 
 
 def test_both_kernels_refuse_a_malformed_descent():
+    # a slot outside the descent, no slots, or a first level with a dead
+    # outcome: refused before any level is coded
     table = lambda n, w: [0, 3, 8]  # noqa: E731
-    for item, slot in (((table, 4, 9), 9), ((table, 4, 9), 3), ((table, 4, 4), 4)):
+    dead = [lambda n, w, cum=cum: cum for cum in DEAD_DESCENT_TABLES]
+    items = [((table, 4, 9), 9), ((table, 4, 9), 3), ((table, 4, 4), 4)]
+    items += [((t, 4, 9), slot) for t in dead for slot in (4, 8)]
+    for item, slot in items:
         enc = RangeEncoder()
         with pytest.raises(ValueError):
             enc.encode_intervals([(item, slot)])
         assert (enc.low, enc.range, enc.symbols_coded) == (0, MASK, 0)
-    for item in ((table, 4, 4), (table, 5, 2)):
+        assert enc.finish() == RangeEncoder().finish()
+    for item in ((table, 4, 4), (table, 5, 2), *((t, 4, 9) for t in dead)):
         dec = RangeDecoder.from_bytes(bytes(range(7, 250, 13)))
         state = (dec.value, dec.range, dec._pos)
         with pytest.raises(ValueError):
@@ -1296,20 +1299,22 @@ def test_both_kernels_refuse_a_malformed_descent():
         assert (dec.value, dec.range, dec._pos) == state
 
 
-@pytest.mark.parametrize("bad", [[0, 1, TOTAL_MAX + 1], [0, 0, 0]])
-def test_descent_checks_each_level_table(bad):
-    # as the level-by-level stream would: the levels before are coded
+@pytest.mark.parametrize("bad", [[0, 1, TOTAL_MAX + 1], [0, 0, 0], *DEAD_DESCENT_TABLES])
+@pytest.mark.parametrize("slot", [0, 15])
+def test_descent_checks_each_level_table(bad, slot):
+    # ValueError at the level of width 4, the two levels before it coded
+    # as the level-by-level stream codes them
     table = lambda n, w: bad if w == 4 else [0, 3, 8]  # noqa: E731
     enc, one = RangeEncoder(), RangeEncoder()
     with pytest.raises(ValueError):
-        enc.encode_intervals([((table, 0, 16), 0)])
-    with pytest.raises(ValueError):
-        one.encode_intervals(_descent_decisions(table, 0, 16, 0))
+        enc.encode_intervals([((table, 0, 16), slot)])
+    one.encode_intervals(_descent_decisions(table, 0, 16, slot)[:2])
     state = (enc.low, enc.range, enc.symbols_coded)
     assert state == (one.low, one.range, one.symbols_coded) != (0, MASK, 0)
+    assert enc.finish() == one.finish()
     dec, ref = RangeDecoder.from_bytes(b"\x01" * 9), RangeDecoder.from_bytes(b"\x01" * 9)
     with pytest.raises(ValueError):
         dec.decode_walk(_descent_walk(table, 0, 16))
-    with pytest.raises(ValueError):
-        _descent_by_targets(ref, table, 0, 16)
+    ref.decode_target([0, 3, 8])
+    ref.decode_target([0, 3, 8])
     assert (dec.value, dec.range, dec._pos) == (ref.value, ref.range, ref._pos)

@@ -980,6 +980,29 @@ class TestValidation:
         enc = RangeEncoder()
         encode_members(["00", "00"], params, enc)
         assert enc.finish().nbits == 0
+        # theta = 0 or 1 gives every split a dead outcome, so the rest of a
+        # member goes one decision at a time: a forbidden bit deep inside a
+        # long member is still refused, in the fixed and the general regime,
+        # under one copy or several; the ideal codelength is infinite there,
+        # and elsewhere that of the termination counts alone
+        for theta, zero, one in ((Fraction(0), "0", "1"), (Fraction(1), "1", "0")):
+            for regime, cost in (
+                (FixedRegime(200), 0.0),
+                (GeneralRegime(GeometricLength(Fraction(1, 4))), 169.18492471297955),
+            ):
+                params = CodecParams(regime, BinomialFamily(theta))
+                for copies in (1, 3):
+                    members = [zero * 150 + one + zero * 49] * copies
+                    dead = copies if theta == 0 else 0
+                    with pytest.raises(ModelMismatchError, match=f"^outcome {dead} has zero"):
+                        encode_members(members, params, RangeEncoder())
+                    assert ideal_codelength(members, params) == math.inf
+                members = [zero * 200] * 2
+                enc = RangeEncoder()
+                encode_members(members, params, enc)
+                dec = RangeDecoder.from_bytes(enc.finish().data)
+                assert decode_members(params, 2, dec) == [BitString.from_str(zero * 200)] * 2
+                assert ideal_codelength(members, params) == pytest.approx(cost, abs=1e-9)
 
     def test_clean_input_passes_validation(self):
         enc = RangeEncoder()
